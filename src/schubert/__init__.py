@@ -14,6 +14,7 @@ from .diagram import (
     k_march_steps,
     march,
     march_boxes,
+    march_children,
     maximal_corner,
     pivot_rows,
     pivots,
@@ -90,6 +91,7 @@ __all__ = [
     "leaf_summary",
     "march",
     "march_boxes",
+    "march_children",
     "maximal_corner",
     "parse_polynomial",
     "pivot_rows",

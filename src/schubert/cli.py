@@ -1,9 +1,11 @@
 """Command-line surface: diagrams, marches, trees, polynomials, products.
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition failure,
-4 resource ceiling.  Results go to stdout, diagnostics to stderr.  The
-tree node ceiling can be set per invocation with ``--node-ceiling`` or
-globally with the ``SCHUBERT_NODE_CEILING`` environment variable.
+4 resource ceiling (the tree node ceiling, or a recursion deeper than
+the interpreter's stack allows).  Results go to stdout, diagnostics to
+stderr.  The tree node ceiling can be set per invocation with
+``--node-ceiling`` or globally with the ``SCHUBERT_NODE_CEILING``
+environment variable.
 """
 from __future__ import annotations
 
@@ -61,14 +63,33 @@ class _UsageError(Exception):
     pass
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _at_least(1)
+_non_negative = _at_least(0)
+
+
 def _default_ceiling() -> int:
     raw = os.environ.get("SCHUBERT_NODE_CEILING")
     if raw is None:
         return DEFAULT_NODE_CEILING
     try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"SCHUBERT_NODE_CEILING is not an integer: {raw!r}") from None
+        return _non_negative(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"SCHUBERT_NODE_CEILING: {exc}") from None
 
 
 def _rows(text: str) -> list[int]:
@@ -95,14 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="build a marching tree")
     p.add_argument("perm")
-    p.add_argument("--t", type=int, required=True, help="truncation level")
+    p.add_argument("--t", type=_positive, required=True, help="truncation level")
     p.add_argument("--cohomology", action="store_true", help="single marches only")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.add_argument("--node-ceiling", type=int, default=None)
+    p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
     p = sub.add_parser("groth", help="Grothendieck polynomial (optionally truncated)")
     p.add_argument("perm")
-    p.add_argument("--truncate", type=int, default=None, metavar="T")
+    p.add_argument("--truncate", type=_non_negative, default=None, metavar="T")
 
     p = sub.add_parser("multiply", help="expand a product of two Grothendieck classes")
     p.add_argument("sigma")
@@ -112,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="detect a truncation problem and expand by marching")
     p.add_argument("sigma")
     p.add_argument("alpha")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--t", type=_positive, required=True)
     p.add_argument("--cohomology", action="store_true")
-    p.add_argument("--node-ceiling", type=int, default=None)
+    p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
     sub.add_parser("verify-paper", help="re-run the worked example fixtures")
 
@@ -140,13 +161,13 @@ def _cmd_march(args: argparse.Namespace) -> int:
     rows = _rows(args.rows)
     if args.steps:
         print(f"start {p}")
-        for kind, detail, result in k_march_steps(p, rows):
+        steps = k_march_steps(p, rows)
+        for kind, detail, result in steps:
             if kind == "march":
                 print(f"march {detail} -> {result}")
             else:
                 print(f"add box {detail} -> {result}")
-        final = k_march(p, rows)
-        if final != k_march_steps(p, rows)[-1][2]:
+        if k_march(p, rows) != steps[-1][2]:
             raise MarchError("iterative and algebraic K-march disagree")
     else:
         print(k_march(p, rows))
@@ -171,8 +192,6 @@ def _cmd_groth(args: argparse.Namespace) -> int:
     p = _perm(args.perm)
     poly = grothendieck(p)
     if args.truncate is not None:
-        if args.truncate < 0:
-            raise _UsageError("--truncate must be non-negative")
         poly = poly.truncate(args.truncate)
     print(poly.render())
     return EXIT_OK
@@ -452,7 +471,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NodeCeilingExceeded as exc:
+    except (NodeCeilingExceeded, RecursionError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MarchError, ValueError) as exc:

@@ -7,12 +7,17 @@ Coxeter length of p.
 Marching is implemented twice: the transposition form (always used by
 the library) and the literal box-hopping procedure on the picture
 (:func:`march_boxes`, kept so the test suite can assert the two agree).
+:func:`march_children` lists every (K-)march out of a label for tree
+growth and the Grothendieck transition recursion.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import itertools
+from typing import Iterable, Literal, NamedTuple
 
 from .permutations import Permutation
+
+Mode = Literal["K", "cohomology"]
 
 
 class Box(NamedTuple):
@@ -65,6 +70,20 @@ def transition_pair(p: Permutation) -> tuple[int, int, Permutation]:
     return g, m, p.transpose(g, m)
 
 
+def _corner_and_pivots(p: Permutation) -> tuple[int, Permutation, list[int]]:
+    """(g, q = p t_{g<->m}, pivot rows).  Row a < g holds a pivot iff q(a) lies
+    below the corner column and above every such value in rows a+1..g-1."""
+    g, _, q = transition_pair(p)
+    corner_col = q(g)
+    rows = []
+    highest = 0
+    for a in range(g - 1, 0, -1):
+        if highest < q(a) < corner_col:
+            rows.append(a)
+            highest = q(a)
+    return g, q, rows[::-1]
+
+
 def pivots(p: Permutation) -> list[Box]:
     """Dots maximally southeast among those strictly northwest of the corner.
 
@@ -73,19 +92,30 @@ def pivots(p: Permutation) -> list[Box]:
     by exactly one.  Sorted by row; empty iff the corner's connected
     component touches the top-left of the grid.
     """
-    g, _, q = transition_pair(p)
-    corner_col = q(g)
-    rows = []
-    for a in range(1, g):
-        if q(a) >= corner_col:
-            continue
-        if all(not (q(a) < q(k) < corner_col) for k in range(a + 1, g)):
-            rows.append(a)
-    return [Box(a, p(a)) for a in rows]
+    return [Box(a, p(a)) for a in pivot_rows(p)]
 
 
 def pivot_rows(p: Permutation) -> list[int]:
-    return [box.row for box in pivots(p)]
+    return _corner_and_pivots(p)[2]
+
+
+def _transposition_word(q: Permutation, g: int, rows: Iterable[int]) -> Permutation:
+    """q t_{i1<->g} ... t_{ik<->g} for rows i1, ..., ik in the given order."""
+    for i in rows:
+        q = q.transpose(i, g)
+    return q
+
+
+def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
+    """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
+    of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
+    g, q, rows = _corner_and_pivots(p)
+    largest = 1 if mode == "cohomology" else len(rows)
+    return [
+        (subset, _transposition_word(q, g, subset))
+        for size in range(1, largest + 1)
+        for subset in itertools.combinations(rows, size)
+    ]
 
 
 def march(p: Permutation, i: int) -> Permutation:
@@ -93,10 +123,7 @@ def march(p: Permutation, i: int) -> Permutation:
 
     Runs the transposition form p t_{g<->m} t_{i<->g}; preserves length.
     """
-    g, _, q = transition_pair(p)
-    if i not in pivot_rows(p):
-        raise MarchError(f"row {i} is not a pivot row of {p}")
-    return q.transpose(i, g)
+    return k_march(p, [i])
 
 
 def add_box(p: Permutation, l: int) -> Permutation:
@@ -117,6 +144,18 @@ def add_box(p: Permutation, l: int) -> Permutation:
     return result
 
 
+def _k_march_rows(p: Permutation, rows: Iterable[int]) -> tuple[int, Permutation, list[int]]:
+    """(g, p t_{g<->m}, sorted rows), or MarchError unless rows are pivot rows."""
+    index_set = sorted(set(rows))
+    if not index_set:
+        raise MarchError("K-march needs a non-empty set of pivot rows")
+    g, q, valid = _corner_and_pivots(p)
+    bad = [i for i in index_set if i not in valid]
+    if bad:
+        raise MarchError(f"rows {bad} are not pivot rows of {p}")
+    return g, q, index_set
+
+
 def k_march(p: Permutation, rows: Iterable[int]) -> Permutation:
     """March towards the pivot rows of I in increasing order.
 
@@ -124,17 +163,8 @@ def k_march(p: Permutation, rows: Iterable[int]) -> Permutation:
     length by |I| - 1.  Agrees with the iterative march/add-box/march
     procedure (:func:`k_march_steps`).
     """
-    index_set = sorted(set(rows))
-    if not index_set:
-        raise MarchError("K-march needs a non-empty set of pivot rows")
-    valid = set(pivot_rows(p))
-    bad = [i for i in index_set if i not in valid]
-    if bad:
-        raise MarchError(f"rows {bad} are not pivot rows of {p}")
-    g, _, q = transition_pair(p)
-    for i in index_set:
-        q = q.transpose(i, g)
-    return q
+    g, q, index_set = _k_march_rows(p, rows)
+    return _transposition_word(q, g, index_set)
 
 
 def k_march_steps(p: Permutation, rows: Iterable[int]) -> list[tuple[str, Box | int, Permutation]]:
@@ -143,16 +173,7 @@ def k_march_steps(p: Permutation, rows: Iterable[int]) -> list[tuple[str, Box | 
     Returns ("march", i, result) and ("add", box, result) steps; the
     final entry's permutation equals :func:`k_march` on the same input.
     """
-    index_set = sorted(set(rows))
-    if not index_set:
-        raise MarchError("K-march needs a non-empty set of pivot rows")
-    valid = set(pivot_rows(p))
-    bad = [i for i in index_set if i not in valid]
-    if bad:
-        raise MarchError(f"rows {bad} are not pivot rows of {p}")
-    corner = maximal_corner(p)
-    assert corner is not None
-    l = corner.row
+    l, _, index_set = _k_march_rows(p, rows)
     steps: list[tuple[str, Box | int, Permutation]] = []
     current = march(p, index_set[0])
     steps.append(("march", index_set[0], current))

@@ -22,10 +22,9 @@ the brute-force oracle for structure constants.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 
-from .diagram import pivot_rows, transition_pair
+from .diagram import march_children, transition_pair
 from .permutations import Permutation
 from .poly import Polynomial, leading_term
 
@@ -44,16 +43,10 @@ def grothendieck(p: Permutation) -> Polynomial:
     if p.is_identity():
         return Polynomial.constant(1)
     g, _, q = transition_pair(p)
-    rows = pivot_rows(p)
     base = grothendieck(q)
-    # Operator product expanded over subsets, in increasing row order.
     alternating = base
-    for size in range(1, len(rows) + 1):
-        for subset in itertools.combinations(rows, size):
-            term = q
-            for i in subset:
-                term = term.transpose(i, g)
-            alternating = alternating + grothendieck(term) * ((-1) ** size)
+    for rows, child in march_children(p, "K"):
+        alternating = alternating + grothendieck(child) * (-1) ** len(rows)
     x_g = Polynomial.variable(g)
     return base + (x_g - 1) * alternating
 

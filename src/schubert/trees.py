@@ -11,16 +11,13 @@ Children are ordered by (|I|, I) so every serialization is byte-stable.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Iterator
 
-from .diagram import k_march, pivot_rows
+from .diagram import Mode, march_children
 from .permutations import Permutation
-
-Mode = Literal["K", "cohomology"]
 
 DEFAULT_NODE_CEILING = 10**6
 
@@ -71,15 +68,6 @@ class LeafSummary:
         return sum(self.counts.values()) + self.null_count
 
 
-def _subsets(rows: list[int], mode: Mode) -> list[tuple[int, ...]]:
-    if mode == "cohomology":
-        return [(i,) for i in rows]
-    out: list[tuple[int, ...]] = []
-    for size in range(1, len(rows) + 1):
-        out.extend(itertools.combinations(rows, size))
-    return out
-
-
 def build_tree(
     beta: Permutation,
     t: int,
@@ -93,21 +81,16 @@ def build_tree(
         raise ValueError(f"unknown mode {mode!r}")
     budget = [node_ceiling]
 
-    def grow(label: Permutation, march: tuple[int, ...]) -> TreeNode:
+    def grow(label: Permutation | None, march: tuple[int, ...]) -> TreeNode:
         budget[0] -= 1
         if budget[0] < 0:
             raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-        last = label.last_descent()
-        if last is None or last <= t:
+        if label is None or (label.last_descent() or 0) <= t:
             return TreeNode(label, march, ())
-        rows = pivot_rows(label)
-        if not rows:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-            return TreeNode(label, march, (TreeNode(None, (), ()),))
-        children = tuple(grow(k_march(label, subset), subset) for subset in _subsets(rows, mode))
-        return TreeNode(label, march, children)
+        children = march_children(label, mode)
+        if not children:
+            return TreeNode(label, march, (grow(None, ()),))
+        return TreeNode(label, march, tuple(grow(child, rows) for rows, child in children))
 
     return MarchTree(grow(beta, ()), t, mode)
 

@@ -68,6 +68,7 @@ class VerificationReport:
     problem: TruncationProblem
     mode: Mode
     tree_expansion: ExpansionMap
+    product_expansion: ExpansionMap
     oracle_expansion: ExpansionMap
     match: bool
     discrepancies: list[dict] = field(default_factory=list)
@@ -77,6 +78,7 @@ class VerificationReport:
             "problem": self.problem.to_json_obj(),
             "mode": self.mode,
             "tree_expansion": expansion_to_json_obj(self.tree_expansion),
+            "product_expansion": expansion_to_json_obj(self.product_expansion),
             "oracle_expansion": expansion_to_json_obj(self.oracle_expansion),
             "match": self.match,
             "discrepancies": self.discrepancies,
@@ -187,6 +189,7 @@ def verify(
         problem=problem,
         mode=mode,
         tree_expansion=tree_expansion,
+        product_expansion=product_expansion,
         oracle_expansion=oracle_expansion,
         match=not discrepancies,
         discrepancies=discrepancies,

@@ -193,3 +193,32 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert invoke(capsys, "tree", "321465")[0] == 2
+
+    def test_non_positive_levels_are_usage_errors(self, capsys):
+        assert invoke(capsys, "tree", "321465", "--t", "0")[0] == 2
+        assert invoke(capsys, "tree", "321465", "--t", "-1")[0] == 2
+        for flags in (("--n", "0", "--t", "2"), ("--n", "-3", "--t", "2"),
+                      ("--n", "3", "--t", "0"), ("--n", "3", "--t", "-2")):
+            code, _, err = invoke(capsys, "product", "321", "132", *flags)
+            assert code == 2, flags
+            assert "error" in err
+
+    def test_level_beyond_2n_stays_a_precondition_failure(self, capsys):
+        assert invoke(capsys, "product", "321", "132", "--n", "3", "--t", "9")[0] == 3
+
+    def test_negative_node_ceiling_is_a_usage_error(self, capsys, monkeypatch):
+        assert invoke(capsys, "tree", "321465", "--t", "2", "--node-ceiling", "-5")[0] == 2
+        assert invoke(
+            capsys, "product", "321", "132", "--n", "3", "--t", "2", "--node-ceiling", "-5"
+        )[0] == 2
+        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "-5")
+        code, _, err = invoke(capsys, "tree", "321465", "--t", "2")
+        assert code == 2
+        assert "SCHUBERT_NODE_CEILING" in err
+
+    def test_recursion_too_deep_is_a_resource_limit(self, capsys):
+        longest = ",".join(str(k) for k in range(40, 0, -1))
+        code, out, err = invoke(capsys, "groth", longest)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit:")

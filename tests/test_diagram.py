@@ -12,6 +12,7 @@ from schubert import (
     k_march_steps,
     march,
     march_boxes,
+    march_children,
     maximal_corner,
     pivots,
     render,
@@ -198,11 +199,19 @@ class TestKMarch:
                 if p.is_identity():
                     continue
                 rows = [box.row for box in pivots(p)]
-                for size in range(1, len(rows) + 1):
-                    for subset in itertools.combinations(rows, size):
-                        result = k_march(p, subset)
-                        assert result.length() == p.length() + len(subset) - 1
-                        assert k_march_steps(p, subset)[-1][2] == result
+                subsets = [
+                    subset
+                    for size in range(1, len(rows) + 1)
+                    for subset in itertools.combinations(rows, size)
+                ]
+                for subset in subsets:
+                    result = k_march(p, subset)
+                    assert result.length() == p.length() + len(subset) - 1
+                    assert k_march_steps(p, subset)[-1][2] == result
+                assert march_children(p, "K") == [(I, k_march(p, I)) for I in subsets]
+                assert march_children(p, "cohomology") == [
+                    ((i,), k_march(p, [i])) for i in rows
+                ]
 
     def test_steps_of_example_2(self):
         steps = k_march_steps(EX1, [1, 3])

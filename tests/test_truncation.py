@@ -161,12 +161,14 @@ class TestVerify:
             "problem",
             "mode",
             "tree_expansion",
+            "product_expansion",
             "oracle_expansion",
             "match",
             "discrepancies",
         }
         assert obj["problem"] == {"sigma": "321", "alpha": "132", "n": 3, "t": 2, "rho": "132"}
         assert obj["tree_expansion"] == {"3412": 1, "4213": 1, "4312": -1}
+        assert obj["product_expansion"] == obj["oracle_expansion"] == obj["tree_expansion"]
         assert obj["match"] is True and obj["discrepancies"] == []
 
 
