@@ -147,7 +147,7 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
         if perm in coefficients:
             raise RuntimeError(f"basis expansion revisited {perm}; ordering bug")
         coefficients[perm] = coeff
-        remaining = remaining - grothendieck(perm) * coeff
+        remaining = remaining + grothendieck(perm) * -coeff
     raise RuntimeError("basis expansion did not terminate; ordering bug")
 
 

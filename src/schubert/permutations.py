@@ -177,7 +177,7 @@ class Permutation:
         if i == j:
             raise ValueError("transposition needs two distinct positions")
         n = max(len(self.window), i, j)
-        values = [self(k) for k in range(1, n + 1)]
+        values = list(self.window) + list(range(len(self.window) + 1, n + 1))
         values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
         return Permutation(tuple(values))
 

@@ -1,7 +1,9 @@
 """Exact sparse polynomials over the integers in x1, x2, ...
 
-Terms map trimmed exponent tuples to non-zero Python ints, so all
-arithmetic is arbitrary precision.  The canonical term order (iteration
+Terms map trimmed (no trailing zero), non-negative exponent tuples to
+non-zero Python ints, so all arithmetic is arbitrary precision.  The
+public constructor checks outside input; the ring operations keep the
+invariant without re-checking.  The canonical term order (iteration
 and printing) is total degree ascending, then exponents descending
 lexicographically, which renders e.g. ``x1 + x2 - x1*x2``.
 
@@ -14,6 +16,7 @@ what makes elimination against the Grothendieck basis terminate.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
@@ -43,12 +46,8 @@ class Polynomial:
                 e = _trim(exponent)
                 if any(v < 0 for v in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = clean.get(e, 0) + int(coeff)
-                if c:
-                    clean[e] = c
-                elif e in clean:
-                    del clean[e]
-        self._terms = clean
+                clean[e] = clean.get(e, 0) + int(coeff)
+        self._terms = {e: c for e, c in clean.items() if c}
 
     # -- construction --------------------------------------------------
 
@@ -104,63 +103,37 @@ class Polynomial:
             other = Polynomial.constant(other)
         result = dict(self._terms)
         for e, c in other._terms.items():
-            s = result.get(e, 0) + c
-            if s:
-                result[e] = s
-            elif e in result:
-                del result[e]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = result
-        return out
+            result[e] = result.get(e, 0) + c
+        # Only the terms of other can have cancelled.
+        for e in [e for e in other._terms if not result[e]]:
+            del result[e]
+        return _unchecked(result)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other: Polynomial | int) -> Polynomial:
-        if isinstance(other, int):
-            other = Polynomial.constant(other)
-        return self + (-other)
+        return self + other * -1
 
     def __rsub__(self, other: int) -> Polynomial:
-        return Polynomial.constant(other) - self
+        return self * -1 + other
 
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero()
-            out = Polynomial.__new__(Polynomial)
-            out._terms = {e: other * c for e, c in self._terms.items()}
-            return out
+            return _unchecked({e: other * c for e, c in self._terms.items() if other})
         result: dict[Exponent, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = _trim(
-                    tuple(
-                        (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                        for i in range(max(len(e1), len(e2)))
-                    )
-                )
-                s = result.get(e, 0) + c1 * c2
-                if s:
-                    result[e] = s
-                elif e in result:
-                    del result[e]
-        out = Polynomial.__new__(Polynomial)
-        out._terms = result
-        return out
+                # The sum of two trimmed non-negative exponents is already trimmed.
+                e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[len(e1):]
+                result[e] = result.get(e, 0) + c1 * c2
+        return _unchecked({e: c for e, c in result.items() if c})
 
     __rmul__ = __mul__
 
     # -- queries ----------------------------------------------------------
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(e) for e in self._terms)
 
     def min_degree(self) -> int:
         if self.is_zero():
@@ -170,13 +143,13 @@ class Polynomial:
     def lowest_degree_part(self) -> Polynomial:
         """The homogeneous part of minimal total degree."""
         d = self.min_degree()
-        return Polynomial({e: c for e, c in self._terms.items() if sum(e) == d})
+        return _unchecked({e: c for e, c in self._terms.items() if sum(e) == d})
 
     def truncate(self, t: int) -> Polynomial:
         """Set every variable beyond x_t to zero; a ring homomorphism."""
         if t < 0:
             raise ValueError("truncation index must be non-negative")
-        return Polynomial({e: c for e, c in self._terms.items() if len(e) <= t})
+        return _unchecked({e: c for e, c in self._terms.items() if len(e) <= t})
 
     def swap_variables(self, i: int, j: int) -> Polynomial:
         """Substitute x_i <-> x_j (1-based)."""
@@ -187,10 +160,6 @@ class Polynomial:
             padded[i - 1], padded[j - 1] = padded[j - 1], padded[i - 1]
             result[_trim(padded)] = c
         return Polynomial(result)
-
-    def max_variable(self) -> int:
-        """Index of the highest variable occurring (0 for constants)."""
-        return max((len(e) for e in self._terms), default=0)
 
     # -- text format ---------------------------------------------------
 
@@ -259,16 +228,23 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(terms)
 
 
+def _unchecked(terms: dict[Exponent, int]) -> Polynomial:
+    """Wrap ``terms`` without the constructor's checks: every exponent must
+    be trimmed and non-negative, and every coefficient non-zero."""
+    out = Polynomial.__new__(Polynomial)
+    out._terms = terms
+    return out
+
+
 def leading_term(f: Polynomial) -> tuple[Exponent, int]:
     """The minimal-degree term maximal w.r.t. highest-variable-first lex.
 
+    One ``max`` with key ``(-degree, len(e), e reversed)``, no sort: a
+    longer trimmed exponent has a non-zero entry in a higher variable.
     For a Grothendieck polynomial this is exactly the Lehmer-code
     monomial, with coefficient 1.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    d = f.min_degree()
-    layer = [e for e, _ in f.terms() if sum(e) == d]
-    width = max(len(e) for e in layer)
-    best = max(layer, key=lambda e: tuple(reversed(e + (0,) * (width - len(e)))))
-    return best, f.coefficient(best)
+    best = max(f._terms, key=lambda e: (-sum(e), len(e), e[::-1]))
+    return best, f._terms[best]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, seed, strategies as st
 
 from schubert import Polynomial, leading_term, parse_polynomial
 
@@ -19,6 +19,28 @@ small_polys = st.builds(
         max_size=6,
     ),
 )
+
+# Exponents of every length from the constant term () up to x5, some with
+# trailing zeros for the constructor to trim.
+mixed_polys = st.builds(
+    Polynomial,
+    st.dictionaries(
+        st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(tuple),
+        st.integers(min_value=-9, max_value=9),
+        max_size=8,
+    ),
+)
+
+
+def assert_canonical(f):
+    """Trimmed non-negative exponents, non-zero coefficients, and equal to
+    the polynomial the checking constructor builds from the same terms."""
+    terms = dict(f.terms())
+    for e, c in terms.items():
+        assert not e or e[-1] != 0, e
+        assert all(v >= 0 for v in e), e
+        assert c != 0, (e, c)
+    assert f == Polynomial(terms)
 
 
 class TestCanonicalization:
@@ -58,6 +80,21 @@ class TestArithmetic:
         assert (f + g) + h == f + (g + h)
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+    @seed(20040)
+    @given(
+        mixed_polys,
+        mixed_polys,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_results_stay_canonical(self, f, g, k, t):
+        results = [f + g, f - g, f * g, f * k, k * f, f * 0, f + k, f - k, k - f, -f]
+        results.append(f.truncate(t))
+        if not f.is_zero():
+            results.append(f.lowest_degree_part())
+        for result in results:
+            assert_canonical(result)
 
     def test_integer_coercion(self):
         assert X1 + 1 == Polynomial({(): 1, (1,): 1})
@@ -138,3 +175,18 @@ class TestLeadingTerm:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             leading_term(Polynomial.zero())
+
+    @seed(20041)
+    @given(mixed_polys)
+    @example(Polynomial({(): 4, (1,): 1}))
+    @example(Polynomial({(2,): 1, (1, 1): 2, (0, 0, 2): 3, (1, 0, 1): 5}))
+    def test_matches_sort_based_definition(self, f):
+        if f.is_zero():
+            return
+        # The minimal-degree layer, zero-padded, compared from the highest
+        # variable down.
+        d = min(sum(e) for e, _ in f.terms())
+        layer = [e for e, _ in f.terms() if sum(e) == d]
+        width = max(len(e) for e in layer)
+        best = max(layer, key=lambda e: tuple(reversed(e + (0,) * (width - len(e)))))
+        assert leading_term(f) == (best, f.coefficient(best))
