@@ -22,6 +22,7 @@ from .diagram import (
     transition_pair,
 )
 from .grothendieck import (
+    ExpansionCeilingExceeded,
     ExpansionMap,
     NonExactDivision,
     expand_in_basis,
@@ -64,6 +65,7 @@ __all__ = [
     "Box",
     "DEFAULT_NODE_CEILING",
     "DEFAULT_ORACLE_WINDOW_CEILING",
+    "ExpansionCeilingExceeded",
     "ExpansionMap",
     "LeafSummary",
     "LehmerCode",

@@ -1,8 +1,9 @@
 """Command-line surface: diagrams, marches, trees, polynomials, products.
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition failure,
-4 resource ceiling (the tree node ceiling, or a recursion deeper than
-the interpreter's stack allows).  Results go to stdout, diagnostics to
+4 resource ceiling (the tree node ceiling, the oracle window ceiling,
+the basis-expansion strip ceiling, or a recursion deeper than the
+interpreter's stack allows).  Results go to stdout, diagnostics to
 stderr.  The tree node ceiling can be set per invocation with
 ``--node-ceiling`` or globally with the ``SCHUBERT_NODE_CEILING``
 environment variable.
@@ -27,6 +28,7 @@ from .diagram import (
     transition_pair,
 )
 from .grothendieck import (
+    ExpansionCeilingExceeded,
     expansion_to_json,
     grothendieck,
     structure_constants,
@@ -44,7 +46,13 @@ from .trees import (
     to_text,
     unique_labeled_leaf,
 )
-from .truncation import detect, truncate_grothendieck_via_tree, truncation_product, verify
+from .truncation import (
+    OracleCeilingExceeded,
+    detect,
+    truncate_grothendieck_via_tree,
+    truncation_product,
+    verify,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -471,7 +479,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NodeCeilingExceeded, RecursionError) as exc:
+    except (
+        NodeCeilingExceeded,
+        OracleCeilingExceeded,
+        ExpansionCeilingExceeded,
+        RecursionError,
+    ) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MarchError, ValueError) as exc:

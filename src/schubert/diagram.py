@@ -108,14 +108,18 @@ def _transposition_word(q: Permutation, g: int, rows: Iterable[int]) -> Permutat
 
 def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
     """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
-    of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
+    of pivot rows (single rows in cohomology mode), in (|I|, I) order.
+
+    That order lists I minus its last row before I, so each word is the
+    word of that smaller set times one transposition."""
     g, q, rows = _corner_and_pivots(p)
     largest = 1 if mode == "cohomology" else len(rows)
-    return [
-        (subset, _transposition_word(q, g, subset))
-        for size in range(1, largest + 1)
-        for subset in itertools.combinations(rows, size)
-    ]
+    words = {(): q}
+    for size in range(1, largest + 1):
+        for subset in itertools.combinations(rows, size):
+            words[subset] = words[subset[:-1]].transpose(subset[-1], g)
+    del words[()]
+    return list(words.items())
 
 
 def march(p: Permutation, i: int) -> Permutation:

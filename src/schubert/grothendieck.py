@@ -8,6 +8,8 @@ Two independent constructions of the Grothendieck polynomial are kept:
                 of (-1)^|S| G_{gamma' t_{i<->g} ...}
 
   with base case G_id = 1, where gamma' removes the maximal corner.
+  The sum and the product by the binomial x_g - 1 are accumulated in
+  one pass over plain dicts, not through polynomial arithmetic.
 
 * :func:`grothendieck_dd` applies isobaric divided differences
   pi_i f = d_i((1 - x_{i+1}) f) downward from the staircase monomial of
@@ -17,20 +19,28 @@ Two independent constructions of the Grothendieck polynomial are kept:
 Expansion of an arbitrary integer polynomial in the Grothendieck basis
 repeatedly strips the leading term (the Lehmer-code monomial of some
 permutation, unique by :func:`schubert.poly.leading_term`), which is
-the brute-force oracle for structure constants.
+the brute-force oracle for structure constants.  The remainder lives in
+one mutable dict and the leading term of its lowest degree is kept on a
+lazily pruned heap, so a strip touches only the terms of the subtracted
+basis element.
 """
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 
 from .diagram import march_children, transition_pair
 from .permutations import Permutation
-from .poly import Polynomial, leading_term
+from .poly import Polynomial, _lehmer_key, _unchecked
 
 ExpansionMap = dict[Permutation, int]
 
 EXPANSION_ITERATION_CEILING = 100_000
+
+
+class ExpansionCeilingExceeded(RuntimeError):
+    """A basis expansion needs more strips than EXPANSION_ITERATION_CEILING."""
 
 
 class NonExactDivision(ArithmeticError):
@@ -39,16 +49,31 @@ class NonExactDivision(ArithmeticError):
 
 @functools.cache
 def grothendieck(p: Permutation) -> Polynomial:
-    """The Grothendieck polynomial of p, by the transition recursion."""
+    """The Grothendieck polynomial of p, by the transition recursion.
+
+    The alternating sum and ``base + (x_g - 1) * alternating`` are
+    accumulated in fresh dicts; the memoised polynomials are only read.
+    """
     if p.is_identity():
         return Polynomial.constant(1)
     g, _, q = transition_pair(p)
-    base = grothendieck(q)
-    alternating = base
+    base = grothendieck(q)._terms
+    alternating = dict(base)
     for rows, child in march_children(p, "K"):
-        alternating = alternating + grothendieck(child) * (-1) ** len(rows)
-    x_g = Polynomial.variable(g)
-    return base + (x_g - 1) * alternating
+        sign = -1 if len(rows) % 2 else 1
+        for e, c in grothendieck(child)._terms.items():
+            alternating[e] = alternating.get(e, 0) + sign * c
+    result = dict(base)
+    for e, c in alternating.items():
+        if not c:
+            continue
+        result[e] = result.get(e, 0) - c
+        if len(e) < g:
+            raised = e + (0,) * (g - 1 - len(e)) + (1,)
+        else:
+            raised = e[: g - 1] + (e[g - 1] + 1,) + e[g:]
+        result[raised] = result.get(raised, 0) + c
+    return _unchecked({e: c for e, c in result.items() if c})
 
 
 def schubert(p: Permutation) -> Polynomial:
@@ -135,20 +160,50 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
 
     Strips the leading (minimal-degree, Lehmer-leading) term, which the
     corresponding Grothendieck polynomial carries with coefficient 1, so
-    each iteration settles one basis element for good.
+    each strip settles one basis element for good.  The remainder is one
+    private dict, updated in place term by term of ``coeff * G_pi``, and
+    its leading term is the top of a min-heap, keyed by the Lehmer order,
+    of the exponents of the remainder's lowest degree; entries whose
+    exponent has left the dict are dropped when they reach the top.  A
+    strip costs about ``len(G_pi)`` dict and heap operations, whatever
+    the size of the remainder.  The terms of G_pi have degree at least
+    ``len(pi)``, the current lowest degree, so the degree never falls:
+    a new heap is built only when a degree is used up, by one scan of
+    the remainder, and expansions with few strips key few terms.
+
+    More than :data:`EXPANSION_ITERATION_CEILING` strips raise
+    :class:`ExpansionCeilingExceeded`.
     """
     coefficients: ExpansionMap = {}
-    remaining = f
-    for _ in range(EXPANSION_ITERATION_CEILING):
-        if remaining.is_zero():
-            return coefficients
-        exponent, coeff = leading_term(remaining)
+    remaining = dict(f._terms)
+    degree, heap = -1, []
+    while remaining:
+        while heap and heap[0][1] not in remaining:
+            heapq.heappop(heap)
+        if not heap:
+            degree = min(map(sum, remaining))
+            heap = [(_lehmer_key(e), e) for e in remaining if sum(e) == degree]
+            heapq.heapify(heap)
+        if len(coefficients) >= EXPANSION_ITERATION_CEILING:
+            raise ExpansionCeilingExceeded(
+                f"basis expansion needs more than {EXPANSION_ITERATION_CEILING} strips"
+            )
+        exponent = heap[0][1]
+        coeff = remaining[exponent]
         perm = Permutation.from_lehmer(exponent)
         if perm in coefficients:
             raise RuntimeError(f"basis expansion revisited {perm}; ordering bug")
         coefficients[perm] = coeff
-        remaining = remaining + grothendieck(perm) * -coeff
-    raise RuntimeError("basis expansion did not terminate; ordering bug")
+        for e, c in grothendieck(perm)._terms.items():
+            if e not in remaining:
+                remaining[e] = -coeff * c
+                if sum(e) == degree:
+                    heapq.heappush(heap, (_lehmer_key(e), e))
+            elif remaining[e] == coeff * c:
+                del remaining[e]
+            else:
+                remaining[e] -= coeff * c
+    return coefficients
 
 
 def structure_constants(sigma: Permutation, rho: Permutation) -> ExpansionMap:

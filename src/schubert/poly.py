@@ -11,12 +11,14 @@ The basis-expansion oracle needs a different tie-break inside a degree
 layer: :func:`leading_term` picks the monomial that is largest when
 exponents are compared from the highest variable down.  That is the
 unique monomial matching the Lehmer code of a permutation, which is
-what makes elimination against the Grothendieck basis terminate.
+what makes elimination against the Grothendieck basis terminate.  The
+order is defined once, by ``_lehmer_key``, which the heap of
+:func:`schubert.grothendieck.expand_in_basis` also uses.
 """
 from __future__ import annotations
 
 import re
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
@@ -236,15 +238,22 @@ def _unchecked(terms: dict[Exponent, int]) -> Polynomial:
     return out
 
 
+def _lehmer_key(exponent: Exponent) -> tuple[int, int, tuple[int, ...]]:
+    """Sort key whose minimum is the leading term: lowest degree first, then
+    largest when compared from the highest variable down.  A longer
+    trimmed exponent has a non-zero entry in a higher variable, so it
+    comes first within its degree."""
+    return (sum(exponent), -len(exponent), tuple(map(neg, reversed(exponent))))
+
+
 def leading_term(f: Polynomial) -> tuple[Exponent, int]:
     """The minimal-degree term maximal w.r.t. highest-variable-first lex.
 
-    One ``max`` with key ``(-degree, len(e), e reversed)``, no sort: a
-    longer trimmed exponent has a non-zero entry in a higher variable.
-    For a Grothendieck polynomial this is exactly the Lehmer-code
-    monomial, with coefficient 1.
+    One ``min`` over :func:`_lehmer_key`, no sort.  For a Grothendieck
+    polynomial this is exactly the Lehmer-code monomial, with
+    coefficient 1.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    best = max(f._terms, key=lambda e: (-sum(e), len(e), e[::-1]))
+    best = min(f._terms, key=_lehmer_key)
     return best, f._terms[best]

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 from schubert.cli import run
@@ -219,6 +220,14 @@ class TestUsageErrors:
     def test_recursion_too_deep_is_a_resource_limit(self, capsys):
         longest = ",".join(str(k) for k in range(40, 0, -1))
         code, out, err = invoke(capsys, "groth", longest)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit:")
+
+    def test_expansion_ceiling_is_a_resource_limit(self, capsys, monkeypatch):
+        module = importlib.import_module("schubert.grothendieck")
+        monkeypatch.setattr(module, "EXPANSION_ITERATION_CEILING", 2)
+        code, out, err = invoke(capsys, "multiply", "321", "132")
         assert code == 4
         assert out == ""
         assert err.startswith("resource limit:")

@@ -1,9 +1,11 @@
+import importlib
 import itertools
 import random
 
 import pytest
 
 from schubert import (
+    ExpansionCeilingExceeded,
     Permutation,
     Polynomial,
     expand_in_basis,
@@ -32,6 +34,20 @@ X2 = Polynomial.variable(2)
 
 def parse_map(pairs: dict[str, int]) -> dict[Permutation, int]:
     return {Permutation.parse(text): value for text, value in pairs.items()}
+
+
+def strip_expansion(f: Polynomial) -> dict[Permutation, int]:
+    """The expansion by immutable strips: take leading_term, then subtract
+    coeff * G_perm with Polynomial +, until nothing is left."""
+    coefficients = {}
+    remaining = f
+    while not remaining.is_zero():
+        exponent, coeff = leading_term(remaining)
+        perm = Permutation.from_lehmer(exponent)
+        assert perm not in coefficients
+        coefficients[perm] = coeff
+        remaining = remaining + grothendieck(perm) * -coeff
+    return coefficients
 
 
 class TestTransitionConstruction:
@@ -124,6 +140,80 @@ class TestExpandInBasis:
             for p, c in combo.items():
                 total = total + grothendieck(p) * c
             assert expand_in_basis(total) == combo
+
+    def test_matches_strip_expansion_on_s5_combinations(self):
+        rng = random.Random(11)
+        perms = list(symmetric_group(5))
+        carriers: dict[tuple[int, ...], list[Permutation]] = {}
+        for p in perms:
+            for e, _ in grothendieck(p).terms():
+                carriers.setdefault(e, []).append(p)
+        shared = [e for e, ps in carriers.items() if len(ps) > 1]
+        cancelled = 0
+        for _ in range(40):
+            # Two elements weighted so that a shared monomial cancels in f
+            # and comes back once the first of them is stripped.
+            e = rng.choice(shared)
+            u, v = rng.sample(carriers[e], 2)
+            rest = rng.sample([p for p in perms if p not in (u, v)], rng.randint(0, 5))
+            combo = {p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in rest}
+            combo[u] = grothendieck(v).coefficient(e)
+            combo[v] = -grothendieck(u).coefficient(e)
+            total = Polynomial.zero()
+            for p, c in combo.items():
+                total = total + grothendieck(p) * c
+            cancelled += total.coefficient(e) == 0
+            expected = strip_expansion(total)
+            assert list(expand_in_basis(total).items()) == list(expected.items())
+            assert expected == combo
+        assert cancelled >= 20
+
+    def test_matches_strip_expansion_on_s4_products(self):
+        rng = random.Random(13)
+        perms = list(symmetric_group(4))
+        for _ in range(30):
+            sigma, rho = rng.choice(perms), rng.choice(perms)
+            product = grothendieck(sigma) * grothendieck(rho)
+            expected = strip_expansion(product)
+            assert list(expand_in_basis(product).items()) == list(expected.items())
+
+    def test_ceiling_bounds_the_strips(self, monkeypatch):
+        module = importlib.import_module("schubert.grothendieck")
+        product = grothendieck(Permutation.parse("321")) * grothendieck(Permutation.parse("132"))
+        strips = len(expand_in_basis(product))
+        monkeypatch.setattr(module, "EXPANSION_ITERATION_CEILING", strips)
+        assert len(expand_in_basis(product)) == strips
+        monkeypatch.setattr(module, "EXPANSION_ITERATION_CEILING", strips - 1)
+        with pytest.raises(ExpansionCeilingExceeded):
+            expand_in_basis(product)
+        assert issubclass(ExpansionCeilingExceeded, RuntimeError)
+
+    def test_memoised_polynomials_are_never_written(self):
+        grothendieck.cache_clear()
+        watched = [Permutation.parse(text) for text in ("21543", "35142", "13254", "54321")]
+        cached = {p: grothendieck(p) for p in watched}
+        snapshots = {p: dict(cached[p].terms()) for p in watched}
+
+        def assert_untouched():
+            for p in watched:
+                assert grothendieck(p) is cached[p]
+                assert dict(cached[p].terms()) == snapshots[p]
+
+        # Longer permutations recurse through the watched ones.
+        for p in symmetric_group(6):
+            grothendieck(p)
+            assert_untouched()
+        rng = random.Random(17)
+        others = list(symmetric_group(4))
+        for p in watched:
+            expand_in_basis(cached[p])
+            expand_in_basis(cached[p] * 3 - grothendieck(rng.choice(others)))
+            for rho in rng.sample(others, 3):
+                structure_constants(p, rho)
+                structure_constants(rho, p)
+            assert_untouched()
+        for p in watched:
+            assert cached[p] == grothendieck_dd(p, 5)
 
 
 class TestStructureConstants:
