@@ -6,7 +6,9 @@ the basis-expansion strip ceiling, or a recursion deeper than the
 interpreter's stack allows).  Results go to stdout, diagnostics to
 stderr.  The tree node ceiling can be set per invocation with
 ``--node-ceiling`` or globally with the ``SCHUBERT_NODE_CEILING``
-environment variable.
+environment variable.  ``tree`` materialises the tree and counts its
+nodes, null leaves included, against the ceiling; ``product`` counts
+the distinct labels of the marching DAG it walks instead.
 """
 from __future__ import annotations
 

@@ -66,21 +66,28 @@ def transition_pair(p: Permutation) -> tuple[int, int, Permutation]:
     g = p.last_descent()
     if g is None:
         raise MarchError("the identity has no maximal corner")
-    m = max(k for k in range(g + 1, p.size() + 1) if p(k) < p(g))
+    window = p.window
+    corner_value = window[g - 1]
+    m = len(window)
+    while window[m - 1] >= corner_value:
+        m -= 1
     return g, m, p.transpose(g, m)
 
 
 def _corner_and_pivots(p: Permutation) -> tuple[int, Permutation, list[int]]:
     """(g, q = p t_{g<->m}, pivot rows).  Row a < g holds a pivot iff q(a) lies
     below the corner column and above every such value in rows a+1..g-1."""
-    g, _, q = transition_pair(p)
-    corner_col = q(g)
+    g, m, q = transition_pair(p)
+    # q agrees with p above row g and q(g) = p(m), so p's window serves.
+    window = p.window
+    corner_col = window[m - 1]
     rows = []
     highest = 0
     for a in range(g - 1, 0, -1):
-        if highest < q(a) < corner_col:
+        value = window[a - 1]
+        if highest < value < corner_col:
             rows.append(a)
-            highest = q(a)
+            highest = value
     return g, q, rows[::-1]
 
 

@@ -42,6 +42,14 @@ class Permutation:
             window = window[:-1]
         object.__setattr__(self, "window", window)
 
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...]) -> Permutation:
+        """Wrap a window already known to be a canonical (trimmed) bijection,
+        skipping the checks of the validating constructor."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "window", window)
+        return perm
+
     # -- construction ------------------------------------------------
 
     @classmethod
@@ -140,8 +148,11 @@ class Permutation:
 
     def last_descent(self) -> int | None:
         """Largest i with p(i) > p(i+1), or None for the identity."""
-        d = self.descents()
-        return d[-1] if d else None
+        w = self.window
+        for i in range(len(w) - 1, 0, -1):
+            if w[i - 1] > w[i]:
+                return i
+        return None
 
     def lehmer_code(self) -> LehmerCode:
         """Entries c_i = #{j > i : p(j) < p(i)}, trailing zeros trimmed."""
@@ -176,10 +187,17 @@ class Permutation:
         """Right multiplication by t_{i<->j}: swap positions i and j."""
         if i == j:
             raise ValueError("transposition needs two distinct positions")
-        n = max(len(self.window), i, j)
-        values = list(self.window) + list(range(len(self.window) + 1, n + 1))
+        if i < 1 or j < 1:
+            raise ValueError(f"positions are 1-based, got {i} and {j}")
+        window = self.window
+        n = len(window)
+        values = list(window)
+        if i > n or j > n:
+            values.extend(range(n + 1, max(i, j) + 1))
         values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        return Permutation(tuple(values))
+        while values and values[-1] == len(values):
+            values.pop()
+        return self._trusted(tuple(values))
 
     def star(self, other: Permutation, n: int) -> Permutation:
         """Block direct sum in S_2n: self on 1..n, other shifted by n."""

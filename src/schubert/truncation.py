@@ -27,8 +27,7 @@ from .permutations import Permutation
 from .trees import (
     DEFAULT_NODE_CEILING,
     Mode,
-    build_tree,
-    signed_expansion,
+    leaf_counts,
     unique_labeled_leaf,
 )
 
@@ -123,8 +122,8 @@ def truncation_product(
     In cohomology mode every sign is +1 and only permutations of length
     sigma + rho appear.
     """
-    tree = build_tree(problem.star_root(), problem.t, mode, node_ceiling)
-    return signed_expansion(tree, problem.base_length())
+    summary = leaf_counts(problem.star_root(), problem.t, mode, node_ceiling)
+    return summary.signed(problem.base_length())
 
 
 def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
@@ -132,8 +131,7 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
 
     Summing coefficient * G_label reproduces the truncation exactly.
     """
-    tree = build_tree(gamma, t, "K")
-    return signed_expansion(tree, gamma.length())
+    return leaf_counts(gamma, t, "K").signed(gamma.length())
 
 
 def _restrict_to_degree(expansion: ExpansionMap, degree: int) -> ExpansionMap:

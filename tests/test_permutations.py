@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, strategies as st
 
 from schubert import Permutation, symmetric_group
 
@@ -164,6 +164,37 @@ class TestStructuralOps:
             return
         p = Permutation(tuple(window))
         assert p.transpose(i, j).transpose(i, j) == p
+
+    def test_transpose_rejects_non_positive_positions(self):
+        with pytest.raises(ValueError):
+            Permutation.parse("21").transpose(0, 1)
+
+    @seed(20050)
+    @given(
+        st.integers(min_value=0, max_value=7).flatmap(
+            lambda n: st.permutations(tuple(range(1, n + 1)))
+        ),
+        st.integers(1, 10),
+        st.integers(1, 10),
+    )
+    def test_transpose_matches_the_validating_constructor(self, window, i, j):
+        # transpose skips the bijection check; its result must be the
+        # element the validating constructor makes of the swapped window.
+        if i == j:
+            return
+        values = list(window) + list(range(len(window) + 1, max(i, j) + 1))
+        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
+        expected = Permutation(tuple(values))
+        got = Permutation(tuple(window)).transpose(i, j)
+        assert got == expected
+        assert got.window == expected.window
+        assert type(got.window) is tuple
+        assert hash(got) == hash(expected)
+
+    def test_last_descent_is_the_last_of_the_descents_on_s5(self):
+        for p in symmetric_group(5):
+            d = p.descents()
+            assert p.last_descent() == (d[-1] if d else None)
 
     def test_call_beyond_window(self):
         p = Permutation.parse("21")

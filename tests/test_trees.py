@@ -1,4 +1,8 @@
+import hashlib
 import itertools
+import json
+import random
+import sys
 
 import pytest
 
@@ -8,6 +12,7 @@ from schubert import (
     Permutation,
     TreeNode,
     build_tree,
+    leaf_counts,
     leaf_summary,
     signed_expansion,
     symmetric_group,
@@ -16,6 +21,8 @@ from schubert import (
     to_text,
     unique_labeled_leaf,
 )
+from schubert.cli import run
+from schubert.trees import to_json_obj
 
 ID = Permutation.identity()
 
@@ -275,3 +282,135 @@ class TestSerialization:
         obj = json.loads(to_json(tree))
         assert obj["children"][0]["label"] is None
         assert obj["children"][0]["march"] == []
+
+
+def summary_pair(summary):
+    return summary.counts, summary.null_count
+
+
+def star_roots_and_levels(n, pairs):
+    """(sigma *_n alpha, t) at every admissible level t of each pair."""
+    for sigma, alpha in pairs:
+        for t in range(max(1, sigma.last_descent() or 0), 2 * n + 1):
+            yield sigma.star(alpha, n), t
+
+
+class TestLeafCounts:
+    """leaf_counts walks the marching DAG; the built tree is its oracle."""
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_matches_the_tree_on_every_s4_star_root(self, mode):
+        s4 = list(symmetric_group(4))
+        for root, t in star_roots_and_levels(4, itertools.product(s4, s4)):
+            expected = leaf_summary(build_tree(root, t, mode))
+            assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_matches_the_tree_on_sampled_s5_pairs(self, mode):
+        rng = random.Random(20050)
+        s5 = list(symmetric_group(5))
+        pairs = [(rng.choice(s5), rng.choice(s5)) for _ in range(25)]
+        for sigma, alpha in pairs:
+            root = sigma.star(alpha, 5)
+            t = max(1, sigma.last_descent() or 0)
+            expected = leaf_summary(build_tree(root, t, mode))
+            assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
+
+    def test_figure_2_and_a_leaf_root(self):
+        summary = leaf_counts(Permutation.parse("321465"), 2, "K")
+        assert summary.counts == parse_map({"421356": 1, "341256": 1, "431256": 1})
+        assert summary.null_count == 4
+        assert summary_pair(leaf_counts(ID, 3, "K")) == ({ID: 1}, 0)
+
+    def test_ceiling_counts_distinct_labels_not_nodes(self):
+        root = Permutation.parse("43218765")
+        tree = build_tree(root, 3, "K")
+        nodes = sum(1 for _ in tree.nodes())
+        labels = len({node.label for node in tree.nodes() if node.label is not None})
+        assert (nodes, labels) == (1899, 608)
+        assert summary_pair(leaf_counts(root, 3, "K", node_ceiling=labels)) == summary_pair(
+            leaf_summary(tree)
+        )
+        with pytest.raises(NodeCeilingExceeded):
+            build_tree(root, 3, "K", node_ceiling=labels)
+        with pytest.raises(NodeCeilingExceeded):
+            leaf_counts(root, 3, "K", node_ceiling=labels - 1)
+
+    def test_mode_and_level_validation(self):
+        with pytest.raises(ValueError):
+            leaf_counts(ID, 0, "K")
+        with pytest.raises(ValueError):
+            leaf_counts(ID, 1, "quantum")
+
+
+def frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestNoRecursion:
+    def test_a_deep_tree_walks_and_exports_under_a_low_recursion_limit(self):
+        node = TreeNode(None, (), ())
+        for k in range(300):
+            node = TreeNode(Permutation.parse("21"), (k % 3 + 1,), (node,))
+        tree = MarchTree(node, 1, "K")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 40)
+        try:
+            count = sum(1 for _ in tree.nodes())
+            summary = leaf_summary(tree)
+            text, dot, obj, encoded = to_text(tree), to_dot(tree), to_json_obj(tree), to_json(tree)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == 301
+        assert summary_pair(summary) == ({}, 1)
+        assert text.count("\n") == 300 and text.endswith("----> ∅")
+        assert dot.count(" -> ") == 300
+        # json.dumps itself recurses, so it runs at the default limit.
+        assert encoded == json.dumps(obj, ensure_ascii=False, indent=2)
+
+    def test_build_tree_is_not_bounded_by_the_recursion_limit(self):
+        # Depth 17: a recursive grow needs more frames than the limit leaves.
+        root = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 20)
+        try:
+            tree = build_tree(root, 2, "cohomology")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sum(1 for _ in tree.nodes()) == 10184
+        assert summary_pair(leaf_summary(tree)) == summary_pair(leaf_counts(root, 2, "cohomology"))
+
+
+class TestJsonExport:
+    @pytest.mark.parametrize(
+        "text, t, mode",
+        [
+            ("321465", 2, "K"),  # null leaves and three-row marches
+            ("321465", 2, "cohomology"),
+            ("231", 1, "K"),  # a root whose only child is the null leaf
+            ("132", 1, "K"),
+            ("1", 1, "K"),  # a single node
+            ("34127658", 4, "K"),
+            ("3,2,1,11,10,9,8,7,6,5,4", 3, "K"),  # windows above 9, with null leaves
+            ("5,4,3,1,2,10,9,8,7,6", 3, "cohomology"),
+        ],
+    )
+    def test_to_json_is_json_dumps_of_the_object(self, text, t, mode):
+        tree = build_tree(Permutation.parse(text), t, mode)
+        assert to_json(tree) == json.dumps(to_json_obj(tree), ensure_ascii=False, indent=2)
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "78c35c423a96fe6b410e5197690bcc7997ac8bdf5c6008bac6da0abd61a19e79"),
+            ("dot", "aa7dc1582947f7e6d88a6dd66771811272f1196a32cd12117fd1d2c9a1c47c2d"),
+            ("text", "21172848f134bebf4f2d76feeb7dac4baaff0b835a828ff67b676d4fcb1dadab"),
+        ],
+    )
+    def test_cli_export_digests(self, capsys, fmt, digest):
+        assert run(["tree", "321465", "--t", "2", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
