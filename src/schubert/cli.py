@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 precondition failure,
 4 resource ceiling (the tree node ceiling, the oracle window ceiling,
-the basis-expansion strip ceiling, or a recursion deeper than the
-interpreter's stack allows).  Results go to stdout, diagnostics to
+the basis-expansion strip ceiling, the packed-exponent ceiling of a
+polynomial -- a variable's exponent above 255 or a total degree above
+65,535, e.g. ``groth`` on a window longer than 256 -- or a recursion
+deeper than the interpreter's stack allows).  Results go to stdout, diagnostics to
 stderr.  The tree node ceiling can be set per invocation with
 ``--node-ceiling`` or globally with the ``SCHUBERT_NODE_CEILING``
 environment variable.  ``tree`` materialises the tree and counts its
@@ -36,7 +38,7 @@ from .grothendieck import (
     structure_constants,
 )
 from .permutations import Permutation
-from .poly import Polynomial
+from .poly import ExponentCeilingExceeded, Polynomial
 from .trees import (
     DEFAULT_NODE_CEILING,
     NodeCeilingExceeded,
@@ -485,6 +487,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         NodeCeilingExceeded,
         OracleCeilingExceeded,
         ExpansionCeilingExceeded,
+        ExponentCeilingExceeded,
         RecursionError,
     ) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -9,7 +9,13 @@ Two independent constructions of the Grothendieck polynomial are kept:
 
   with base case G_id = 1, where gamma' removes the maximal corner.
   The sum and the product by the binomial x_g - 1 are accumulated in
-  one pass over plain dicts, not through polynomial arithmetic.
+  one pass over plain dicts of packed exponents (see :mod:`schubert.poly`),
+  not through polynomial arithmetic: raising x_g adds
+  ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
+  int.  Every monomial of G_w for w in S_n divides the staircase
+  x1^(n-1) x2^(n-2) ... x_{n-1}, so a window of n <= MAX_EXPONENT + 1
+  (256) keeps every field within its bound; a longer window raises
+  :class:`schubert.poly.ExponentCeilingExceeded` before any work.
 
 * :func:`grothendieck_dd` applies isobaric divided differences
   pi_i f = d_i((1 - x_{i+1}) f) downward from the staircase monomial of
@@ -22,7 +28,8 @@ permutation, unique by :func:`schubert.poly.leading_term`), which is
 the brute-force oracle for structure constants.  The remainder lives in
 one mutable dict and the leading term of its lowest degree is kept on a
 lazily pruned heap, so a strip touches only the terms of the subtracted
-basis element.
+basis element.  Packed exponents become tuples only for
+:meth:`Permutation.from_lehmer`, once per strip.
 """
 from __future__ import annotations
 
@@ -32,7 +39,15 @@ import json
 
 from .diagram import march_children, transition_pair
 from .permutations import Permutation
-from .poly import Polynomial, _lehmer_key, _unchecked
+from .poly import (
+    DEGREE_MASK,
+    FIELD_MASK,
+    Polynomial,
+    _check_window,
+    _unchecked,
+    _unpack,
+    _variable_shift,
+)
 
 ExpansionMap = dict[Permutation, int]
 
@@ -56,6 +71,7 @@ def grothendieck(p: Permutation) -> Polynomial:
     """
     if p.is_identity():
         return Polynomial.constant(1)
+    _check_window(p.size())
     g, _, q = transition_pair(p)
     base = grothendieck(q)._terms
     alternating = dict(base)
@@ -64,14 +80,12 @@ def grothendieck(p: Permutation) -> Polynomial:
         for e, c in grothendieck(child)._terms.items():
             alternating[e] = alternating.get(e, 0) + sign * c
     result = dict(base)
+    x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
     for e, c in alternating.items():
         if not c:
             continue
         result[e] = result.get(e, 0) - c
-        if len(e) < g:
-            raised = e + (0,) * (g - 1 - len(e)) + (1,)
-        else:
-            raised = e[: g - 1] + (e[g - 1] + 1,) + e[g:]
+        raised = e + x_g
         result[raised] = result.get(raised, 0) + c
     return _unchecked({e: c for e, c in result.items() if c})
 
@@ -100,15 +114,13 @@ def _divide_by_root_difference(f: Polynomial, i: int) -> Polynomial:
     if f.is_zero():
         return f
     # Split f by the exponent of x_i: f = sum_k c_k(x) * x_i^k.
-    layers: dict[int, dict[tuple[int, ...], int]] = {}
-    for e, c in f.terms():
-        k = e[i - 1] if len(e) >= i else 0
-        rest = list(e)
-        if len(rest) >= i:
-            rest[i - 1] = 0
-        layers.setdefault(k, {})[tuple(rest)] = c
+    shift = _variable_shift(i)
+    layers: dict[int, dict[int, int]] = {}
+    for e, c in f._terms.items():
+        k = e >> shift & FIELD_MASK
+        layers.setdefault(k, {})[e - (k << shift) - k] = c
     top = max(layers)
-    coeffs = {k: Polynomial(terms) for k, terms in layers.items()}
+    coeffs = {k: _unchecked(terms) for k, terms in layers.items()}
     y = Polynomial.variable(i + 1)
     x_i = Polynomial.variable(i)
     quotient = Polynomial.zero()
@@ -162,9 +174,10 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
     corresponding Grothendieck polynomial carries with coefficient 1, so
     each strip settles one basis element for good.  The remainder is one
     private dict, updated in place term by term of ``coeff * G_pi``, and
-    its leading term is the top of a min-heap, keyed by the Lehmer order,
-    of the exponents of the remainder's lowest degree; entries whose
-    exponent has left the dict are dropped when they reach the top.  A
+    its leading term is the top of a min-heap of the negated packed
+    exponents of the remainder's lowest degree (within one degree the
+    Lehmer order of ``poly._lehmer_key`` is the order of ``-e``); entries
+    whose exponent has left the dict are dropped when they reach the top.  A
     strip costs about ``len(G_pi)`` dict and heap operations, whatever
     the size of the remainder.  The terms of G_pi have degree at least
     ``len(pi)``, the current lowest degree, so the degree never falls:
@@ -178,27 +191,27 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
     remaining = dict(f._terms)
     degree, heap = -1, []
     while remaining:
-        while heap and heap[0][1] not in remaining:
+        while heap and -heap[0] not in remaining:
             heapq.heappop(heap)
         if not heap:
-            degree = min(map(sum, remaining))
-            heap = [(_lehmer_key(e), e) for e in remaining if sum(e) == degree]
+            degree = min(e & DEGREE_MASK for e in remaining)
+            heap = [-e for e in remaining if e & DEGREE_MASK == degree]
             heapq.heapify(heap)
         if len(coefficients) >= EXPANSION_ITERATION_CEILING:
             raise ExpansionCeilingExceeded(
                 f"basis expansion needs more than {EXPANSION_ITERATION_CEILING} strips"
             )
-        exponent = heap[0][1]
+        exponent = -heap[0]
         coeff = remaining[exponent]
-        perm = Permutation.from_lehmer(exponent)
+        perm = Permutation.from_lehmer(_unpack(exponent))
         if perm in coefficients:
             raise RuntimeError(f"basis expansion revisited {perm}; ordering bug")
         coefficients[perm] = coeff
         for e, c in grothendieck(perm)._terms.items():
             if e not in remaining:
                 remaining[e] = -coeff * c
-                if sum(e) == degree:
-                    heapq.heappush(heap, (_lehmer_key(e), e))
+                if e & DEGREE_MASK == degree:
+                    heapq.heappush(heap, -e)
             elif remaining[e] == coeff * c:
                 del remaining[e]
             else:

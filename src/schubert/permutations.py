@@ -42,6 +42,11 @@ class Permutation:
             window = window[:-1]
         object.__setattr__(self, "window", window)
 
+    def __hash__(self) -> int:
+        # Hash the window itself; the generated hash would build the
+        # tuple (window,) on every lookup.
+        return hash(self.window)
+
     @classmethod
     def _trusted(cls, window: tuple[int, ...]) -> Permutation:
         """Wrap a window already known to be a canonical (trimmed) bijection,
@@ -98,7 +103,10 @@ class Permutation:
         for i in range(n):
             c = code[i] if i < len(code) else 0
             window.append(available.pop(c))
-        return cls(tuple(window))
+        # Popping from the values left builds a bijection; trim it.
+        while window and window[-1] == len(window):
+            window.pop()
+        return cls._trusted(tuple(window))
 
     # -- text format ---------------------------------------------------
 

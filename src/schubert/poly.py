@@ -1,39 +1,126 @@
 """Exact sparse polynomials over the integers in x1, x2, ...
 
-Terms map trimmed (no trailing zero), non-negative exponent tuples to
-non-zero Python ints, so all arithmetic is arbitrary precision.  The
-public constructor checks outside input; the ring operations keep the
-invariant without re-checking.  The canonical term order (iteration
-and printing) is total degree ascending, then exponents descending
-lexicographically, which renders e.g. ``x1 + x2 - x1*x2``.
+Terms map exponents to non-zero Python ints, so all arithmetic is
+arbitrary precision.  Inside a :class:`Polynomial` each exponent is one
+packed, non-negative Python int:
+
+* bits [0, DEGREE_BITS) hold the total degree;
+* x_i sits in bits [DEGREE_BITS + EXPONENT_BITS (i - 1),
+  DEGREE_BITS + EXPONENT_BITS i), one byte per variable.
+
+Multiplying monomials is then adding their ints, the total degree is
+``e & DEGREE_MASK``, setting x_{t+1}, x_{t+2}, ... to zero keeps the
+exponents below ``1 << (DEGREE_BITS + EXPONENT_BITS t)``, and no fixed
+number of variables is needed.  Every exponent of a variable is at
+most :data:`MAX_EXPONENT` (255) and every total degree at most
+:data:`MAX_DEGREE` (65,535); a field never carries into the next.  The
+constructor checks each term, ``*`` checks its operands' largest fields
+(one pass over each operand, not over the term pairs), and anything
+beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
+appear only at the public boundary: the constructor, :meth:`terms`,
+:meth:`coefficient`, :meth:`render`, :func:`parse_polynomial` and
+:func:`leading_term` take or return trimmed tuples (no trailing zero).
+
+The canonical term order (iteration and printing) is total degree
+ascending, then exponents descending lexicographically, which renders
+e.g. ``x1 + x2 - x1*x2``.
 
 The basis-expansion oracle needs a different tie-break inside a degree
 layer: :func:`leading_term` picks the monomial that is largest when
 exponents are compared from the highest variable down.  That is the
 unique monomial matching the Lehmer code of a permutation, which is
-what makes elimination against the Grothendieck basis terminate.  The
-order is defined once, by ``_lehmer_key``, which the heap of
-:func:`schubert.grothendieck.expand_in_basis` also uses.
+what makes elimination against the Grothendieck basis terminate.  With
+higher variables in higher bits it is the largest packed int of its
+degree, so the order is ``_lehmer_key(e) = (e & DEGREE_MASK, -e)``;
+the heap of :func:`schubert.grothendieck.expand_in_basis`, which holds
+one degree at a time, orders by ``-e`` alone.
 """
 from __future__ import annotations
 
 import re
-from operator import add, neg
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
 
+# The layout is byte-aligned, so tuples pack and unpack through bytes.
+EXPONENT_BITS = 8
+DEGREE_BITS = 16
+DEGREE_MASK = (1 << DEGREE_BITS) - 1
+FIELD_MASK = (1 << EXPONENT_BITS) - 1
+# The checked bounds: a field never carries into the next.
+MAX_EXPONENT = FIELD_MASK
+MAX_DEGREE = DEGREE_MASK
 
-def _trim(exponent: Iterable[int]) -> Exponent:
+
+class ExponentCeilingExceeded(RuntimeError):
+    """An exponent or a total degree does not fit its packed field."""
+
+
+def _pack(exponent: Iterable[int]) -> int:
+    """The packed int of an exponent tuple; trailing zeros vanish."""
     e = tuple(exponent)
-    while e and e[-1] == 0:
-        e = e[:-1]
-    return e
+    if not e:
+        return 0
+    if min(e) < 0:
+        raise ValueError(f"negative exponent in {e}")
+    if max(e) > MAX_EXPONENT:
+        raise ExponentCeilingExceeded(f"exponent {max(e)} in {e} exceeds {MAX_EXPONENT}")
+    degree = sum(e)
+    if degree > MAX_DEGREE:
+        raise ExponentCeilingExceeded(f"total degree {degree} of {e} exceeds {MAX_DEGREE}")
+    return int.from_bytes(bytes(e), "little") << DEGREE_BITS | degree
 
 
-def term_key(exponent: Exponent) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key: (total degree, lex-descending exponents)."""
-    return (sum(exponent), tuple(-v for v in exponent))
+def _unpack(e: int) -> Exponent:
+    """The trimmed exponent tuple of a packed int."""
+    v = e >> DEGREE_BITS
+    return tuple(v.to_bytes((v.bit_length() + 7) >> 3, "little"))
+
+
+def _variable_shift(i: int) -> int:
+    """The lowest bit of the field of x_i (1-based)."""
+    return DEGREE_BITS + EXPONENT_BITS * (i - 1)
+
+
+def _check_product(f: dict[int, int], g: dict[int, int]) -> None:
+    """Raise unless every field of e1 + e2 fits, for e1 in f and e2 in g.
+
+    The OR of an operand's exponents bounds each of its fields from
+    above, so one pass over each operand usually settles it; a field
+    whose bounds add up past the ceiling is settled by its exact maxima.
+    """
+    if not f or not g:
+        return
+    or_f, or_g = reduce(or_, f), reduce(or_, g)
+    if (or_f & DEGREE_MASK) + (or_g & DEGREE_MASK) > MAX_DEGREE:
+        degree = _largest(f, 0, DEGREE_MASK) + _largest(g, 0, DEGREE_MASK)
+        if degree > MAX_DEGREE:
+            raise ExponentCeilingExceeded(
+                f"a product of degree {degree}; degrees stop at {MAX_DEGREE}"
+            )
+    for i, (bound_f, bound_g) in enumerate(zip(_unpack(or_f), _unpack(or_g)), start=1):
+        if bound_f + bound_g > MAX_EXPONENT:
+            shift = _variable_shift(i)
+            top = _largest(f, shift, FIELD_MASK) + _largest(g, shift, FIELD_MASK)
+            if top > MAX_EXPONENT:
+                raise ExponentCeilingExceeded(
+                    f"a product with x{i}^{top}; exponents stop at {MAX_EXPONENT}"
+                )
+
+
+def _largest(terms: dict[int, int], shift: int, mask: int) -> int:
+    return max(e >> shift & mask for e in terms)
+
+
+def _check_window(size: int) -> None:
+    """Every monomial of G_w for w in S_n divides x1^(n-1) x2^(n-2) ... x_{n-1},
+    so windows up to MAX_EXPONENT + 1 fit the packed fields."""
+    if size - 1 > MAX_EXPONENT:
+        raise ExponentCeilingExceeded(
+            f"window {size} gives exponents up to {size - 1}; they stop at {MAX_EXPONENT}"
+        )
 
 
 class Polynomial:
@@ -42,12 +129,10 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
-        clean: dict[Exponent, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exponent, coeff in terms.items():
-                e = _trim(exponent)
-                if any(v < 0 for v in e):
-                    raise ValueError(f"negative exponent in {e}")
+                e = _pack(exponent)
                 clean[e] = clean.get(e, 0) + int(coeff)
         self._terms = {e: c for e, c in clean.items() if c}
 
@@ -75,12 +160,21 @@ class Polynomial:
     # -- views ----------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponent, int]]:
-        """Terms in canonical order."""
-        for e in sorted(self._terms, key=term_key):
-            yield e, self._terms[e]
+        """Terms in canonical order, with trimmed exponent tuples."""
+        items = [(e & DEGREE_MASK, _unpack(e), c) for e, c in self._terms.items()]
+        # Within a degree no trimmed exponent is a prefix of another, so
+        # descending tuples are descending lexicographic exponents; the
+        # second sort is stable.
+        items.sort(key=itemgetter(1), reverse=True)
+        items.sort(key=itemgetter(0))
+        for _, e, c in items:
+            yield e, c
 
     def coefficient(self, exponent: Iterable[int]) -> int:
-        return self._terms.get(_trim(exponent), 0)
+        try:
+            return self._terms.get(_pack(exponent), 0)
+        except (ValueError, ExponentCeilingExceeded):
+            return 0  # no stored term has such an exponent
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -125,12 +219,17 @@ class Polynomial:
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
             return _unchecked({e: other * c for e, c in self._terms.items() if other})
-        result: dict[Exponent, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                # The sum of two trimmed non-negative exponents is already trimmed.
-                e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[len(e1):]
-                result[e] = result.get(e, 0) + c1 * c2
+        left, right = self._terms, other._terms
+        _check_product(left, right)
+        if len(left) > len(right):
+            left, right = right, left  # fewer, longer inner loops
+        result: dict[int, int] = {}
+        get = result.get
+        right = right.items()
+        for e1, c1 in left.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                result[e] = get(e, 0) + c1 * c2
         return _unchecked({e: c for e, c in result.items() if c})
 
     __rmul__ = __mul__
@@ -140,28 +239,30 @@ class Polynomial:
     def min_degree(self) -> int:
         if self.is_zero():
             raise ValueError("the zero polynomial has no degree")
-        return min(sum(e) for e in self._terms)
+        return min(e & DEGREE_MASK for e in self._terms)
 
     def lowest_degree_part(self) -> Polynomial:
         """The homogeneous part of minimal total degree."""
         d = self.min_degree()
-        return _unchecked({e: c for e, c in self._terms.items() if sum(e) == d})
+        return _unchecked({e: c for e, c in self._terms.items() if e & DEGREE_MASK == d})
 
     def truncate(self, t: int) -> Polynomial:
         """Set every variable beyond x_t to zero; a ring homomorphism."""
         if t < 0:
             raise ValueError("truncation index must be non-negative")
-        return _unchecked({e: c for e, c in self._terms.items() if len(e) <= t})
+        limit = 1 << _variable_shift(t + 1)
+        return _unchecked({e: c for e, c in self._terms.items() if e < limit})
 
     def swap_variables(self, i: int, j: int) -> Polynomial:
         """Substitute x_i <-> x_j (1-based)."""
-        n = max(i, j)
-        result: dict[Exponent, int] = {}
+        if i < 1 or j < 1:
+            raise ValueError("variables are 1-based")
+        si, sj = _variable_shift(i), _variable_shift(j)
+        result: dict[int, int] = {}
         for e, c in self._terms.items():
-            padded = list(e) + [0] * (n - len(e))
-            padded[i - 1], padded[j - 1] = padded[j - 1], padded[i - 1]
-            result[_trim(padded)] = c
-        return Polynomial(result)
+            a, b = e >> si & FIELD_MASK, e >> sj & FIELD_MASK
+            result[e + ((b - a) << si) + ((a - b) << sj)] = c
+        return _unchecked(result)
 
     # -- text format ---------------------------------------------------
 
@@ -230,20 +331,20 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(terms)
 
 
-def _unchecked(terms: dict[Exponent, int]) -> Polynomial:
-    """Wrap ``terms`` without the constructor's checks: every exponent must
-    be trimmed and non-negative, and every coefficient non-zero."""
+def _unchecked(terms: dict[int, int]) -> Polynomial:
+    """Wrap ``terms`` without the constructor's checks: every key must be a
+    packed exponent within the field bounds, and every coefficient
+    non-zero."""
     out = Polynomial.__new__(Polynomial)
     out._terms = terms
     return out
 
 
-def _lehmer_key(exponent: Exponent) -> tuple[int, int, tuple[int, ...]]:
+def _lehmer_key(e: int) -> tuple[int, int]:
     """Sort key whose minimum is the leading term: lowest degree first, then
-    largest when compared from the highest variable down.  A longer
-    trimmed exponent has a non-zero entry in a higher variable, so it
-    comes first within its degree."""
-    return (sum(exponent), -len(exponent), tuple(map(neg, reversed(exponent))))
+    largest when compared from the highest variable down, which within
+    one degree is the largest packed int."""
+    return (e & DEGREE_MASK, -e)
 
 
 def leading_term(f: Polynomial) -> tuple[Exponent, int]:
@@ -256,4 +357,4 @@ def leading_term(f: Polynomial) -> tuple[Exponent, int]:
     if f.is_zero():
         raise ValueError("the zero polynomial has no leading term")
     best = min(f._terms, key=_lehmer_key)
-    return best, f._terms[best]
+    return _unpack(best), f._terms[best]

@@ -224,6 +224,21 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("resource limit:")
 
+    def test_exponent_ceiling_is_a_resource_limit(self, capsys, monkeypatch):
+        module = importlib.import_module("schubert.poly")
+        monkeypatch.setattr(module, "MAX_EXPONENT", 1)
+        code, out, err = invoke(capsys, "multiply", "321", "132")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit:")
+
+    def test_window_past_the_exponent_ceiling_is_a_resource_limit(self, capsys):
+        window = ",".join(str(k) for k in [*range(2, 258), 1])
+        code, out, err = invoke(capsys, "groth", window)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit:")
+
     def test_expansion_ceiling_is_a_resource_limit(self, capsys, monkeypatch):
         module = importlib.import_module("schubert.grothendieck")
         monkeypatch.setattr(module, "EXPANSION_ITERATION_CEILING", 2)

@@ -6,6 +6,7 @@ import pytest
 
 from schubert import (
     ExpansionCeilingExceeded,
+    ExponentCeilingExceeded,
     Permutation,
     Polynomial,
     expand_in_basis,
@@ -26,6 +27,9 @@ from schubert.grothendieck import (
     expansion_to_json,
     isobaric_divided_difference,
 )
+from schubert.poly import MAX_EXPONENT
+
+poly_module = importlib.import_module("schubert.poly")
 
 ID = Permutation.identity()
 X1 = Polynomial.variable(1)
@@ -100,6 +104,16 @@ class TestDividedDifferences:
         assert isobaric_divided_difference(X1, 1) == Polynomial.constant(1)
         # pi_1 x1^2 = d_1((1 - x2) x1^2), the 132 Grothendieck polynomial
         assert isobaric_divided_difference(X1 * X1, 1) == X1 + X2 - X1 * X2
+
+    def test_packed_division_matches_the_tuple_split_on_s5(self):
+        # _divide_by_root_difference splits packed exponents by the power of
+        # x_i; the quotient times (x_i - x_{i+1}) must give back f.
+        for p in symmetric_group(5):
+            f = grothendieck(p)
+            for i in range(1, 5):
+                g = f - f.swap_variables(i, i + 1)
+                root = Polynomial.variable(i) - Polynomial.variable(i + 1)
+                assert _divide_by_root_difference(g, i) * root == g
 
     def test_non_exact_division_detected(self):
         with pytest.raises(NonExactDivision):
@@ -235,6 +249,30 @@ class TestStructureConstants:
 
 
 class TestStructuralIdentities:
+    def test_every_monomial_divides_the_staircase_on_s6(self):
+        # The bound that lets grothendieck check only the window: x_i has
+        # exponent at most n - i in G_w for w in S_n.
+        for p in symmetric_group(6):
+            n = p.size()
+            for e, _ in grothendieck(p).terms():
+                assert all(v <= n - i for i, v in enumerate(e, start=1)), (p, e)
+
+    def test_window_past_the_exponent_ceiling_raises(self):
+        n = MAX_EXPONENT + 2
+        longest_cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+        with pytest.raises(ExponentCeilingExceeded):
+            grothendieck(longest_cycle)
+
+    def test_window_at_a_lowered_ceiling(self, monkeypatch):
+        # With exponents capped at 3, windows of 4 still fit and windows
+        # of 5 do not; the undecorated function skips the memo.
+        monkeypatch.setattr(poly_module, "MAX_EXPONENT", 3)
+        compute = grothendieck.__wrapped__
+        assert compute(Permutation.parse("4321")) == parse_polynomial("x1^3*x2^2*x3")
+        assert compute(Permutation.parse("1432")) == grothendieck_dd(Permutation.parse("1432"), 4)
+        with pytest.raises(ExponentCeilingExceeded):
+            compute(Permutation.parse("15432"))
+
     def test_leading_term_law_on_s5(self):
         for p in symmetric_group(5):
             assert leading_term(grothendieck(p)) == (p.lehmer_code(), 1)

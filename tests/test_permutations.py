@@ -92,6 +92,23 @@ class TestStatistics:
     def test_from_lehmer_extends_window(self):
         assert Permutation.from_lehmer((4, 2)).window == (5, 3, 1, 2, 4)
 
+    @seed(20062)
+    @given(st.lists(st.integers(min_value=0, max_value=9), max_size=10))
+    def test_from_lehmer_matches_the_validating_constructor(self, code):
+        # from_lehmer skips the bijection check; its result must be the
+        # element the validating constructor makes of the same window, and
+        # its code the given one, trimmed.
+        got = Permutation.from_lehmer(code)
+        expected = Permutation(got.window + (len(got.window) + 1,))
+        assert got == expected
+        assert got.window == expected.window
+        assert type(got.window) is tuple
+        assert hash(got) == hash(expected) == hash(got.window)
+        trimmed = list(code)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert got.lehmer_code() == tuple(trimmed)
+
     def test_grassmannian_descent(self):
         assert Permutation.parse("132").grassmannian_descent() == 2
         assert Permutation.parse("321").grassmannian_descent() is None

@@ -1,7 +1,18 @@
+import itertools
+from operator import add
+
 import pytest
 from hypothesis import example, given, seed, strategies as st
 
-from schubert import Polynomial, leading_term, parse_polynomial
+from schubert import (
+    ExponentCeilingExceeded,
+    Polynomial,
+    grothendieck,
+    leading_term,
+    parse_polynomial,
+    symmetric_group,
+)
+from schubert.poly import DEGREE_MASK, MAX_DEGREE, MAX_EXPONENT, _pack, _unpack
 
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
@@ -190,3 +201,162 @@ class TestLeadingTerm:
         width = max(len(e) for e in layer)
         best = max(layer, key=lambda e: tuple(reversed(e + (0,) * (width - len(e)))))
         assert leading_term(f) == (best, f.coefficient(best))
+
+
+# -- packed exponents ------------------------------------------------------
+
+
+class TestPackedExponents:
+    @seed(20060)
+    @given(st.lists(st.integers(min_value=0, max_value=MAX_EXPONENT), max_size=40).map(tuple))
+    @example((MAX_EXPONENT,))
+    @example((MAX_EXPONENT,) * 25)
+    @example((0,) * 30 + (MAX_EXPONENT,))
+    @example((0, 0, 0))
+    @example(())
+    def test_round_trip(self, exponent):
+        trimmed = tuple_trim(exponent)
+        packed = _pack(exponent)
+        assert _unpack(packed) == trimmed
+        assert packed & DEGREE_MASK == sum(exponent)
+        f = Polynomial({exponent: 3})
+        assert list(f.terms()) == [(trimmed, 3)]
+        assert f.coefficient(exponent) == 3
+        assert leading_term(f) == (trimmed, 3)
+
+    def test_exponent_at_the_ceiling_stays_exact(self):
+        top = Polynomial({(0,) * 29 + (MAX_EXPONENT,): 1})
+        assert list(top.terms()) == [((0,) * 29 + (MAX_EXPONENT,), 1)]
+        half = Polynomial({(128,): 1})
+        product = half * Polynomial({(MAX_EXPONENT - 128,): 2})
+        assert dict(product.terms()) == {(MAX_EXPONENT,): 2}
+        # The OR of 128 and 1 bounds x1 by 129, past the ceiling with 127;
+        # the exact maximum, 128, is not.
+        wide = Polynomial({(128,): 1, (1,): 1})
+        product = wide * Polynomial({(127,): 1})
+        assert dict(product.terms()) == {(MAX_EXPONENT,): 1, (128,): 1}
+
+    def test_exponent_past_the_ceiling_raises(self):
+        with pytest.raises(ExponentCeilingExceeded):
+            Polynomial({(MAX_EXPONENT + 1,): 1})
+        with pytest.raises(ExponentCeilingExceeded):
+            Polynomial({(0,) * 29 + (MAX_EXPONENT + 1,): 1})
+        with pytest.raises(ExponentCeilingExceeded):
+            Polynomial({(0, 128): 1}) * Polynomial({(1, MAX_EXPONENT - 127): 1})
+        with pytest.raises(ExponentCeilingExceeded):
+            parse_polynomial(f"x3^{MAX_EXPONENT + 1}")
+        assert Polynomial.variable(1).coefficient((MAX_EXPONENT + 1,)) == 0
+
+    def test_degree_at_the_ceiling_stays_exact(self):
+        full = (MAX_EXPONENT,) * (MAX_DEGREE // MAX_EXPONENT)
+        assert sum(full) == MAX_DEGREE
+        assert dict(Polynomial({full: 1}).terms()) == {full: 1}
+        left, right = full[:200], (0,) * 200 + full[200:]
+        assert dict((Polynomial({left: 1}) * Polynomial({right: 1})).terms()) == {full: 1}
+
+    def test_degree_past_the_ceiling_raises(self):
+        full = (MAX_EXPONENT,) * (MAX_DEGREE // MAX_EXPONENT)
+        with pytest.raises(ExponentCeilingExceeded):
+            Polynomial({full + (1,): 1})
+        with pytest.raises(ExponentCeilingExceeded):
+            Polynomial({full: 1}) * Polynomial.variable(len(full) + 1)
+
+
+# -- the tuple kernel, kept as a differential oracle ------------------------
+#
+# Exponents as trimmed tuples in plain dicts, as the kernel stored them
+# before exponents were packed into ints.
+
+
+def tuple_trim(e):
+    e = tuple(e)
+    while e and e[-1] == 0:
+        e = e[:-1]
+    return e
+
+
+def tuple_mul(f, g):
+    result = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[len(e1):]
+            result[e] = result.get(e, 0) + c1 * c2
+    return {e: c for e, c in result.items() if c}
+
+
+def tuple_add(f, g):
+    result = dict(f)
+    for e, c in g.items():
+        result[e] = result.get(e, 0) + c
+    return {e: c for e, c in result.items() if c}
+
+
+def tuple_truncate(f, t):
+    return {e: c for e, c in f.items() if len(e) <= t}
+
+
+def tuple_lowest_degree_part(f):
+    d = min(sum(e) for e in f)
+    return {e: c for e, c in f.items() if sum(e) == d}
+
+
+def tuple_swap_variables(f, i, j):
+    n = max(i, j)
+    result = {}
+    for e, c in f.items():
+        padded = list(e) + [0] * (n - len(e))
+        padded[i - 1], padded[j - 1] = padded[j - 1], padded[i - 1]
+        result[tuple_trim(padded)] = c
+    return result
+
+
+def tuple_leading_term(f):
+    best = min(f, key=lambda e: (sum(e), -len(e), tuple(-v for v in reversed(e))))
+    return best, f[best]
+
+
+def tuple_render(f):
+    if not f:
+        return "0"
+    parts = []
+    for e in sorted(f, key=lambda e: (sum(e), tuple(-v for v in e))):
+        c = f[e]
+        factors = [f"x{i}" if p == 1 else f"x{i}^{p}" for i, p in enumerate(e, start=1) if p]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors else []) + factors)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def assert_kernels_agree(f, g):
+    """Every packed operation equals its tuple-kernel counterpart."""
+    tf, tg = dict(f.terms()), dict(g.terms())
+    assert dict((f * g).terms()) == tuple_mul(tf, tg)
+    assert dict((f + g).terms()) == tuple_add(tf, tg)
+    for t in range(6):
+        assert dict(f.truncate(t).terms()) == tuple_truncate(tf, t)
+    for i, j in [(1, 2), (2, 3), (1, 4), (3, 7)]:
+        assert dict(f.swap_variables(i, j).terms()) == tuple_swap_variables(tf, i, j)
+    if tf:
+        assert dict(f.lowest_degree_part().terms()) == tuple_lowest_degree_part(tf)
+        assert leading_term(f) == tuple_leading_term(tf)
+    assert f.render() == tuple_render(tf)
+    assert dict(parse_polynomial(tuple_render(tf)).terms()) == tf
+
+
+class TestAgainstTheTupleKernel:
+    @seed(20061)
+    @given(mixed_polys, mixed_polys)
+    @example(
+        Polynomial({(3, 0, 0, 0, 0, 0, 2): 1, (1, 1): -2}),
+        Polynomial({(): 5, (0, 0, 0, 4): 1}),
+    )
+    def test_random_polynomials(self, f, g):
+        assert_kernels_agree(f, g)
+
+    def test_every_s4_product_of_grothendieck_polynomials(self):
+        polys = [grothendieck(p) for p in symmetric_group(4)]
+        for f, g in itertools.product(polys, repeat=2):
+            assert_kernels_agree(f, g)

@@ -414,3 +414,33 @@ class TestJsonExport:
         assert run(["tree", "321465", "--t", "2", "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Outputs that pass through dicts and sets of permutations, pinned so
+    # that a change of Permutation.__hash__ or of the polynomial kernel
+    # cannot reorder them unseen.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["multiply", "326541", "7312654"],
+                "9a6c5cf868298bce0b84ac1ef7164f68ac18884a24cb4ebd60b69fa7386fd2f1",
+            ),
+            (
+                ["product", "41352", "4321", "--n", "5", "--t", "7"],
+                "33254f8a7633f8ba1412ad0869ae534a87fa92127cd49e2546582cadedbffd64",
+            ),
+            (
+                ["product", "41352", "4321", "--n", "5", "--t", "7", "--cohomology"],
+                "311cf8138a09027ca981a75f134db2ba9d732b76eaa48a68aaf308af029ee642",
+            ),
+            (
+                ["groth", "1,11,10,9,8,7,6,5,4,3,2"],
+                "7660cc71acbbf0aeda512ebad9684760ea9b3bc7c8abdd4569bde3c49d91e2cc",
+            ),
+        ],
+        ids=["multiply", "product-K", "product-cohomology", "groth-window-11"],
+    )
+    def test_cli_output_digests(self, capsys, argv, digest):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
