@@ -37,13 +37,14 @@ import functools
 import heapq
 import json
 
+from . import poly
 from .diagram import march_children, transition_pair
 from .permutations import Permutation
 from .poly import (
     DEGREE_MASK,
     FIELD_MASK,
+    ExponentCeilingExceeded,
     Polynomial,
-    _check_window,
     _unchecked,
     _unpack,
     _variable_shift,
@@ -71,7 +72,12 @@ def grothendieck(p: Permutation) -> Polynomial:
     """
     if p.is_identity():
         return Polynomial.constant(1)
-    _check_window(p.size())
+    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = p.size().
+    if p.size() - 1 > poly.MAX_EXPONENT:
+        raise ExponentCeilingExceeded(
+            f"window {p.size()} gives exponents up to {p.size() - 1}; "
+            f"they stop at {poly.MAX_EXPONENT}"
+        )
     g, _, q = transition_pair(p)
     base = grothendieck(q)._terms
     alternating = dict(base)

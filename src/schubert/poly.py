@@ -114,15 +114,6 @@ def _largest(terms: dict[int, int], shift: int, mask: int) -> int:
     return max(e >> shift & mask for e in terms)
 
 
-def _check_window(size: int) -> None:
-    """Every monomial of G_w for w in S_n divides x1^(n-1) x2^(n-2) ... x_{n-1},
-    so windows up to MAX_EXPONENT + 1 fit the packed fields."""
-    if size - 1 > MAX_EXPONENT:
-        raise ExponentCeilingExceeded(
-            f"window {size} gives exponents up to {size - 1}; they stop at {MAX_EXPONENT}"
-        )
-
-
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients."""
 
