@@ -8,7 +8,9 @@ Marching is implemented twice: the transposition form (always used by
 the library) and the literal box-hopping procedure on the picture
 (:func:`march_boxes`, kept so the test suite can assert the two agree).
 :func:`march_children` lists every (K-)march out of a label for tree
-growth and the Grothendieck transition recursion.
+growth; it wraps the private window-level primitive that the
+Grothendieck transition walk calls directly, so both make one corner
+and pivot scan per label.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ def maximal_corner(p: Permutation) -> Box | None:
     """
     if p.is_identity():
         return None
-    g, m, _ = transition_pair(p)
+    g, m, _ = _corner_scan(p.window)
     return Box(g, p(m))
 
 
@@ -63,23 +65,24 @@ def transition_pair(p: Permutation) -> tuple[int, int, Permutation]:
     p(m) < p(g).  The result drops the length by one and its diagram is
     the diagram of p minus the maximal corner.
     """
-    g = p.last_descent()
-    if g is None:
+    g, m, _ = _corner_scan(p.window)
+    return g, m, p.transpose(g, m)
+
+
+def _corner_scan(window: tuple[int, ...]) -> tuple[int, int, list[int]]:
+    """(g, m, pivot rows) of a canonical window: g is the last descent and m
+    the transition index of :func:`transition_pair`.  Row a < g holds a
+    pivot iff p(a) lies below the corner column p(m) and above every such
+    value in rows a+1..g-1."""
+    if not window:
         raise MarchError("the identity has no maximal corner")
-    window = p.window
+    g = len(window) - 1
+    while window[g - 1] < window[g]:
+        g -= 1
     corner_value = window[g - 1]
     m = len(window)
     while window[m - 1] >= corner_value:
         m -= 1
-    return g, m, p.transpose(g, m)
-
-
-def _corner_and_pivots(p: Permutation) -> tuple[int, Permutation, list[int]]:
-    """(g, q = p t_{g<->m}, pivot rows).  Row a < g holds a pivot iff q(a) lies
-    below the corner column and above every such value in rows a+1..g-1."""
-    g, m, q = transition_pair(p)
-    # q agrees with p above row g and q(g) = p(m), so p's window serves.
-    window = p.window
     corner_col = window[m - 1]
     rows = []
     highest = 0
@@ -88,7 +91,40 @@ def _corner_and_pivots(p: Permutation) -> tuple[int, Permutation, list[int]]:
         if highest < value < corner_col:
             rows.append(a)
             highest = value
-    return g, q, rows[::-1]
+    return g, m, rows[::-1]
+
+
+def _canonical(values: list[int]) -> tuple[int, ...]:
+    """Trim trailing fixed points, in place, and freeze."""
+    while values and values[-1] == len(values):
+        values.pop()
+    return tuple(values)
+
+
+def _window_marches(
+    window: tuple[int, ...], mode: Mode
+) -> tuple[int, tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """(g, q, [(I, q t_{i1<->g} ... t_{ik<->g})]) on canonical windows, for
+    q = p t_{g<->m} and every non-empty set I of pivot rows (single rows
+    in cohomology mode), in (|I|, I) order.
+
+    That order lists I minus its last row before I, so each word is the
+    word of that smaller set times one transposition."""
+    g, m, rows = _corner_scan(window)
+    q = list(window)
+    q[g - 1], q[m - 1] = q[m - 1], q[g - 1]
+    if not rows:  # most labels of a transition walk
+        return g, _canonical(q), []
+    largest = 1 if mode == "cohomology" else len(rows)
+    words = {(): q}
+    for size in range(1, largest + 1):
+        for subset in itertools.combinations(rows, size):
+            word = words[subset[:-1]][:]
+            i = subset[-1]
+            word[i - 1], word[g - 1] = word[g - 1], word[i - 1]
+            words[subset] = word
+    del words[()]
+    return g, _canonical(q), [(subset, _canonical(word)) for subset, word in words.items()]
 
 
 def pivots(p: Permutation) -> list[Box]:
@@ -103,7 +139,7 @@ def pivots(p: Permutation) -> list[Box]:
 
 
 def pivot_rows(p: Permutation) -> list[int]:
-    return _corner_and_pivots(p)[2]
+    return _corner_scan(p.window)[2]
 
 
 def _transposition_word(q: Permutation, g: int, rows: Iterable[int]) -> Permutation:
@@ -115,18 +151,8 @@ def _transposition_word(q: Permutation, g: int, rows: Iterable[int]) -> Permutat
 
 def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
     """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
-    of pivot rows (single rows in cohomology mode), in (|I|, I) order.
-
-    That order lists I minus its last row before I, so each word is the
-    word of that smaller set times one transposition."""
-    g, q, rows = _corner_and_pivots(p)
-    largest = 1 if mode == "cohomology" else len(rows)
-    words = {(): q}
-    for size in range(1, largest + 1):
-        for subset in itertools.combinations(rows, size):
-            words[subset] = words[subset[:-1]].transpose(subset[-1], g)
-    del words[()]
-    return list(words.items())
+    of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
+    return [(rows, Permutation._trusted(child)) for rows, child in _window_marches(p.window, mode)[2]]
 
 
 def march(p: Permutation, i: int) -> Permutation:
@@ -160,11 +186,11 @@ def _k_march_rows(p: Permutation, rows: Iterable[int]) -> tuple[int, Permutation
     index_set = sorted(set(rows))
     if not index_set:
         raise MarchError("K-march needs a non-empty set of pivot rows")
-    g, q, valid = _corner_and_pivots(p)
+    g, m, valid = _corner_scan(p.window)
     bad = [i for i in index_set if i not in valid]
     if bad:
         raise MarchError(f"rows {bad} are not pivot rows of {p}")
-    return g, q, index_set
+    return g, p.transpose(g, m), index_set
 
 
 def k_march(p: Permutation, rows: Iterable[int]) -> Permutation:

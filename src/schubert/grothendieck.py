@@ -2,18 +2,24 @@
 
 Two independent constructions of the Grothendieck polynomial are kept:
 
-* :func:`grothendieck` recurses on the transition formula
+* :func:`grothendieck` evaluates Lascoux's transition formula
 
-      G_gamma = G_gamma' + (x_g - 1) * sum over subsets S of pivot rows
-                of (-1)^|S| G_{gamma' t_{i<->g} ...}
+      G_p = x_g * G_q + (x_g - 1) * sum over non-empty sets I of pivot
+            rows of (-1)^|I| G_{q t_{i1<->g} ... t_{ik<->g}}
 
-  with base case G_id = 1, where gamma' removes the maximal corner.
-  The sum and the product by the binomial x_g - 1 are accumulated in
-  one pass over plain dicts of packed exponents (see :mod:`schubert.poly`),
-  not through polynomial arithmetic: raising x_g adds
+  with base case G_id = 1, where g is the last descent of p and
+  q = p t_{g<->m} removes the maximal corner (the K-march children of
+  :mod:`schubert.diagram`).  The formula is a post-order walk over a
+  DAG of canonical windows, run with an explicit stack, so no window is
+  too long for the interpreter's recursion limit.  One memo maps each
+  window to its polynomial.  A node is summed once, into one fresh dict
+  of packed exponents (see :mod:`schubert.poly`), not through
+  polynomial arithmetic: raising x_g adds
   ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
-  int.  Every monomial of G_w for w in S_n divides the staircase
-  x1^(n-1) x2^(n-2) ... x_{n-1}, so a window of n <= MAX_EXPONENT + 1
+  int, and cancelled terms are deleted from that dict in place.  Every
+  monomial of G_w for w in S_n divides the staircase
+  x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
+  most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
   (256) keeps every field within its bound; a longer window raises
   :class:`schubert.poly.ExponentCeilingExceeded` before any work.
 
@@ -33,12 +39,12 @@ basis element.  Packed exponents become tuples only for
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import json
+from typing import NamedTuple
 
 from . import poly
-from .diagram import march_children, transition_pair
+from .diagram import _window_marches
 from .permutations import Permutation
 from .poly import (
     DEGREE_MASK,
@@ -63,37 +69,121 @@ class NonExactDivision(ArithmeticError):
     """A divided difference failed to divide exactly; an implementation bug."""
 
 
-@functools.cache
-def grothendieck(p: Permutation) -> Polynomial:
-    """The Grothendieck polynomial of p, by the transition recursion.
+_Window = tuple[int, ...]
 
-    The alternating sum and ``base + (x_g - 1) * alternating`` are
-    accumulated in fresh dicts; the memoised polynomials are only read.
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: None
+    currsize: int
+
+
+_ONE = Polynomial.constant(1)
+# Window -> G; the identity is the base case.  Every other entry is one
+# miss of the walk, and every read of a window, by a caller or by a node
+# of the walk, is one lookup.
+_memo: dict[_Window, Polynomial] = {(): _ONE}
+_lookups = 0
+
+
+def grothendieck(p: Permutation) -> Polynomial:
+    """The Grothendieck polynomial of p, by the transition formula.
+
+    Memoised per window: a repeated call returns the same object, and the
+    memoised polynomials are only read.  ``grothendieck.cache_info()``
+    and ``grothendieck.cache_clear()`` work as for ``functools.cache``.
     """
-    if p.is_identity():
-        return Polynomial.constant(1)
-    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = p.size().
-    if p.size() - 1 > poly.MAX_EXPONENT:
-        raise ExponentCeilingExceeded(
-            f"window {p.size()} gives exponents up to {p.size() - 1}; "
-            f"they stop at {poly.MAX_EXPONENT}"
-        )
-    g, _, q = transition_pair(p)
-    base = grothendieck(q)._terms
-    alternating = dict(base)
-    for rows, child in march_children(p, "K"):
-        sign = -1 if len(rows) % 2 else 1
-        for e, c in grothendieck(child)._terms.items():
-            alternating[e] = alternating.get(e, 0) + sign * c
-    result = dict(base)
+    global _lookups
+    window = p.window
+    found = _memo.get(window)
+    if found is None:
+        # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = p.size().
+        if len(window) - 1 > poly.MAX_EXPONENT:
+            raise ExponentCeilingExceeded(
+                f"window {len(window)} gives exponents up to {len(window) - 1}; "
+                f"they stop at {poly.MAX_EXPONENT}"
+            )
+        _walk(window)
+        found = _memo[window]
+    _lookups += 1
+    return found
+
+
+def _walk(root: _Window) -> None:
+    """Memoise G of root and of every window it needs, in post-order.
+
+    A window is expanded when first popped: if some window it needs is
+    not memoised yet, it goes back on the stack, under those windows, and
+    is summed when popped again, by then with all of them memoised.  The
+    windows form a DAG (the recursion this replaces terminates), so no
+    window waits on itself.
+    """
+    global _lookups
+    memo = _memo
+    waiting: dict[_Window, tuple] = {}
+    lookups = 0
+    stack = [root]
+    while stack:
+        window = stack.pop()
+        node = waiting.pop(window, None)
+        if node is None:
+            if window in memo:  # pushed twice before it was summed
+                continue
+            node = _window_marches(window, "K")
+            _, q, children = node
+            lookups += 1 + len(children)
+            missing = [child for _, child in children if child not in memo]
+            if q not in memo:
+                missing.append(q)
+            if missing:
+                waiting[window] = node
+                stack.append(window)
+                stack.extend(missing)
+                continue
+        memo[window] = _transition_sum(*node)
+    _lookups += lookups
+
+
+def _transition_sum(g: int, q: _Window, children: list) -> Polynomial:
+    """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I}, from the memo."""
+    memo = _memo
     x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
-    for e, c in alternating.items():
-        if not c:
-            continue
-        result[e] = result.get(e, 0) - c
-        raised = e + x_g
-        result[raised] = result.get(raised, 0) + c
-    return _unchecked({e: c for e, c in result.items() if c})
+    out = {e + x_g: c for e, c in memo[q]._terms.items()}
+    if not children:
+        return _unchecked(out)
+    get = out.get
+    for rows, child in children:
+        terms = memo[child]._terms
+        if len(rows) % 2:
+            for e, c in terms.items():
+                raised = e + x_g
+                out[raised] = get(raised, 0) - c
+                out[e] = get(e, 0) + c
+        else:
+            for e, c in terms.items():
+                raised = e + x_g
+                out[raised] = get(raised, 0) + c
+                out[e] = get(e, 0) - c
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    return _unchecked(out)
+
+
+def _cache_info() -> _CacheInfo:
+    misses = len(_memo) - 1
+    return _CacheInfo(_lookups - misses, misses, None, len(_memo))
+
+
+def _cache_clear() -> None:
+    global _lookups
+    _memo.clear()
+    _memo[()] = _ONE
+    _lookups = 0
+
+
+grothendieck.cache_info = _cache_info
+grothendieck.cache_clear = _cache_clear
 
 
 def schubert(p: Permutation) -> Polynomial:
@@ -147,6 +237,10 @@ def _power(f: Polynomial, k: int) -> Polynomial:
     return out
 
 
+# Full window in S_n -> its G; the window's length fixes n.
+_dd_memo: dict[_Window, Polynomial] = {}
+
+
 def grothendieck_dd(p: Permutation, n: int) -> Polynomial:
     """Independent oracle: Grothendieck polynomial inside an ambient S_n.
 
@@ -157,17 +251,24 @@ def grothendieck_dd(p: Permutation, n: int) -> Polynomial:
     """
     if p.size() > n:
         raise ValueError(f"window of {p} exceeds S_{n}")
-    return _dd_memo(tuple(p(i) for i in range(1, n + 1)), n)
-
-
-@functools.cache
-def _dd_memo(window: tuple[int, ...], n: int) -> Polynomial:
-    if window == tuple(range(n, 0, -1)):
-        return Polynomial.monomial(tuple(range(n - 1, 0, -1)))
-    i = next(i for i in range(n - 1) if window[i] < window[i + 1])
-    longer = list(window)
-    longer[i], longer[i + 1] = longer[i + 1], longer[i]
-    return isobaric_divided_difference(_dd_memo(tuple(longer), n), i + 1)
+    window = tuple(p(i) for i in range(1, n + 1))
+    longest = tuple(range(n, 0, -1))
+    # Swap the first ascent up to a memoised window or to the longest
+    # element, then apply pi_i back down that chain.
+    chain = []
+    while window not in _dd_memo:
+        if window == longest:
+            _dd_memo[window] = Polynomial.monomial(range(n - 1, 0, -1))
+            break
+        i = next(i for i in range(1, n) if window[i - 1] < window[i])
+        chain.append((window, i))
+        longer = list(window)
+        longer[i - 1], longer[i] = longer[i], longer[i - 1]
+        window = tuple(longer)
+    f = _dd_memo[window]
+    for shorter, i in reversed(chain):
+        f = _dd_memo[shorter] = isobaric_divided_difference(f, i)
+    return f
 
 
 # -- expansion in the Grothendieck basis ---------------------------------
@@ -232,10 +333,10 @@ def structure_constants(sigma: Permutation, rho: Permutation) -> ExpansionMap:
 
 
 def expansion_to_json_obj(expansion: ExpansionMap) -> dict[str, int]:
-    return {
-        perm.text(): expansion[perm]
-        for perm in sorted(expansion, key=lambda q: (q.length(), q.text()))
-    }
+    """Text -> coefficient, ordered by length and then by text."""
+    # Texts are distinct, so the sort never compares coefficients.
+    keyed = sorted((perm.length(), perm.text(), c) for perm, c in expansion.items())
+    return {text: c for _, text, c in keyed}
 
 
 def expansion_to_json(expansion: ExpansionMap) -> str:

@@ -16,6 +16,7 @@ string when every value is at most 9, otherwise a comma-separated list.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -145,9 +146,18 @@ class Permutation:
     # -- statistics ------------------------------------------------------
 
     def length(self) -> int:
-        """Coxeter length: the number of inversions of the window."""
-        w = self.window
-        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+        """Coxeter length: the number of inversions of the window.
+
+        Each value counts the smaller values after it, found by bisecting
+        the sorted list of those values.
+        """
+        later: list[int] = []
+        count = 0
+        for v in reversed(self.window):
+            at = bisect.bisect_left(later, v)
+            count += at
+            later.insert(at, v)
+        return count
 
     def descents(self) -> tuple[int, ...]:
         """Positions i with p(i) > p(i+1); always inside the window."""

@@ -217,12 +217,12 @@ class TestUsageErrors:
         assert code == 2
         assert "SCHUBERT_NODE_CEILING" in err
 
-    def test_recursion_too_deep_is_a_resource_limit(self, capsys):
+    def test_groth_of_the_longest_element_of_s40_is_its_staircase(self, capsys):
         longest = ",".join(str(k) for k in range(40, 0, -1))
         code, out, err = invoke(capsys, "groth", longest)
-        assert code == 4
-        assert out == ""
-        assert err.startswith("resource limit:")
+        assert code == 0
+        assert out == "*".join(f"x{i}^{40 - i}" for i in range(1, 39)) + "*x39\n"
+        assert err == ""
 
     def test_exponent_ceiling_is_a_resource_limit(self, capsys, monkeypatch):
         module = importlib.import_module("schubert.poly")

@@ -10,8 +10,11 @@ from schubert import (
     MarchTree,
     NodeCeilingExceeded,
     Permutation,
+    Polynomial,
     TreeNode,
     build_tree,
+    grothendieck,
+    grothendieck_dd,
     leaf_counts,
     leaf_summary,
     signed_expansion,
@@ -382,6 +385,22 @@ class TestNoRecursion:
             sys.setrecursionlimit(limit)
         assert sum(1 for _ in tree.nodes()) == 10184
         assert summary_pair(leaf_summary(tree)) == summary_pair(leaf_counts(root, 2, "cohomology"))
+
+    def test_grothendieck_is_not_bounded_by_the_recursion_limit(self):
+        # The transition formula reaches w0 of S_40 through 780 lengths,
+        # and the divided differences reach the identity of S_8 from the
+        # staircase through 28 steps.
+        longest = Permutation(tuple(range(40, 0, -1)))
+        grothendieck.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 20)
+        try:
+            g = grothendieck(longest)
+            one = grothendieck_dd(Permutation.identity(), 8)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert g == Polynomial.monomial(range(39, 0, -1))
+        assert one == 1
 
 
 class TestJsonExport:

@@ -186,20 +186,18 @@ class TestSweeps:
                 assert verify(problem, "cohomology").match
         assert checked > 100
 
-    def test_three_way_verification_sampled_at_n4(self):
-        # The exhaustive n=4 sweep takes minutes; a deterministic sample
-        # of sigmas still crosses window parity and larger trees.
+    def test_three_way_verification_exhaustive_at_n4(self):
         checked = 0
-        for sigma in list(symmetric_group(4))[::6]:
+        for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
             last = sigma.last_descent() or 0
-            for alpha in symmetric_group(4):
-                for t in range(max(1, last), 9):
-                    problem = detect(sigma, alpha, 4, t)
-                    if problem is None:
-                        continue
-                    checked += 1
-                    assert verify(problem, "K").match, (sigma, alpha, t)
-        assert checked > 300
+            for t in range(max(1, last), 9):
+                problem = detect(sigma, alpha, 4, t)
+                if problem is None:
+                    continue
+                checked += 1
+                assert verify(problem, "K").match, (sigma, alpha, t)
+                assert verify(problem, "cohomology").match, (sigma, alpha, t)
+        assert checked == 3596
 
     def test_cohomology_is_the_top_layer_of_k_mode_on_s3(self):
         for sigma, alpha in itertools.product(symmetric_group(3), repeat=2):
