@@ -5,11 +5,12 @@ Exit codes: 0 success, 2 usage or parse error, 3 precondition failure,
 the basis-expansion strip ceiling, or the packed-exponent ceiling of a
 polynomial -- a variable's exponent above 255 or a total degree above
 65,535, e.g. ``groth`` on a window longer than 256).  Results go to
-stdout, diagnostics to stderr.  The tree node ceiling can be set per invocation with
-``--node-ceiling`` or globally with the ``SCHUBERT_NODE_CEILING``
-environment variable.  ``tree`` materialises the tree and counts its
-nodes, null leaves included, against the ceiling; ``product`` counts
-the distinct labels of the marching DAG it walks instead.
+stdout, diagnostics to stderr.  The tree node ceiling can be set per
+invocation with ``--node-ceiling`` or globally with the
+``SCHUBERT_NODE_CEILING`` environment variable.  ``tree`` materialises
+the tree and counts its nodes, null leaves included, against the
+ceiling; ``product`` counts the distinct labels of the marching DAG it
+walks instead.
 """
 from __future__ import annotations
 

@@ -152,7 +152,8 @@ def _transposition_word(q: Permutation, g: int, rows: Iterable[int]) -> Permutat
 def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
     """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
     of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
-    return [(rows, Permutation._trusted(child)) for rows, child in _window_marches(p.window, mode)[2]]
+    _, _, children = _window_marches(p.window, mode)
+    return [(rows, Permutation._trusted(child)) for rows, child in children]
 
 
 def march(p: Permutation, i: int) -> Permutation:

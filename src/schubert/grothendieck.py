@@ -16,7 +16,7 @@ Two independent constructions of the Grothendieck polynomial are kept:
   of packed exponents (see :mod:`schubert.poly`), not through
   polynomial arithmetic: raising x_g adds
   ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
-  int, and cancelled terms are deleted from that dict in place.  Every
+  int.  The sum cancels no term, so nothing is filtered.  Every
   monomial of G_w for w in S_n divides the staircase
   x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
   most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
@@ -116,42 +116,49 @@ def _walk(root: _Window) -> None:
     A window is expanded when first popped: if some window it needs is
     not memoised yet, it goes back on the stack, under those windows, and
     is summed when popped again, by then with all of them memoised.  The
-    windows form a DAG (the recursion this replaces terminates), so no
-    window waits on itself.
+    transition formula terminates on every permutation (Lascoux), so the
+    windows form a DAG and no window waits on itself.
     """
     global _lookups
     memo = _memo
     waiting: dict[_Window, tuple] = {}
     lookups = 0
     stack = [root]
-    while stack:
-        window = stack.pop()
-        node = waiting.pop(window, None)
-        if node is None:
-            if window in memo:  # pushed twice before it was summed
-                continue
-            node = _window_marches(window, "K")
-            _, q, children = node
-            lookups += 1 + len(children)
-            missing = [child for _, child in children if child not in memo]
-            if q not in memo:
-                missing.append(q)
-            if missing:
-                waiting[window] = node
-                stack.append(window)
-                stack.extend(missing)
-                continue
-        memo[window] = _transition_sum(*node)
-    _lookups += lookups
+    try:
+        while stack:
+            window = stack.pop()
+            node = waiting.pop(window, None)
+            if node is None:
+                if window in memo:  # pushed twice before it was summed
+                    continue
+                node = _window_marches(window, "K")
+                _, q, children = node
+                lookups += 1 + len(children)
+                missing = [child for _, child in children if child not in memo]
+                if q not in memo:
+                    missing.append(q)
+                if missing:
+                    waiting[window] = node
+                    stack.append(window)
+                    stack.extend(missing)
+                    continue
+            memo[window] = _transition_sum(*node)
+    finally:
+        _lookups += lookups
 
 
 def _transition_sum(g: int, q: _Window, children: list) -> Polynomial:
-    """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I}, from the memo."""
+    """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I}, from the memo.
+
+    No term cancels: length(q) = length(p) - 1 and length(child_I) =
+    length(p) - 1 + |I|, so if every coefficient of degree D in G_w has
+    the sign (-1)^(D - length(w)), as it has for G_id = 1, every
+    contribution to a degree-D term of G_p has the sign
+    (-1)^(D - length(p)), and G_p keeps the law.
+    """
     memo = _memo
     x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
     out = {e + x_g: c for e, c in memo[q]._terms.items()}
-    if not children:
-        return _unchecked(out)
     get = out.get
     for rows, child in children:
         terms = memo[child]._terms
@@ -165,8 +172,6 @@ def _transition_sum(g: int, q: _Window, children: list) -> Polynomial:
                 raised = e + x_g
                 out[raised] = get(raised, 0) + c
                 out[e] = get(e, 0) - c
-    for e in [e for e, c in out.items() if not c]:
-        del out[e]
     return _unchecked(out)
 
 

@@ -14,11 +14,13 @@ from schubert import (
     grothendieck_dd,
     k_march,
     leading_term,
+    march_children,
     parse_polynomial,
     pivots,
     schubert,
     structure_constants,
     symmetric_group,
+    transition_pair,
 )
 from schubert.grothendieck import (
     NonExactDivision,
@@ -67,6 +69,29 @@ class TestTransitionConstruction:
         for p in symmetric_group(4):
             low = grothendieck(p).lowest_degree_part()
             assert all(sum(e) == p.length() for e, _ in low.terms())
+
+    def test_cache_info_counts_reads_and_computed_windows(self):
+        # A functools.cache on the recursion would count the same: one
+        # read for the call and one per transition term of each window,
+        # one miss per window other than the identity.  The walk from
+        # this root reaches some windows twice before it sums them.
+        root = Permutation.parse("432165")
+        reached, pending, reads = set(), [root], 1
+        while pending:
+            p = pending.pop()
+            if p.is_identity() or p in reached:
+                continue
+            reached.add(p)
+            terms = [transition_pair(p)[2]] + [child for _, child in march_children(p, "K")]
+            reads += len(terms)
+            pending.extend(terms)
+        grothendieck.cache_clear()
+        g = grothendieck(root)
+        info = grothendieck.cache_info()
+        assert (info.hits, info.misses) == (reads - len(reached), len(reached))
+        assert info.currsize == len(reached) + 1
+        assert grothendieck(root) is g
+        assert grothendieck.cache_info().hits == info.hits + 1
 
 
 class TestDividedDifferences:
@@ -269,7 +294,8 @@ class TestStructuralIdentities:
         monkeypatch.setattr(poly_module, "MAX_EXPONENT", 3)
         grothendieck.cache_clear()
         assert grothendieck(Permutation.parse("4321")) == parse_polynomial("x1^3*x2^2*x3")
-        assert grothendieck(Permutation.parse("1432")) == grothendieck_dd(Permutation.parse("1432"), 4)
+        p = Permutation.parse("1432")
+        assert grothendieck(p) == grothendieck_dd(p, 4)
         with pytest.raises(ExponentCeilingExceeded):
             grothendieck(Permutation.parse("15432"))
 
@@ -304,6 +330,15 @@ class TestStructuralIdentities:
                     sign = (-1) ** (size - 1)
                     total = total + grothendieck(k_march(gamma, subset)).truncate(g - 1) * sign
             assert total == grothendieck(gamma).truncate(g - 1)
+
+    def test_coefficient_signs_alternate_with_degree_on_s6(self):
+        # In degree D every term of x_g G_q and of (x_g - 1) (-1)^|I| G_child
+        # has the sign (-1)^(D - length(p)), so the transition sum cancels
+        # no term.
+        for p in symmetric_group(6):
+            length = p.length()
+            for e, c in grothendieck(p).terms():
+                assert c * (-1) ** ((sum(e) - length) % 2) > 0, (p, e)
 
     def test_grothendieck_at_all_ones_is_one(self):
         # Every (x_g - 1) factor in the transition formula vanishes at 1.
