@@ -44,7 +44,6 @@ from .trees import (
     NodeCeilingExceeded,
     build_tree,
     leaf_summary,
-    signed_expansion,
     to_dot,
     to_json,
     to_text,
@@ -323,7 +322,7 @@ def _fixture_figure2() -> None:
         "leaf summary of the Figure 2 tree",
     )
     _check(
-        signed_expansion(tree, 4) == _expansion({"421356": 1, "341256": 1, "431256": -1}),
+        summary.signed(4) == _expansion({"421356": 1, "341256": 1, "431256": -1}),
         "three-term expansion of Example 4",
     )
 

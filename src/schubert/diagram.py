@@ -7,17 +7,19 @@ Coxeter length of p.
 Marching is implemented twice: the transposition form (always used by
 the library) and the literal box-hopping procedure on the picture
 (:func:`march_boxes`, kept so the test suite can assert the two agree).
-:func:`march_children` lists every (K-)march out of a label for tree
-growth; it wraps the private window-level primitive that the
-Grothendieck transition walk calls directly, so both make one corner
-and pivot scan per label.
+One private primitive lists every (K-)march out of a canonical window
+with one corner and pivot scan.  The Grothendieck transition walk and
+the leaf count of :mod:`schubert.trees` call it directly, through one
+private explicit-stack post-order walk over windows;
+:func:`march_children` wraps it in :class:`Permutation` labels for
+:func:`schubert.trees.build_tree`.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Literal, NamedTuple
+from typing import Callable, Collection, Iterable, Literal, NamedTuple, TypeVar
 
-from .permutations import Permutation
+from .permutations import Permutation, _last_descent, _trim
 
 Mode = Literal["K", "cohomology"]
 
@@ -76,9 +78,7 @@ def _corner_scan(window: tuple[int, ...]) -> tuple[int, int, list[int]]:
     value in rows a+1..g-1."""
     if not window:
         raise MarchError("the identity has no maximal corner")
-    g = len(window) - 1
-    while window[g - 1] < window[g]:
-        g -= 1
+    g = _last_descent(window)
     corner_value = window[g - 1]
     m = len(window)
     while window[m - 1] >= corner_value:
@@ -94,13 +94,6 @@ def _corner_scan(window: tuple[int, ...]) -> tuple[int, int, list[int]]:
     return g, m, rows[::-1]
 
 
-def _canonical(values: list[int]) -> tuple[int, ...]:
-    """Trim trailing fixed points, in place, and freeze."""
-    while values and values[-1] == len(values):
-        values.pop()
-    return tuple(values)
-
-
 def _window_marches(
     window: tuple[int, ...], mode: Mode
 ) -> tuple[int, tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
@@ -114,7 +107,7 @@ def _window_marches(
     q = list(window)
     q[g - 1], q[m - 1] = q[m - 1], q[g - 1]
     if not rows:  # most labels of a transition walk
-        return g, _canonical(q), []
+        return g, _trim(q), []
     largest = 1 if mode == "cohomology" else len(rows)
     words = {(): q}
     for size in range(1, largest + 1):
@@ -124,7 +117,43 @@ def _window_marches(
             word[i - 1], word[g - 1] = word[g - 1], word[i - 1]
             words[subset] = word
     del words[()]
-    return g, _canonical(q), [(subset, _canonical(word)) for subset, word in words.items()]
+    return g, _trim(q), [(subset, _trim(word)) for subset, word in words.items()]
+
+
+_Window = tuple[int, ...]
+_Node = TypeVar("_Node")
+
+
+def _post_order(
+    root: _Window,
+    expand: Callable[[_Window], tuple[_Node, Iterable[_Window]]],
+    known: Collection[_Window] = (),
+) -> list[tuple[_Window, _Node]]:
+    """(w, node) for root and every window w reachable from it through
+    windows not in ``known``, each listed after every window it needs.
+    ``expand(w)`` returns ``(node, windows w needs)`` and is called once
+    per listed window.
+
+    Depth-first with an explicit stack, so no chain of windows is too
+    long for the interpreter's recursion limit.  The windows must form a
+    DAG: a window that needed itself would be listed before it.
+    """
+    seen = set()  # the root is needed by no window of a DAG
+    order: list[tuple[_Window, _Node]] = []
+    node, needed = expand(root)
+    stack = [((root, node), iter(needed))]
+    while stack:
+        item, pending = stack[-1]
+        for child in pending:
+            if child not in known and child not in seen:
+                seen.add(child)
+                node, needed = expand(child)
+                stack.append(((child, node), iter(needed)))
+                break
+        else:
+            stack.pop()
+            order.append(item)
+    return order
 
 
 def pivots(p: Permutation) -> list[Box]:
@@ -140,13 +169,6 @@ def pivots(p: Permutation) -> list[Box]:
 
 def pivot_rows(p: Permutation) -> list[int]:
     return _corner_scan(p.window)[2]
-
-
-def _transposition_word(q: Permutation, g: int, rows: Iterable[int]) -> Permutation:
-    """q t_{i1<->g} ... t_{ik<->g} for rows i1, ..., ik in the given order."""
-    for i in rows:
-        q = q.transpose(i, g)
-    return q
 
 
 def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
@@ -202,7 +224,9 @@ def k_march(p: Permutation, rows: Iterable[int]) -> Permutation:
     procedure (:func:`k_march_steps`).
     """
     g, q, index_set = _k_march_rows(p, rows)
-    return _transposition_word(q, g, index_set)
+    for i in index_set:
+        q = q.transpose(i, g)
+    return q
 
 
 def k_march_steps(p: Permutation, rows: Iterable[int]) -> list[tuple[str, Box | int, Permutation]]:

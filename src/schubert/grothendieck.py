@@ -9,10 +9,12 @@ Two independent constructions of the Grothendieck polynomial are kept:
 
   with base case G_id = 1, where g is the last descent of p and
   q = p t_{g<->m} removes the maximal corner (the K-march children of
-  :mod:`schubert.diagram`).  The formula is a post-order walk over a
-  DAG of canonical windows, run with an explicit stack, so no window is
-  too long for the interpreter's recursion limit.  One memo maps each
-  window to its polynomial.  A node is summed once, into one fresh dict
+  :mod:`schubert.diagram`).  The windows the formula needs form a DAG,
+  listed in post-order by the explicit-stack walk that
+  :func:`schubert.trees.leaf_counts` also uses, so no window is too
+  long for the interpreter's recursion limit.  One memo maps each
+  window to its polynomial, and the walk stops at memoised windows.
+  A node is summed once, into one fresh dict
   of packed exponents (see :mod:`schubert.poly`), not through
   polynomial arithmetic: raising x_g adds
   ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
@@ -44,7 +46,7 @@ import json
 from typing import NamedTuple
 
 from . import poly
-from .diagram import _window_marches
+from .diagram import _Window, _post_order, _window_marches
 from .permutations import Permutation
 from .poly import (
     DEGREE_MASK,
@@ -67,9 +69,6 @@ class ExpansionCeilingExceeded(RuntimeError):
 
 class NonExactDivision(ArithmeticError):
     """A divided difference failed to divide exactly; an implementation bug."""
-
-
-_Window = tuple[int, ...]
 
 
 class _CacheInfo(NamedTuple):
@@ -111,40 +110,29 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _walk(root: _Window) -> None:
-    """Memoise G of root and of every window it needs, in post-order.
-
-    A window is expanded when first popped: if some window it needs is
-    not memoised yet, it goes back on the stack, under those windows, and
-    is summed when popped again, by then with all of them memoised.  The
-    transition formula terminates on every permutation (Lascoux), so the
-    windows form a DAG and no window waits on itself.
+    """Memoise G of root and of every window it needs, in post-order, so
+    each node is summed from memoised windows.  The transition formula
+    terminates on every permutation (Lascoux), so the windows form a DAG.
+    Each summed node reads its q and its children: 1 + len(children)
+    lookups.
     """
     global _lookups
+    order = _post_order(root, _transition_node, _memo)
     memo = _memo
-    waiting: dict[_Window, tuple] = {}
     lookups = 0
-    stack = [root]
     try:
-        while stack:
-            window = stack.pop()
-            node = waiting.pop(window, None)
-            if node is None:
-                if window in memo:  # pushed twice before it was summed
-                    continue
-                node = _window_marches(window, "K")
-                _, q, children = node
-                lookups += 1 + len(children)
-                missing = [child for _, child in children if child not in memo]
-                if q not in memo:
-                    missing.append(q)
-                if missing:
-                    waiting[window] = node
-                    stack.append(window)
-                    stack.extend(missing)
-                    continue
+        for window, node in order:
             memo[window] = _transition_sum(*node)
+            lookups += 1 + len(node[2])
     finally:
         _lookups += lookups
+
+
+def _transition_node(window: _Window) -> tuple[tuple, tuple[_Window, ...]]:
+    """(g, q, [(I, child_I)]) of window, and the windows its sum reads."""
+    node = _window_marches(window, "K")
+    _, q, children = node
+    return node, (q, *[child for _, child in children]) if children else (q,)
 
 
 def _transition_sum(g: int, q: _Window, children: list) -> Polynomial:

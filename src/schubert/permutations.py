@@ -39,9 +39,7 @@ class Permutation:
             raise ValueError(f"zero or negative entry in one-line notation: {window}")
         if sorted(window) != list(range(1, len(window) + 1)):
             raise ValueError(f"not a bijection of 1..{len(window)}: {window}")
-        while window and window[-1] == len(window):
-            window = window[:-1]
-        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "window", _trim(list(window)))
 
     def __hash__(self) -> int:
         # Hash the window itself; the generated hash would build the
@@ -105,9 +103,7 @@ class Permutation:
             c = code[i] if i < len(code) else 0
             window.append(available.pop(c))
         # Popping from the values left builds a bijection; trim it.
-        while window and window[-1] == len(window):
-            window.pop()
-        return cls._trusted(tuple(window))
+        return cls._trusted(_trim(window))
 
     # -- text format ---------------------------------------------------
 
@@ -166,11 +162,7 @@ class Permutation:
 
     def last_descent(self) -> int | None:
         """Largest i with p(i) > p(i+1), or None for the identity."""
-        w = self.window
-        for i in range(len(w) - 1, 0, -1):
-            if w[i - 1] > w[i]:
-                return i
-        return None
+        return _last_descent(self.window) or None
 
     def lehmer_code(self) -> LehmerCode:
         """Entries c_i = #{j > i : p(j) < p(i)}, trailing zeros trimmed."""
@@ -213,9 +205,7 @@ class Permutation:
         if i > n or j > n:
             values.extend(range(n + 1, max(i, j) + 1))
         values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        while values and values[-1] == len(values):
-            values.pop()
-        return self._trusted(tuple(values))
+        return self._trusted(_trim(values))
 
     def star(self, other: Permutation, n: int) -> Permutation:
         """Block direct sum in S_2n: self on 1..n, other shifted by n."""
@@ -237,6 +227,26 @@ class Permutation:
         if self.size() > n:
             raise ValueError(f"window exceeds S_{n}")
         return Permutation(tuple(n + 1 - self(n + 1 - i) for i in range(1, n + 1)))
+
+
+def _trim(values: list[int]) -> tuple[int, ...]:
+    """The canonical window of a bijection of 1..len(values): trim the
+    trailing fixed points, in place, and freeze."""
+    while values and values[-1] == len(values):
+        values.pop()
+    return tuple(values)
+
+
+def _last_descent(window: tuple[int, ...]) -> int:
+    """Largest i with w(i) > w(i+1), or 0 for the identity.  A window
+    other than the identity is not increasing, so the scan stops at some
+    i >= 1."""
+    i = len(window) - 1
+    if i < 0:
+        return 0
+    while window[i - 1] < window[i]:
+        i -= 1
+    return i
 
 
 def symmetric_group(n: int) -> Iterator[Permutation]:

@@ -227,14 +227,11 @@ class Polynomial:
 
     # -- queries ----------------------------------------------------------
 
-    def min_degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no degree")
-        return min(e & DEGREE_MASK for e in self._terms)
-
     def lowest_degree_part(self) -> Polynomial:
         """The homogeneous part of minimal total degree."""
-        d = self.min_degree()
+        if self.is_zero():
+            raise ValueError("the zero polynomial has no degree")
+        d = min(e & DEGREE_MASK for e in self._terms)
         return _unchecked({e: c for e, c in self._terms.items() if e & DEGREE_MASK == d})
 
     def truncate(self, t: int) -> Polynomial:

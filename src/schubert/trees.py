@@ -9,10 +9,12 @@ single null child.
 
 The subtree under a vertex depends only on its label, so the tree is
 the unfolding of a marching DAG over distinct labels.
-:func:`leaf_counts` walks that DAG, calls ``march_children`` once per
-distinct label and counts root-to-leaf paths; it builds no
-:class:`TreeNode` and is what detection and the marching products use.
-:func:`build_tree` materialises the tree for the exports and the
+:func:`leaf_counts` walks that DAG over raw windows, with the
+post-order walk that the Grothendieck transition formula also uses,
+marches each distinct window once and counts root-to-leaf paths; it
+builds no :class:`TreeNode`, wraps only the labeled leaves in
+:class:`Permutation`, and is what detection and the marching products
+use.  :func:`build_tree` materialises the tree for the exports and the
 worked-example fixtures.  The node ceiling bounds the distinct labels
 of :func:`leaf_counts` and the nodes of :func:`build_tree`.
 
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Iterator
 
-from .diagram import Mode, march_children
-from .permutations import Permutation
+from .diagram import Mode, _post_order, _window_marches, march_children
+from .permutations import Permutation, _last_descent
 
 DEFAULT_NODE_CEILING = 10**6
 
@@ -157,40 +159,28 @@ def leaf_counts(
     :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
     """
     _check_level_and_mode(t, mode)
-    # label -> its children in the tree; () for a leaf, (None,) for a
-    # pivotless label whose only child is the null leaf.
-    children: dict[Permutation, tuple[Permutation | None, ...]] = {}
-    post_order: list[Permutation] = []
+    labels = 0
 
-    def expand(label: Permutation) -> Iterator[Permutation | None]:
-        if len(children) >= node_ceiling:
+    def expand(window: tuple[int, ...]) -> tuple[tuple, tuple]:
+        """(children in the tree, the windows among them): () for a leaf,
+        and (None,) for a pivotless label whose only child is the null leaf."""
+        nonlocal labels
+        labels += 1
+        if labels > node_ceiling:
             raise NodeCeilingExceeded(f"more than {node_ceiling} distinct labels")
-        if (label.last_descent() or 0) <= t:
-            kids: tuple[Permutation | None, ...] = ()
-        else:
-            kids = tuple(child for _, child in march_children(label, mode)) or (None,)
-        children[label] = kids
-        return iter(kids)
+        if _last_descent(window) <= t:
+            return (), ()
+        kids = tuple(child for _, child in _window_marches(window, mode)[2])
+        return kids or (None,), kids
 
-    stack = [(beta, expand(beta))]
-    while stack:
-        label, pending = stack[-1]
-        for child in pending:
-            if child is not None and child not in children:
-                stack.append((child, expand(child)))
-                break
-        else:
-            stack.pop()
-            post_order.append(label)
-
-    paths = {beta: 1}
+    root = beta.window
+    paths = {root: 1}
     counts: dict[Permutation, int] = {}
     nulls = 0
-    for label in reversed(post_order):
-        count = paths.pop(label)
-        kids = children[label]
+    for window, kids in reversed(_post_order(root, expand)):
+        count = paths.pop(window)
         if not kids:
-            counts[label] = count
+            counts[Permutation._trusted(window)] = count
         for child in kids:
             if child is None:
                 nulls += count
@@ -208,14 +198,6 @@ def leaf_summary(tree: MarchTree) -> LeafSummary:
         else:
             counts[leaf.label] += 1
     return LeafSummary(dict(counts), nulls)
-
-
-def signed_expansion(tree: MarchTree, base_length: int) -> dict[Permutation, int]:
-    """Coefficients (-1)^(base_length - length(leaf)) * multiplicity.
-
-    Null leaves contribute nothing.
-    """
-    return leaf_summary(tree).signed(base_length)
 
 
 def unique_labeled_leaf(

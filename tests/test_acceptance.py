@@ -24,7 +24,6 @@ from schubert import (
     structure_constants,
     symmetric_group,
     build_tree,
-    signed_expansion,
     truncate_grothendieck_via_tree,
     truncation_product,
     unique_labeled_leaf,
@@ -115,7 +114,7 @@ def test_criterion_4_figure_2_fixture():
         summary = leaf_summary(tree)
         assert summary.counts == parse_map({"421356": 1, "341256": 1, "431256": 1})
         assert summary.null_count == 4
-        assert signed_expansion(tree, 4) == parse_map(
+        assert summary.signed(4) == parse_map(
             {"421356": 1, "341256": 1, "431256": -1}
         )
 

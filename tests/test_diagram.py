@@ -19,6 +19,8 @@ from schubert import (
     symmetric_group,
     transition_pair,
 )
+from schubert.diagram import _post_order, _window_marches
+from schubert.permutations import _last_descent
 
 ID = Permutation.identity()
 EX1 = Permutation.parse("4317625")
@@ -119,6 +121,69 @@ class TestTransition:
     def test_rejects_identity(self):
         with pytest.raises(MarchError):
             transition_pair(ID)
+
+
+def transition_needs(window):
+    """q and the K-march children: the windows the transition sum reads."""
+    if not window:
+        return ()
+    _, q, children = _window_marches(window, "K")
+    return (q, *(child for _, child in children))
+
+
+def leaf_needs(t):
+    """The labeled children of a window in the K tree at level t."""
+    def needs(window):
+        if _last_descent(window) <= t:
+            return ()
+        return tuple(child for _, child in _window_marches(window, "K")[2])
+    return needs
+
+
+def check_post_order(root, needs, known):
+    expanded = []
+
+    def expand(window):
+        expanded.append(window)
+        return needs(window), needs(window)
+
+    order = _post_order(root, expand, known)
+    windows = [window for window, _ in order]
+    reachable, frontier = {root}, [root]
+    while frontier:
+        for child in needs(frontier.pop()):
+            if child not in known and child not in reachable:
+                reachable.add(child)
+                frontier.append(child)
+    assert len(windows) == len(reachable) and set(windows) == reachable
+    assert sorted(expanded) == sorted(windows)
+    assert not known.intersection(expanded)
+    position = {window: k for k, window in enumerate(windows)}
+    for window, node in order:
+        assert node == needs(window)
+        assert all(child in known or position[child] < position[window] for child in node)
+    return windows
+
+
+def check_post_order_with_and_without_known(root, needs):
+    """Walk once from scratch, then with every third other window known."""
+    windows = sorted(check_post_order(root, needs, frozenset()))
+    windows.remove(root)
+    check_post_order(root, needs, frozenset(windows[::3]))
+
+
+class TestPostOrder:
+    """The walk shared by the transition formula and the leaf count."""
+
+    def test_transition_dag_of_every_s5_root(self):
+        for p in symmetric_group(5):
+            check_post_order_with_and_without_known(p.window, transition_needs)
+
+    def test_leaf_dag_of_every_s4_star_root(self):
+        s4 = list(symmetric_group(4))
+        for sigma, alpha in itertools.product(s4, s4):
+            t = max(1, sigma.last_descent() or 0)
+            check_post_order_with_and_without_known(sigma.star(alpha, 4).window, leaf_needs(t))
 
 
 class TestMarch:

@@ -17,7 +17,6 @@ from schubert import (
     grothendieck_dd,
     leaf_counts,
     leaf_summary,
-    signed_expansion,
     symmetric_group,
     to_dot,
     to_json,
@@ -84,7 +83,7 @@ class TestFigure2:
         assert summary.total() == 7
 
     def test_signed_expansion(self):
-        assert signed_expansion(self.tree, 4) == parse_map(
+        assert leaf_summary(self.tree).signed(4) == parse_map(
             {"421356": 1, "341256": 1, "431256": -1}
         )
 
@@ -113,7 +112,7 @@ class TestFigure1:
 
     def test_example_3_signs(self):
         tree = build_tree(Permutation.parse("34127658"), 4, "K")
-        expansion = signed_expansion(tree, 7)
+        expansion = leaf_summary(tree).signed(7)
         assert sorted(expansion.values()) == [-1, -1, -1, -1, 1, 1, 1, 1, 1]
 
     def test_complete_edge_structure(self):
@@ -157,7 +156,7 @@ class TestBasics:
         assert tree.root.is_leaf() and tree.root.label == ID
         summary = leaf_summary(tree)
         assert summary.counts == {ID: 1} and summary.null_count == 0
-        assert signed_expansion(tree, 0) == {ID: 1}
+        assert summary.signed(0) == {ID: 1}
 
     def test_leaf_descent_split(self):
         for beta in symmetric_group(4):
@@ -381,10 +380,11 @@ class TestNoRecursion:
         sys.setrecursionlimit(frame_depth() + 20)
         try:
             tree = build_tree(root, 2, "cohomology")
+            counted = leaf_counts(root, 2, "cohomology")
         finally:
             sys.setrecursionlimit(limit)
         assert sum(1 for _ in tree.nodes()) == 10184
-        assert summary_pair(leaf_summary(tree)) == summary_pair(leaf_counts(root, 2, "cohomology"))
+        assert summary_pair(leaf_summary(tree)) == summary_pair(counted)
 
     def test_grothendieck_is_not_bounded_by_the_recursion_limit(self):
         # The transition formula reaches w0 of S_40 through 780 lengths,
