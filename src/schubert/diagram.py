@@ -12,12 +12,12 @@ with one corner and pivot scan.  The Grothendieck transition walk and
 the leaf count of :mod:`schubert.trees` call it directly, through one
 private explicit-stack post-order walk over windows;
 :func:`march_children` wraps it in :class:`Permutation` labels for
-:func:`schubert.trees.build_tree`.
+:func:`schubert.trees.build_tree` and for the root of the leaf count.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Iterable, Literal, NamedTuple, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Literal, NamedTuple, TypeVar
 
 from .permutations import Permutation, _last_descent, _trim
 
@@ -96,8 +96,8 @@ def _corner_scan(window: tuple[int, ...]) -> tuple[int, int, list[int]]:
 
 def _window_marches(
     window: tuple[int, ...], mode: Mode
-) -> tuple[int, tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """(g, q, [(I, q t_{i1<->g} ... t_{ik<->g})]) on canonical windows, for
+) -> tuple[int, tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]:
+    """(g, q, {I: q t_{i1<->g} ... t_{ik<->g}}) on canonical windows, for
     q = p t_{g<->m} and every non-empty set I of pivot rows (single rows
     in cohomology mode), in (|I|, I) order.
 
@@ -107,7 +107,7 @@ def _window_marches(
     q = list(window)
     q[g - 1], q[m - 1] = q[m - 1], q[g - 1]
     if not rows:  # most labels of a transition walk
-        return g, _trim(q), []
+        return g, _trim(q), {}
     largest = 1 if mode == "cohomology" else len(rows)
     words = {(): q}
     for size in range(1, largest + 1):
@@ -117,7 +117,9 @@ def _window_marches(
             word[i - 1], word[g - 1] = word[g - 1], word[i - 1]
             words[subset] = word
     del words[()]
-    return g, _trim(q), [(subset, _trim(word)) for subset, word in words.items()]
+    for subset, word in words.items():
+        words[subset] = _trim(word)
+    return g, _trim(q), words
 
 
 _Window = tuple[int, ...]
@@ -127,33 +129,28 @@ _Node = TypeVar("_Node")
 def _post_order(
     root: _Window,
     expand: Callable[[_Window], tuple[_Node, Iterable[_Window]]],
-    known: Collection[_Window] = (),
-) -> list[tuple[_Window, _Node]]:
-    """(w, node) for root and every window w reachable from it through
-    windows not in ``known``, each listed after every window it needs.
-    ``expand(w)`` returns ``(node, windows w needs)`` and is called once
-    per listed window.
-
-    Depth-first with an explicit stack, so no chain of windows is too
-    long for the interpreter's recursion limit.  The windows must form a
-    DAG: a window that needed itself would be listed before it.
+    known: Container[_Window],
+) -> Iterator[tuple[_Window, _Node]]:
+    """Yield (w, node) for root and every window w reachable from it
+    through windows not in ``known``, each after every window it needs;
+    ``expand(w)`` returns ``(node, windows w needs)``.  The caller adds
+    each yielded window to ``known`` before resuming, so the walk keeps
+    no set of its own and expands each window once: in a DAG no window
+    needs one still on the stack above it.  The explicit stack leaves no
+    chain of windows too long for the interpreter's recursion limit.
     """
-    seen = set()  # the root is needed by no window of a DAG
-    order: list[tuple[_Window, _Node]] = []
     node, needed = expand(root)
-    stack = [((root, node), iter(needed))]
+    stack = [(root, node, iter(needed))]
     while stack:
-        item, pending = stack[-1]
+        window, node, pending = stack[-1]
         for child in pending:
-            if child not in known and child not in seen:
-                seen.add(child)
-                node, needed = expand(child)
-                stack.append(((child, node), iter(needed)))
+            if child not in known:
+                child_node, needed = expand(child)
+                stack.append((child, child_node, iter(needed)))
                 break
         else:
             stack.pop()
-            order.append(item)
-    return order
+            yield window, node
 
 
 def pivots(p: Permutation) -> list[Box]:
@@ -175,7 +172,7 @@ def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ..
     """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
     of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
     _, _, children = _window_marches(p.window, mode)
-    return [(rows, Permutation._trusted(child)) for rows, child in children]
+    return [(rows, Permutation._trusted(child)) for rows, child in children.items()]
 
 
 def march(p: Permutation, i: int) -> Permutation:

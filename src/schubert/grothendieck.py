@@ -10,11 +10,11 @@ Two independent constructions of the Grothendieck polynomial are kept:
   with base case G_id = 1, where g is the last descent of p and
   q = p t_{g<->m} removes the maximal corner (the K-march children of
   :mod:`schubert.diagram`).  The windows the formula needs form a DAG,
-  listed in post-order by the explicit-stack walk that
+  yielded in post-order by the explicit-stack walk that
   :func:`schubert.trees.leaf_counts` also uses, so no window is too
   long for the interpreter's recursion limit.  One memo maps each
   window to its polynomial, and the walk stops at memoised windows.
-  A node is summed once, into one fresh dict
+  A node is summed once, as soon as it is yielded, into one fresh dict
   of packed exponents (see :mod:`schubert.poly`), not through
   polynomial arithmetic: raising x_g adds
   ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
@@ -110,18 +110,17 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _walk(root: _Window) -> None:
-    """Memoise G of root and of every window it needs, in post-order, so
-    each node is summed from memoised windows.  The transition formula
-    terminates on every permutation (Lascoux), so the windows form a DAG.
-    Each summed node reads its q and its children: 1 + len(children)
-    lookups.
+    """Memoise G of root and of every window it needs, each as soon as
+    the walk yields it, so each node is summed from memoised windows.
+    The transition formula terminates on every permutation (Lascoux), so
+    the windows form a DAG.  Each summed node reads its q and its
+    children: 1 + len(children) lookups.
     """
     global _lookups
-    order = _post_order(root, _transition_node, _memo)
     memo = _memo
     lookups = 0
     try:
-        for window, node in order:
+        for window, node in _post_order(root, _transition_node, memo):
             memo[window] = _transition_sum(*node)
             lookups += 1 + len(node[2])
     finally:
@@ -129,13 +128,12 @@ def _walk(root: _Window) -> None:
 
 
 def _transition_node(window: _Window) -> tuple[tuple, tuple[_Window, ...]]:
-    """(g, q, [(I, child_I)]) of window, and the windows its sum reads."""
+    """(g, q, {I: child_I}) of window, and the windows its sum reads."""
     node = _window_marches(window, "K")
-    _, q, children = node
-    return node, (q, *[child for _, child in children]) if children else (q,)
+    return node, (node[1], *node[2].values())
 
 
-def _transition_sum(g: int, q: _Window, children: list) -> Polynomial:
+def _transition_sum(g: int, q: _Window, children: dict) -> Polynomial:
     """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I}, from the memo.
 
     No term cancels: length(q) = length(p) - 1 and length(child_I) =
@@ -148,7 +146,7 @@ def _transition_sum(g: int, q: _Window, children: list) -> Polynomial:
     x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
     out = {e + x_g: c for e, c in memo[q]._terms.items()}
     get = out.get
-    for rows, child in children:
+    for rows, child in children.items():
         terms = memo[child]._terms
         if len(rows) % 2:
             for e, c in terms.items():
@@ -211,23 +209,16 @@ def _divide_by_root_difference(f: Polynomial, i: int) -> Polynomial:
     top = max(layers)
     coeffs = {k: _unchecked(terms) for k, terms in layers.items()}
     y = Polynomial.variable(i + 1)
-    x_i = Polynomial.variable(i)
     quotient = Polynomial.zero()
     carry = Polynomial.zero()
     for k in range(top, 0, -1):
         carry = coeffs.get(k, Polynomial.zero()) + y * carry
-        quotient = quotient + carry * _power(x_i, k - 1)
+        x_i_power = Polynomial.monomial((0,) * (i - 1) + (k - 1,))  # x_i^(k-1)
+        quotient = quotient + carry * x_i_power
     remainder = coeffs.get(0, Polynomial.zero()) + y * carry
     if not remainder.is_zero():
         raise NonExactDivision(f"remainder {remainder} dividing by x{i} - x{i + 1}")
     return quotient
-
-
-def _power(f: Polynomial, k: int) -> Polynomial:
-    out = Polynomial.constant(1)
-    for _ in range(k):
-        out = out * f
-    return out
 
 
 # Full window in S_n -> its G; the window's length fixes n.

@@ -12,11 +12,12 @@ the unfolding of a marching DAG over distinct labels.
 :func:`leaf_counts` walks that DAG over raw windows, with the
 post-order walk that the Grothendieck transition formula also uses,
 marches each distinct window once and counts root-to-leaf paths; it
-builds no :class:`TreeNode`, wraps only the labeled leaves in
-:class:`Permutation`, and is what detection and the marching products
-use.  :func:`build_tree` materialises the tree for the exports and the
-worked-example fixtures.  The node ceiling bounds the distinct labels
-of :func:`leaf_counts` and the nodes of :func:`build_tree`.
+builds no :class:`TreeNode`, wraps only the root's children and the
+labeled leaves in :class:`Permutation`, and is what detection and the
+marching products use.  :func:`build_tree` materialises the tree for
+the exports and the worked-example fixtures.  The node ceiling bounds
+the distinct labels of :func:`leaf_counts` and the nodes of
+:func:`build_tree`.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -160,6 +161,7 @@ def leaf_counts(
     """
     _check_level_and_mode(t, mode)
     labels = 0
+    root = beta.window
 
     def expand(window: tuple[int, ...]) -> tuple[tuple, tuple]:
         """(children in the tree, the windows among them): () for a leaf,
@@ -170,14 +172,21 @@ def leaf_counts(
             raise NodeCeilingExceeded(f"more than {node_ceiling} distinct labels")
         if _last_descent(window) <= t:
             return (), ()
-        kids = tuple(child for _, child in _window_marches(window, mode)[2])
+        if window is root:
+            # Through the public march_children, which bench/tracer.py wraps,
+            # so traced runs still see tree marching in the diagram layer.
+            kids = tuple(child.window for _, child in march_children(beta, mode))
+        else:
+            kids = tuple(_window_marches(window, mode)[2].values())
         return kids or (None,), kids
 
-    root = beta.window
+    nodes: dict[tuple[int, ...], tuple] = {}  # window -> its children, in post-order
+    for window, kids in _post_order(root, expand, nodes):
+        nodes[window] = kids
     paths = {root: 1}
     counts: dict[Permutation, int] = {}
     nulls = 0
-    for window, kids in reversed(_post_order(root, expand)):
+    for window, kids in reversed(nodes.items()):
         count = paths.pop(window)
         if not kids:
             counts[Permutation._trusted(window)] = count

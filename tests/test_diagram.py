@@ -128,7 +128,7 @@ def transition_needs(window):
     if not window:
         return ()
     _, q, children = _window_marches(window, "K")
-    return (q, *(child for _, child in children))
+    return (q, *children.values())
 
 
 def leaf_needs(t):
@@ -136,18 +136,24 @@ def leaf_needs(t):
     def needs(window):
         if _last_descent(window) <= t:
             return ()
-        return tuple(child for _, child in _window_marches(window, "K")[2])
+        return tuple(_window_marches(window, "K")[2].values())
     return needs
 
 
 def check_post_order(root, needs, known):
+    """Walk from root with ``known`` known beforehand, adding each yielded
+    window to the known windows before resuming, as the walk asks."""
     expanded = []
 
     def expand(window):
         expanded.append(window)
         return needs(window), needs(window)
 
-    order = _post_order(root, expand, known)
+    done = set(known)
+    order = []
+    for window, node in _post_order(root, expand, done):
+        order.append((window, node))
+        done.add(window)
     windows = [window for window, _ in order]
     reachable, frontier = {root}, [root]
     while frontier:
