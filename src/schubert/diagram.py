@@ -135,9 +135,10 @@ def _post_order(
     through windows not in ``known``, each after every window it needs;
     ``expand(w)`` returns ``(node, windows w needs)``.  The caller adds
     each yielded window to ``known`` before resuming, so the walk keeps
-    no set of its own and expands each window once: in a DAG no window
-    needs one still on the stack above it.  The explicit stack leaves no
-    chain of windows too long for the interpreter's recursion limit.
+    no set of its own and expands each window once: the windows still on
+    the stack are ancestors of the one expanded, which in a DAG needs
+    none of them.  The explicit stack leaves no chain of windows too
+    long for the interpreter's recursion limit.
     """
     node, needed = expand(root)
     stack = [(root, node, iter(needed))]
