@@ -33,7 +33,7 @@ from .grothendieck import (
     structure_constants,
 )
 from .permutations import LehmerCode, Permutation, symmetric_group
-from .poly import ExponentCeilingExceeded, Polynomial, leading_term, parse_polynomial
+from .poly import ExponentCeilingExceeded, Polynomial, parse_polynomial
 from .trees import (
     DEFAULT_NODE_CEILING,
     LeafSummary,
@@ -90,7 +90,6 @@ __all__ = [
     "grothendieck_dd",
     "k_march",
     "k_march_steps",
-    "leading_term",
     "leaf_counts",
     "leaf_summary",
     "march",

@@ -1,8 +1,9 @@
 """Command-line surface: diagrams, marches, trees, polynomials, products.
 
-Exit codes: 0 success, 2 usage or parse error, 3 precondition failure,
-4 resource ceiling (the tree node ceiling, the oracle window ceiling,
-the basis-expansion strip ceiling, or the packed-exponent ceiling of a
+Exit codes: 0 success, 1 a worked-example fixture of ``verify-paper``
+failed, 2 usage or parse error, 3 precondition failure, 4 resource
+ceiling (the tree node ceiling, the oracle window ceiling, the
+basis-expansion strip ceiling, or the packed-exponent ceiling of a
 polynomial -- a variable's exponent above 255 or a total degree above
 65,535, e.g. ``groth`` on a window longer than 256).  Results go to
 stdout, diagnostics to stderr.  The tree node ceiling can be set per
@@ -35,12 +36,14 @@ from .grothendieck import (
     ExpansionCeilingExceeded,
     expansion_to_json,
     grothendieck,
+    parse_expansion,
     structure_constants,
 )
 from .permutations import Permutation
 from .poly import ExponentCeilingExceeded, Polynomial
 from .trees import (
     DEFAULT_NODE_CEILING,
+    MarchTree,
     NodeCeilingExceeded,
     build_tree,
     leaf_summary,
@@ -238,10 +241,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 # -- the worked-example fixtures ------------------------------------------
-
-
-def _expansion(pairs: dict[str, int]) -> dict[Permutation, int]:
-    return {Permutation.parse(text): c for text, c in pairs.items()}
+# Each checks one record of schubert.worked_examples; a miss raises AssertionError.
 
 
 def _check(condition: bool, message: str) -> None:
@@ -249,214 +249,130 @@ def _check(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _fixture_example1() -> None:
-    p = Permutation.parse("4317625")
-    _check(p.length() == 10, "length of 4317625")
-    _check(p.last_descent() == 5, "last descent of 4317625")
-    expected = {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (4, 2), (4, 5), (4, 6), (5, 2), (5, 5)}
-    _check({(b.row, b.col) for b in diagram(p)} == expected, "diagram of 4317625")
-    corner = maximal_corner(p)
-    _check(corner is not None and (corner.row, corner.col) == (5, 5), "maximal corner")
-    _check([(b.row, b.col) for b in pivots(p)] == [(1, 4), (2, 3), (3, 1)], "pivots")
-    g, m, q = transition_pair(p)
-    _check((g, m, q.text()) == (5, 7, "4317526"), "corner-removing transposition")
-    for row, expected_text in ((2, "4517326"), (3, "4357126")):
+def _fixture_permutation(ex: dict) -> None:
+    """Length, last descent, diagram, corner, pivots, corner removal, marches."""
+    p = Permutation.parse(ex["perm"])
+    _check(p.length() == ex["length"], f"length of {p}")
+    _check(p.last_descent() == ex["last_descent"], f"last descent of {p}")
+    _check(diagram(p) == frozenset(ex["diagram"]), f"diagram of {p}")
+    _check(maximal_corner(p) == ex["corner"], f"maximal corner of {p}")
+    _check(pivots(p) == list(ex["pivots"]), f"pivots of {p}")
+    g, m, q = ex["transition"]
+    _check(transition_pair(p) == (g, m, Permutation.parse(q)), "corner-removing transposition")
+    for row, expected in ex["marches"].items():
         result = march(p, row)
-        _check(result.text() == expected_text, f"march towards row {row}")
+        _check(result == Permutation.parse(expected), f"march towards row {row}")
         _check(march_boxes(p, row) == diagram(result), f"picture march, row {row}")
 
 
-def _fixture_example2() -> None:
-    p = Permutation.parse("4317625")
-    steps = k_march_steps(p, [1, 3])
-    kinds = [(kind, str(detail), result.text()) for kind, detail, result in steps]
+def _fixture_k_march(ex: dict) -> None:
+    p = Permutation.parse(ex["perm"])
+    expected = [(kind, detail, Permutation.parse(text)) for kind, detail, text in ex["steps"]]
+    _check(k_march_steps(p, ex["rows"]) == expected, "K-march intermediates")
+    _check(k_march(p, ex["rows"]) == expected[-1][2], "algebraic K-march result")
+
+
+def _figure_tree(fig: dict) -> MarchTree:
+    """The K tree of a figure, after checking its root and its leaves."""
+    left, right, k = fig["star"]
+    root = Permutation.parse(left).star(Permutation.parse(right), k)
+    _check(root == Permutation.parse(fig["perm"]), f"star product {left} *_{k} {right}")
+    tree = build_tree(root, fig["t"], "K")
+    leaves = parse_expansion(fig["leaves"])
+    summary = leaf_summary(tree)
     _check(
-        kinds
-        == [
-            ("march", "1", "5317426"),
-            ("add", "(5,4)", "5317624"),
-            ("march", "3", "5347126"),
-        ],
-        "K-march intermediates of Example 2",
+        summary.counts == {p: abs(c) for p, c in leaves.items()}
+        and summary.null_count == fig["null_leaves"],
+        "leaf summary",
     )
-    _check(k_march(p, [1, 3]).text() == "5347126", "algebraic K-march result")
+    _check(summary.signed(root.length()) == leaves, "signed leaves")
+    return tree
 
 
-def _fixture_figure2() -> None:
-    root_perm = Permutation.parse("321").star(Permutation.parse("132"), 3)
-    _check(root_perm == Permutation.parse("321465"), "star product 321 *_3 132")
-    corner = maximal_corner(root_perm)
-    _check(corner is not None and (corner.row, corner.col) == (5, 5), "corner of 321465")
-    _check([(b.row, b.col) for b in pivots(root_perm)] == [(4, 4)], "pivot of 321465")
-    _check(march(root_perm, 4) == Permutation.parse("321546"), "march towards row 4")
-    _check(pivots(Permutation.parse("432156")) == [], "432156 has no pivots")
-    tree = build_tree(root_perm, 2, "K")
-    root = tree.root
-    _check(len(root.children) == 1 and root.children[0].march == (4,), "root edge 4")
+def _fixture_figure2(fig: dict) -> None:
+    _fixture_permutation(fig)
+    root = _figure_tree(fig).root
+    marches = [((row,), Permutation.parse(text)) for row, text in fig["marches"].items()]
+    _check([(c.march, c.label) for c in root.children] == marches, "root edges")
     child = root.children[0]
-    _check(child.label == Permutation.parse("321546"), "first marched label")
-    edges = {c.march: c.label for c in child.children}
-    _check(
-        edges
-        == {
-            (1,): Permutation.parse("421356"),
-            (2,): Permutation.parse("341256"),
-            (3,): Permutation.parse("324156"),
-            (1, 2): Permutation.parse("431256"),
-            (1, 3): Permutation.parse("423156"),
-            (2, 3): Permutation.parse("342156"),
-            (1, 2, 3): Permutation.parse("432156"),
-        },
-        "second-level edges of the K tree",
-    )
+    second = {rows: Permutation.parse(text) for rows, text in fig["second_level"].items()}
+    _check({c.march: c.label for c in child.children} == second, "second-level edges")
+    no_pivots = list(second.values())[-1]
+    _check(pivots(no_pivots) == [], f"{no_pivots} has no pivots")
     nulls = [
         c
         for c in child.children
         if len(c.children) == 1 and c.children[0].label is None
     ]
-    _check(len(nulls) == 4, "four null leaves below the second level")
-    summary = leaf_summary(tree)
-    _check(
-        summary.counts == _expansion({"421356": 1, "341256": 1, "431256": 1})
-        and summary.null_count == 4,
-        "leaf summary of the Figure 2 tree",
-    )
-    _check(
-        summary.signed(4) == _expansion({"421356": 1, "341256": 1, "431256": -1}),
-        "three-term expansion of Example 4",
-    )
+    _check(len(nulls) == fig["null_leaves"], "null leaves below the second level")
 
 
-def _fixture_figure1() -> None:
-    root_perm = Permutation.parse("3412").star(Permutation.parse("3214"), 4)
-    _check(root_perm == Permutation.parse("34127658"), "star product 3412 *_4 3214")
-    tree = build_tree(root_perm, 4, "K")
+def _fixture_figure1(fig: dict) -> None:
+    tree = _figure_tree(fig)
     labeled = [node for node in tree.nodes() if node.label is not None]
-    _check(len(labeled) == 18, "labeled vertex count of the Figure 1 tree")
-    _check(all(node.label is not None for node in tree.nodes()), "no null leaves in Figure 1")
-    edges = {c.march: c.label for c in tree.root.children}
+    _check(len(labeled) == fig["labeled"], "labeled vertex count")
+    _check(all(node.label is not None for node in tree.nodes()), "no null leaves")
+    edges = {(node.label, c.march, c.label) for node in tree.nodes() for c in node.children}
+    parse = Permutation.parse
+    _check(edges == {(parse(a), rows, parse(b)) for a, rows, b in fig["edges"]}, "edges")
+
+
+def _fixture_product(ex: dict) -> None:
+    sigma, alpha, rho = (Permutation.parse(ex[key]) for key in ("sigma", "alpha", "rho"))
+    n, t = ex["n"], ex["t"]
+    if "stabilized" in ex:
+        stabilized = Permutation.parse(ex["stabilized"])
+        _check(alpha.stabilize(n) == stabilized, f"{n}-stabilization of {alpha}")
+    _check(unique_labeled_leaf(alpha, t, n) == rho, f"single labeled leaf for {alpha}")
+    problem = detect(sigma, alpha, n, t)
+    _check(problem is not None and problem.rho == rho, "detection")
+    expected = {mode: parse_expansion(terms) for mode, terms in ex["expansions"].items()}
+    for mode, terms in expected.items():
+        _check(truncation_product(problem, mode) == terms, f"{mode} expansion")
+    if ex["oracle"]:
+        _check(structure_constants(sigma, rho) == expected["K"], "oracle product")
+    for mode in ex["oracle"]:
+        _check(verify(problem, mode).match, f"three-way verification in {mode}")
+
+
+def _fixture_truncation_identity(ex: dict) -> None:
+    gamma = Permutation.parse(ex["gamma"])
+    expansion = truncate_grothendieck_via_tree(gamma, ex["t"])
     _check(
-        edges
-        == {
-            (2,): Permutation.parse("35127468"),
-            (4,): Permutation.parse("34157268"),
-            (2, 4): Permutation.parse("35147268"),
-        },
-        "root edges of the Figure 1 tree",
-    )
-    summary = leaf_summary(tree)
-    expected_leaves = _expansion(
-        {
-            "46123578": 1,
-            "36142578": 1,
-            "35162478": 1,
-            "34261578": 1,
-            "46132578": 1,
-            "36152478": 1,
-            "36241578": 1,
-            "35261478": 1,
-            "36251478": 1,
-        }
-    )
-    _check(
-        summary.counts == expected_leaves and summary.null_count == 0,
-        "nine leaves of the Figure 1 tree",
-    )
-
-
-def _fixture_example3() -> None:
-    rho = unique_labeled_leaf(Permutation.parse("3214"), 4, 4)
-    _check(rho == Permutation.parse("12463578"), "single labeled leaf for 3214")
-    problem = detect(Permutation.parse("3412"), Permutation.parse("3214"), 4, 4)
-    _check(problem is not None and problem.rho == rho, "Example 3 detection")
-    expected = _expansion(
-        {
-            "46123578": 1,
-            "36142578": 1,
-            "35162478": 1,
-            "34261578": 1,
-            "46132578": -1,
-            "36152478": -1,
-            "36241578": -1,
-            "35261478": -1,
-            "36251478": 1,
-        }
-    )
-    _check(truncation_product(problem, "K") == expected, "nine-term expansion of Example 3")
-    _check(verify(problem, "K").match, "three-way verification of Example 3")
-
-
-def _fixture_example4() -> None:
-    problem = detect(Permutation.parse("321"), Permutation.parse("132"), 3, 2)
-    _check(problem is not None and problem.rho == Permutation.parse("132"), "Example 4 detection")
-    expected = _expansion({"421356": 1, "341256": 1, "431256": -1})
-    _check(truncation_product(problem, "K") == expected, "three-term expansion of Example 4")
-    _check(
-        structure_constants(Permutation.parse("321"), Permutation.parse("132")) == expected,
-        "oracle product for Example 4",
-    )
-    _check(verify(problem, "K").match, "three-way verification of Example 4")
-    _check(verify(problem, "cohomology").match, "cohomology verification of Example 4")
-
-
-def _fixture_example5() -> None:
-    alpha = Permutation.parse("4321")
-    _check(
-        alpha.stabilize(5) == Permutation.parse("123459876,10"),
-        "5-stabilization of 4321",
-    )
-    rho = unique_labeled_leaf(alpha, 7, 5)
-    _check(rho == Permutation.parse("123469857,10"), "single labeled leaf of Example 5")
-    problem = detect(Permutation.parse("41352"), alpha, 5, 7)
-    _check(problem is not None and problem.rho == rho, "Example 5 detection")
-    expected_k = _expansion({"413629857,10": 1, "413569827,10": 1, "413659827,10": -1})
-    _check(truncation_product(problem, "K") == expected_k, "K expansion of Example 5")
-    expected_h = _expansion({"413629857,10": 1, "413569827,10": 1})
-    _check(
-        truncation_product(problem, "cohomology") == expected_h,
-        "cohomology expansion of Example 5",
-    )
-
-
-def _fixture_truncation_identity() -> None:
-    gamma = Permutation.parse("321465")
-    expansion = truncate_grothendieck_via_tree(gamma, 2)
-    _check(
-        expansion == _expansion({"421356": 1, "341256": 1, "431256": -1}),
+        expansion == parse_expansion(ex["expansion"]),
         "tree expansion of the truncated Grothendieck polynomial",
     )
     total = Polynomial.zero()
     for perm, c in expansion.items():
         total = total + grothendieck(perm) * c
-    _check(total == grothendieck(gamma).truncate(2), "re-summed truncation identity")
-
-
-WORKED_EXAMPLES: list[tuple[str, Callable[[], None]]] = [
-    ("example 1: diagram, corner, pivots, marches of 4317625", _fixture_example1),
-    ("example 2: K-march of 4317625 towards rows 1 and 3", _fixture_example2),
-    ("figure 2: the K tree of 321465 at level 2", _fixture_figure2),
-    ("figure 1: the K tree of 34127658 at level 4", _fixture_figure1),
-    ("example 3: product of 3412 and 12463578", _fixture_example3),
-    ("example 4: product of 321 and 132", _fixture_example4),
-    ("example 5: products with 123469857,10", _fixture_example5),
-    ("truncation identity for 321465 at level 2", _fixture_truncation_identity),
-]
+    _check(total == grothendieck(gamma).truncate(ex["t"]), "re-summed truncation identity")
 
 
 def _cmd_verify_paper(_: argparse.Namespace) -> int:
+    # Imported here, not at the top: every other command would pay ~1.5 ms to load it.
+    from . import worked_examples as ex
+
+    fixtures: list[tuple[dict, Callable[[dict], None]]] = [
+        (ex.EXAMPLE_1, _fixture_permutation),
+        (ex.EXAMPLE_2, _fixture_k_march),
+        (ex.FIGURE_2, _fixture_figure2),
+        (ex.FIGURE_1, _fixture_figure1),
+        *((product, _fixture_product) for product in ex.PRODUCTS),
+        (ex.TRUNCATION_IDENTITY, _fixture_truncation_identity),
+    ]
     failures = 0
-    for name, fixture in WORKED_EXAMPLES:
+    for record, fixture in fixtures:
         try:
-            fixture()
+            fixture(record)
         except AssertionError as exc:
             failures += 1
-            print(f"FAIL {name}: {exc}")
+            print(f"FAIL {record['name']}: {exc}")
         else:
-            print(f"ok   {name}")
+            print(f"ok   {record['name']}")
     if failures:
-        print(f"{failures} of {len(WORKED_EXAMPLES)} fixtures failed")
+        print(f"{failures} of {len(fixtures)} fixtures failed")
         return 1
-    print(f"all {len(WORKED_EXAMPLES)} fixtures passed")
+    print(f"all {len(fixtures)} fixtures passed")
     return EXIT_OK
 
 

@@ -32,11 +32,11 @@ Two independent constructions of the Grothendieck polynomial are kept:
 
 Expansion of an arbitrary integer polynomial in the Grothendieck basis
 repeatedly strips the leading term (the Lehmer-code monomial of some
-permutation, unique by :func:`schubert.poly.leading_term`), which is
-the brute-force oracle for structure constants.  The remainder lives in
-one mutable dict and the leading term of its lowest degree is kept on a
-lazily pruned heap, so a strip touches only the terms of the subtracted
-basis element.  Packed exponents become tuples only for
+permutation, see :func:`expand_in_basis`), which is the brute-force
+oracle for structure constants.  The remainder lives in one mutable
+dict and the leading term of its lowest degree is kept on a lazily
+pruned heap, so a strip touches only the terms of the subtracted basis
+element.  Packed exponents become tuples only for
 :meth:`Permutation.from_lehmer`, once per strip.
 """
 from __future__ import annotations
@@ -261,14 +261,16 @@ def grothendieck_dd(p: Permutation, n: int) -> Polynomial:
 def expand_in_basis(f: Polynomial) -> ExpansionMap:
     """The unique finite map with f = sum of c_pi * G_pi.
 
-    Strips the leading (minimal-degree, Lehmer-leading) term, which the
-    corresponding Grothendieck polynomial carries with coefficient 1, so
-    each strip settles one basis element for good.  The remainder is one
-    private dict, updated in place term by term of ``coeff * G_pi``, and
-    its leading term is the top of a min-heap of the negated packed
-    exponents of the remainder's lowest degree (within one degree the
-    Lehmer order of ``poly._lehmer_key`` is the order of ``-e``); entries
-    whose exponent has left the dict are dropped when they reach the top.  A
+    Strips the leading term: among the terms of minimal degree, the one
+    whose exponent is largest when compared from the highest variable
+    down.  That is the unique monomial matching the Lehmer code of a
+    permutation pi, which G_pi carries with coefficient 1, so each strip
+    settles one basis element for good.  With higher variables in higher
+    bits it is the largest packed int of its degree.  The remainder is
+    one private dict, updated in place term by term of ``coeff * G_pi``,
+    and its leading term is the top of a min-heap of the negated packed
+    exponents of the remainder's lowest degree; entries whose exponent
+    has left the dict are dropped when they reach the top.  A
     strip costs about ``len(G_pi)`` dict and heap operations, whatever
     the size of the remainder.  The terms of G_pi have degree at least
     ``len(pi)``, the current lowest degree, so the degree never falls:
@@ -321,6 +323,11 @@ def expansion_to_json_obj(expansion: ExpansionMap) -> dict[str, int]:
     # Texts are distinct, so the sort never compares coefficients.
     keyed = sorted((perm.length(), perm.text(), c) for perm, c in expansion.items())
     return {text: c for _, text, c in keyed}
+
+
+def parse_expansion(pairs: dict[str, int]) -> ExpansionMap:
+    """The inverse of :func:`expansion_to_json_obj`: texts -> Permutations."""
+    return {Permutation.parse(text): c for text, c in pairs.items()}
 
 
 def expansion_to_json(expansion: ExpansionMap) -> str:

@@ -18,22 +18,13 @@ constructor checks each term, ``*`` checks its operands' largest fields
 (one pass over each operand, not over the term pairs), and anything
 beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
 appear only at the public boundary: the constructor, :meth:`terms`,
-:meth:`coefficient`, :meth:`render`, :func:`parse_polynomial` and
-:func:`leading_term` take or return trimmed tuples (no trailing zero).
+:meth:`coefficient`, :meth:`render` and :func:`parse_polynomial` take
+or return trimmed tuples (no trailing zero).
 
 The canonical term order (iteration and printing) is total degree
 ascending, then exponents descending lexicographically, which renders
-e.g. ``x1 + x2 - x1*x2``.
-
-The basis-expansion oracle needs a different tie-break inside a degree
-layer: :func:`leading_term` picks the monomial that is largest when
-exponents are compared from the highest variable down.  That is the
-unique monomial matching the Lehmer code of a permutation, which is
-what makes elimination against the Grothendieck basis terminate.  With
-higher variables in higher bits it is the largest packed int of its
-degree, so the order is ``_lehmer_key(e) = (e & DEGREE_MASK, -e)``;
-the heap of :func:`schubert.grothendieck.expand_in_basis`, which holds
-one degree at a time, orders by ``-e`` alone.
+e.g. ``x1 + x2 - x1*x2``.  The basis expansion of
+:func:`schubert.grothendieck.expand_in_basis` uses another order.
 """
 from __future__ import annotations
 
@@ -238,7 +229,11 @@ class Polynomial:
         """Set every variable beyond x_t to zero; a ring homomorphism."""
         if t < 0:
             raise ValueError("truncation index must be non-negative")
-        limit = 1 << _variable_shift(t + 1)
+        shift = _variable_shift(t + 1)
+        # Up to 2**16 bits the mask costs less than a scan for the largest key.
+        if shift > 1 << 16 and max(self._terms, default=0).bit_length() <= shift:
+            return self  # no variable beyond x_t
+        limit = 1 << shift
         return _unchecked({e: c for e, c in self._terms.items() if e < limit})
 
     def swap_variables(self, i: int, j: int) -> Polynomial:
@@ -327,22 +322,3 @@ def _unchecked(terms: dict[int, int]) -> Polynomial:
     out._terms = terms
     return out
 
-
-def _lehmer_key(e: int) -> tuple[int, int]:
-    """Sort key whose minimum is the leading term: lowest degree first, then
-    largest when compared from the highest variable down, which within
-    one degree is the largest packed int."""
-    return (e & DEGREE_MASK, -e)
-
-
-def leading_term(f: Polynomial) -> tuple[Exponent, int]:
-    """The minimal-degree term maximal w.r.t. highest-variable-first lex.
-
-    One ``min`` over :func:`_lehmer_key`, no sort.  For a Grothendieck
-    polynomial this is exactly the Lehmer-code monomial, with
-    coefficient 1.
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no leading term")
-    best = min(f._terms, key=_lehmer_key)
-    return _unpack(best), f._terms[best]

@@ -29,12 +29,10 @@ from schubert import (
     unique_labeled_leaf,
     verify,
 )
+from schubert.grothendieck import parse_expansion
+from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, EXAMPLE_5, FIGURE_2
 
 ID = Permutation.identity()
-
-
-def parse_map(pairs: dict[str, int]) -> dict[Permutation, int]:
-    return {Permutation.parse(text): value for text, value in pairs.items()}
 
 
 @contextmanager
@@ -51,28 +49,30 @@ def criterion(number: int, description: str, budget_seconds: float):
 
 
 def test_criterion_1_example_1_fixture():
-    p = Permutation.parse("4317625")
+    p = Permutation.parse(EXAMPLE_1["perm"])
+    boxes = set(EXAMPLE_1["diagram"])
+    corner, pivot_boxes = Box(*EXAMPLE_1["corner"]), [Box(*b) for b in EXAMPLE_1["pivots"]]
+    marches = {row: Permutation.parse(text) for row, text in EXAMPLE_1["marches"].items()}
     diagram(p)  # warm set-up outside the timed window
     with criterion(1, "Example 1 diagram fixture", 0.001):
-        assert {(b.row, b.col) for b in diagram(p)} == {
-            (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
-            (4, 2), (4, 5), (4, 6), (5, 2), (5, 5),
-        }
-        assert maximal_corner(p) == Box(5, 5)
-        assert pivots(p) == [Box(1, 4), Box(2, 3), Box(3, 1)]
-        assert march(p, 2) == Permutation.parse("4517326")
-        assert march(p, 3) == Permutation.parse("4357126")
+        assert {(b.row, b.col) for b in diagram(p)} == boxes
+        assert maximal_corner(p) == corner
+        assert pivots(p) == pivot_boxes
+        for row, result in marches.items():
+            assert march(p, row) == result
 
 
 def test_criterion_2_example_2_fixture():
     from schubert import march_boxes
 
-    p = Permutation.parse("4317625")
+    p, rows = Permutation.parse(EXAMPLE_2["perm"]), EXAMPLE_2["rows"]
+    added = [Box(*detail) for kind, detail, _ in EXAMPLE_2["steps"] if kind == "add"]
+    result = Permutation.parse(EXAMPLE_2["steps"][-1][2])
     with criterion(2, "Example 2 K-march fixture", 1.0):
-        steps = k_march_steps(p, [1, 3])
+        steps = k_march_steps(p, rows)
         adds = [detail for kind, detail, _ in steps if kind == "add"]
-        assert adds == [Box(5, 4)]
-        assert steps[-1][2] == k_march(p, [1, 3]) == Permutation.parse("5347126")
+        assert adds == added
+        assert steps[-1][2] == k_march(p, rows) == result
         # Each marching step also checks out on the picture, box by box.
         current = p
         for kind, detail, result in steps:
@@ -84,54 +84,41 @@ def test_criterion_2_example_2_fixture():
 
 
 def test_criterion_3_example_3_fixture():
+    sigma, alpha, rho = (Permutation.parse(EXAMPLE_3[key]) for key in ("sigma", "alpha", "rho"))
+    expected = parse_expansion(EXAMPLE_3["expansions"]["K"])
     with criterion(3, "Example 3 nine-term expansion", 1.0):
-        problem = detect(Permutation.parse("3412"), Permutation.parse("3214"), 4, 4)
+        problem = detect(sigma, alpha, EXAMPLE_3["n"], EXAMPLE_3["t"])
         assert problem is not None
-        assert problem.rho == Permutation.parse("12463578")
-        assert truncation_product(problem, "K") == parse_map(
-            {
-                "46123578": 1,
-                "36142578": 1,
-                "35162478": 1,
-                "34261578": 1,
-                "46132578": -1,
-                "36152478": -1,
-                "36241578": -1,
-                "35261478": -1,
-                "36251478": 1,
-            }
-        )
+        assert problem.rho == rho
+        assert truncation_product(problem, "K") == expected
 
 
 def test_criterion_4_figure_2_fixture():
+    root = Permutation.parse(FIGURE_2["perm"])
+    root_marches = [(row,) for row in FIGURE_2["marches"]]
+    leaves = parse_expansion(FIGURE_2["leaves"])
+    counts = {perm: abs(c) for perm, c in leaves.items()}
     with criterion(4, "Figure 2 tree fixture", 1.0):
-        tree = build_tree(Permutation.parse("321465"), 2, "K")
-        assert [c.march for c in tree.root.children] == [(4,)]
+        tree = build_tree(root, FIGURE_2["t"], "K")
+        assert [c.march for c in tree.root.children] == root_marches
         child = tree.root.children[0]
-        assert {c.march for c in child.children} == {
-            (1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3),
-        }
+        assert {c.march for c in child.children} == set(FIGURE_2["second_level"])
         summary = leaf_summary(tree)
-        assert summary.counts == parse_map({"421356": 1, "341256": 1, "431256": 1})
-        assert summary.null_count == 4
-        assert summary.signed(4) == parse_map(
-            {"421356": 1, "341256": 1, "431256": -1}
-        )
+        assert summary.counts == counts
+        assert summary.null_count == FIGURE_2["null_leaves"]
+        assert summary.signed(FIGURE_2["length"]) == leaves
 
 
 def test_criterion_5_example_5_fixture():
+    sigma, alpha, rho = (Permutation.parse(EXAMPLE_5[key]) for key in ("sigma", "alpha", "rho"))
+    n, t = EXAMPLE_5["n"], EXAMPLE_5["t"]
+    expected = {mode: parse_expansion(m) for mode, m in EXAMPLE_5["expansions"].items()}
     with criterion(5, "Example 5 products in S_10", 10.0):
-        assert unique_labeled_leaf(Permutation.parse("4321"), 7, 5) == Permutation.parse(
-            "123469857,10"
-        )
-        problem = detect(Permutation.parse("41352"), Permutation.parse("4321"), 5, 7)
+        assert unique_labeled_leaf(alpha, t, n) == rho
+        problem = detect(sigma, alpha, n, t)
         assert problem is not None
-        assert truncation_product(problem, "K") == parse_map(
-            {"413629857,10": 1, "413569827,10": 1, "413659827,10": -1}
-        )
-        assert truncation_product(problem, "cohomology") == parse_map(
-            {"413629857,10": 1, "413569827,10": 1}
-        )
+        assert truncation_product(problem, "K") == expected["K"]
+        assert truncation_product(problem, "cohomology") == expected["cohomology"]
 
 
 def test_criterion_6_oracle_equivalence_sweep():

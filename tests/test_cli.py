@@ -1,6 +1,11 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import schubert
 from schubert.cli import run
 
 EXAMPLE_1_DIAGRAM = "\n".join(
@@ -120,6 +125,10 @@ class TestGroth:
         assert invoke(capsys, "groth", "132", "--truncate", "1")[:2] == (0, "x1\n")
         assert invoke(capsys, "groth", "132", "--truncate", "0")[:2] == (0, "0\n")
 
+    def test_truncate_past_every_variable(self, capsys):
+        huge = "99999999999999999999"
+        assert invoke(capsys, "groth", "21", "--truncate", huge) == (0, "x1\n", "")
+
     def test_negative_truncate_is_a_usage_error(self, capsys):
         assert invoke(capsys, "groth", "132", "--truncate", "-1")[0] == 2
 
@@ -181,6 +190,27 @@ class TestVerifyPaper:
         assert "all 8 fixtures passed" in out
         assert out.count("ok   ") == 8
         assert "FAIL" not in out
+
+    def test_a_wrong_record_fails_its_fixture_only(self, capsys, monkeypatch):
+        module = importlib.import_module("schubert.worked_examples")
+        monkeypatch.setitem(module.EXAMPLE_4, "rho", "213")
+        code, out, _ = invoke(capsys, "verify-paper")
+        lines = out.splitlines()
+        assert code == 1
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"FAIL {module.EXAMPLE_4['name']}: ")
+        assert sum(line.startswith("ok   ") for line in lines) == 7
+        assert lines[-1] == "1 of 8 fixtures failed"
+
+    def test_other_commands_do_not_load_the_data_module(self):
+        # A fresh process: this one has loaded every module already.
+        script = (
+            "import sys; from schubert.cli import run; run(['multiply', '321', '132']); "
+            "sys.exit('schubert.worked_examples' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(schubert.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
 
 
 class TestUsageErrors:

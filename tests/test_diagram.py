@@ -21,9 +21,13 @@ from schubert import (
 )
 from schubert.diagram import _post_order, _window_marches
 from schubert.permutations import _last_descent
+from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, FIGURE_2
 
 ID = Permutation.identity()
-EX1 = Permutation.parse("4317625")
+EX1 = Permutation.parse(EXAMPLE_1["perm"])
+FIG2 = Permutation.parse(FIGURE_2["perm"])
+# The last child of Figure 2's second level: a label with no pivots.
+NO_PIVOTS = Permutation.parse(list(FIGURE_2["second_level"].values())[-1])
 
 
 def brute_diagram(p: Permutation) -> set[tuple[int, int]]:
@@ -53,8 +57,7 @@ def geometric_pivots(p: Permutation) -> list[tuple[int, int]]:
 
 class TestDiagram:
     def test_example_1(self):
-        expected = {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (4, 2), (4, 5), (4, 6), (5, 2), (5, 5)}
-        assert {(b.row, b.col) for b in diagram(EX1)} == expected
+        assert {(b.row, b.col) for b in diagram(EX1)} == set(EXAMPLE_1["diagram"])
 
     def test_identity_and_21(self):
         assert diagram(ID) == frozenset()
@@ -69,14 +72,12 @@ class TestDiagram:
 
 class TestCornerAndPivots:
     def test_corner_examples(self):
-        assert maximal_corner(EX1) == Box(5, 5)
+        assert maximal_corner(EX1) == Box(*EXAMPLE_1["corner"])
         assert maximal_corner(ID) is None
-        assert maximal_corner(Permutation.parse("321465")) == Box(5, 5)
+        assert maximal_corner(FIG2) == Box(*FIGURE_2["corner"])
 
     def test_321465_boxes(self):
-        assert diagram(Permutation.parse("321465")) == frozenset(
-            {Box(1, 1), Box(1, 2), Box(2, 1), Box(5, 5)}
-        )
+        assert diagram(FIG2) == frozenset(Box(*b) for b in FIGURE_2["diagram"])
 
     def test_corner_is_southernmost_then_eastmost_on_s5(self):
         for p in symmetric_group(5):
@@ -88,9 +89,9 @@ class TestCornerAndPivots:
             assert corner.row == p.last_descent()
 
     def test_pivot_examples(self):
-        assert pivots(EX1) == [Box(1, 4), Box(2, 3), Box(3, 1)]
-        assert pivots(Permutation.parse("321465")) == [Box(4, 4)]
-        assert pivots(Permutation.parse("432156")) == []
+        assert pivots(EX1) == [Box(*b) for b in EXAMPLE_1["pivots"]]
+        assert pivots(FIG2) == [Box(*b) for b in FIGURE_2["pivots"]]
+        assert pivots(NO_PIVOTS) == []
 
     def test_pivots_reject_identity(self):
         with pytest.raises(MarchError):
@@ -105,10 +106,11 @@ class TestCornerAndPivots:
 
 class TestTransition:
     def test_examples(self):
-        g, m, q = transition_pair(EX1)
-        assert (g, m, q) == (5, 7, Permutation.parse("4317526"))
+        g, m, q = EXAMPLE_1["transition"]
+        assert transition_pair(EX1) == (g, m, Permutation.parse(q))
         assert transition_pair(Permutation.parse("21")) == (1, 2, ID)
-        assert transition_pair(Permutation.parse("321465")) == (5, 6, Permutation.parse("321456"))
+        g, m, q = FIGURE_2["transition"]
+        assert transition_pair(FIG2) == (g, m, Permutation.parse(q))
 
     def test_removes_exactly_the_corner_on_s5(self):
         for p in symmetric_group(5):
@@ -194,9 +196,9 @@ class TestPostOrder:
 
 class TestMarch:
     def test_worked_example_marches(self):
-        assert march(EX1, 2) == Permutation.parse("4517326")
-        assert march(EX1, 3) == Permutation.parse("4357126")
-        assert march(Permutation.parse("321465"), 4) == Permutation.parse("321546")
+        for p, example in ((EX1, EXAMPLE_1), (FIG2, FIGURE_2)):
+            for row, text in example["marches"].items():
+                assert march(p, row) == Permutation.parse(text)
 
     def test_rejects_non_pivot_row(self):
         with pytest.raises(MarchError):
@@ -218,16 +220,17 @@ class TestMarch:
                     assert march_boxes(p, box.row) == diagram(march(p, box.row))
 
     def test_picture_procedure_agrees_on_example_1(self):
-        assert march_boxes(EX1, 2) == diagram(march(EX1, 2))
-        assert march_boxes(EX1, 3) == diagram(march(EX1, 3))
+        for row in EXAMPLE_1["marches"]:
+            assert march_boxes(EX1, row) == diagram(march(EX1, row))
 
 
 class TestAddBox:
     def test_example_2_intermediate(self):
-        p = Permutation.parse("5317426")
-        result = add_box(p, 5)
-        assert result == Permutation.parse("5317624")
-        assert diagram(result) == diagram(p) | {Box(5, 4)}
+        (_, _, before), (_, box, after) = EXAMPLE_2["steps"][:2]
+        p = Permutation.parse(before)
+        result = add_box(p, box[0])
+        assert result == Permutation.parse(after)
+        assert diagram(result) == diagram(p) | {Box(*box)}
 
     def test_small_case(self):
         result = add_box(Permutation.parse("21"), 2)
@@ -250,12 +253,13 @@ class TestAddBox:
 
 class TestKMarch:
     def test_example_2(self):
-        assert k_march(EX1, [1, 3]) == Permutation.parse("5347126")
+        result = EXAMPLE_2["steps"][-1][2]
+        assert k_march(EX1, EXAMPLE_2["rows"]) == Permutation.parse(result)
 
     def test_figure_2_edges(self):
-        p = Permutation.parse("321546")
-        assert k_march(p, [1, 2]) == Permutation.parse("431256")
-        assert k_march(p, [1, 2, 3]) == Permutation.parse("432156")
+        [first] = FIGURE_2["marches"].values()
+        for rows, text in FIGURE_2["second_level"].items():
+            assert k_march(Permutation.parse(first), rows) == Permutation.parse(text)
 
     def test_singleton_equals_march_on_s5(self):
         for p in symmetric_group(5):
@@ -285,12 +289,10 @@ class TestKMarch:
                 ]
 
     def test_steps_of_example_2(self):
-        steps = k_march_steps(EX1, [1, 3])
-        assert [(kind, str(detail), result.text()) for kind, detail, result in steps] == [
-            ("march", "1", "5317426"),
-            ("add", "(5,4)", "5317624"),
-            ("march", "3", "5347126"),
-        ]
+        steps = k_march_steps(EX1, EXAMPLE_2["rows"])
+        assert [(kind, detail, result.text()) for kind, detail, result in steps] == list(
+            EXAMPLE_2["steps"]
+        )
 
     def test_rejects_bad_input(self):
         with pytest.raises(MarchError):

@@ -24,13 +24,13 @@ from schubert import (
     unique_labeled_leaf,
 )
 from schubert.cli import run
+from schubert.grothendieck import parse_expansion
 from schubert.trees import to_json_obj
+from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
 
 ID = Permutation.identity()
-
-
-def parse_map(pairs: dict[str, int]) -> dict[Permutation, int]:
-    return {Permutation.parse(text): value for text, value in pairs.items()}
+FIGURE_2_LEAVES = parse_expansion(FIGURE_2["leaves"])
+FIGURE_2_COUNTS = {perm: abs(c) for perm, c in FIGURE_2_LEAVES.items()}
 
 
 def paths(tree: MarchTree) -> dict[tuple, Permutation | None]:
@@ -48,105 +48,57 @@ def paths(tree: MarchTree) -> dict[tuple, Permutation | None]:
 
 class TestFigure2:
     def setup_method(self):
-        self.tree = build_tree(Permutation.parse("321465"), 2, "K")
+        self.tree = build_tree(Permutation.parse(FIGURE_2["perm"]), FIGURE_2["t"], "K")
 
     def test_shape(self):
         root = self.tree.root
-        assert root.label == Permutation.parse("321465")
-        assert [c.march for c in root.children] == [(4,)]
+        assert root.label == Permutation.parse(FIGURE_2["perm"])
+        [(row, first)] = FIGURE_2["marches"].items()
+        assert [c.march for c in root.children] == [(row,)]
         child = root.children[0]
-        assert child.label == Permutation.parse("321546")
-        assert [c.march for c in child.children] == [
-            (1,),
-            (2,),
-            (3,),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            (1, 2, 3),
-        ]
+        assert child.label == Permutation.parse(first)
+        assert [c.march for c in child.children] == list(FIGURE_2["second_level"])
         targets = {c.march: c.label for c in child.children}
         assert targets == {
-            (1,): Permutation.parse("421356"),
-            (2,): Permutation.parse("341256"),
-            (3,): Permutation.parse("324156"),
-            (1, 2): Permutation.parse("431256"),
-            (1, 3): Permutation.parse("423156"),
-            (2, 3): Permutation.parse("342156"),
-            (1, 2, 3): Permutation.parse("432156"),
+            rows: Permutation.parse(text) for rows, text in FIGURE_2["second_level"].items()
         }
 
     def test_leaf_summary(self):
         summary = leaf_summary(self.tree)
-        assert summary.counts == parse_map({"421356": 1, "341256": 1, "431256": 1})
-        assert summary.null_count == 4
-        assert summary.total() == 7
+        assert summary.counts == FIGURE_2_COUNTS
+        assert summary.null_count == FIGURE_2["null_leaves"]
+        assert summary.total() == len(FIGURE_2["second_level"])
 
     def test_signed_expansion(self):
-        assert leaf_summary(self.tree).signed(4) == parse_map(
-            {"421356": 1, "341256": 1, "431256": -1}
-        )
+        assert leaf_summary(self.tree).signed(FIGURE_2["length"]) == FIGURE_2_LEAVES
 
 
 class TestFigure1:
+    def setup_method(self):
+        self.tree = build_tree(Permutation.parse(FIGURE_1["perm"]), FIGURE_1["t"], "K")
+
     def test_shape_and_leaves(self):
-        tree = build_tree(Permutation.parse("34127658"), 4, "K")
-        labeled = [n for n in tree.nodes() if n.label is not None]
-        assert len(labeled) == 18
-        assert all(n.label is not None for n in tree.nodes())
-        summary = leaf_summary(tree)
-        assert summary.null_count == 0
-        assert summary.counts == parse_map(
-            {
-                "46123578": 1,
-                "36142578": 1,
-                "35162478": 1,
-                "34261578": 1,
-                "46132578": 1,
-                "36152478": 1,
-                "36241578": 1,
-                "35261478": 1,
-                "36251478": 1,
-            }
-        )
+        labeled = [n for n in self.tree.nodes() if n.label is not None]
+        assert len(labeled) == FIGURE_1["labeled"]
+        assert all(n.label is not None for n in self.tree.nodes())
+        summary = leaf_summary(self.tree)
+        assert summary.null_count == FIGURE_1["null_leaves"]
+        # Figure 1's leaves are Example 3's nine permutations, each once.
+        assert summary.counts == {perm: 1 for perm in parse_expansion(FIGURE_1["leaves"])}
 
     def test_example_3_signs(self):
-        tree = build_tree(Permutation.parse("34127658"), 4, "K")
-        expansion = leaf_summary(tree).signed(7)
-        assert sorted(expansion.values()) == [-1, -1, -1, -1, 1, 1, 1, 1, 1]
+        expansion = leaf_summary(self.tree).signed(self.tree.root.label.length())
+        assert sorted(expansion.values()) == sorted(EXAMPLE_3["expansions"]["K"].values())
 
     def test_complete_edge_structure(self):
-        tree = build_tree(Permutation.parse("34127658"), 4, "K")
-        edges = set()
-
-        def walk(node):
-            for child in node.children:
-                edges.add((node.label, child.march, child.label))
-                walk(child)
-
-        walk(tree.root)
-        expected = {
-            ("34127658", (2,), "35127468"),
-            ("34127658", (4,), "34157268"),
-            ("34127658", (2, 4), "35147268"),
-            ("35127468", (2,), "36125478"),
-            ("35127468", (4,), "35162478"),
-            ("35127468", (2, 4), "36152478"),
-            ("34157268", (4,), "34165278"),
-            ("35147268", (2,), "36145278"),
-            ("35147268", (4,), "35164278"),
-            ("35147268", (2, 4), "36154278"),
-            ("36125478", (1,), "46123578"),
-            ("36125478", (4,), "36142578"),
-            ("36125478", (1, 4), "46132578"),
-            ("34165278", (3,), "34261578"),
-            ("36145278", (3,), "36241578"),
-            ("35164278", (3,), "35261478"),
-            ("36154278", (3,), "36251478"),
+        edges = {
+            (node.label, child.march, child.label)
+            for node in self.tree.nodes()
+            for child in node.children
         }
         assert edges == {
             (Permutation.parse(a), march, Permutation.parse(b))
-            for a, march, b in expected
+            for a, march, b in FIGURE_1["edges"]
         }
 
 
@@ -219,9 +171,8 @@ class TestSingleLeafFamilies:
                 assert summary.counts == {pi: 1}
 
     def test_unique_labeled_leaf_examples(self):
-        assert unique_labeled_leaf(Permutation.parse("3214"), 4, 4) == Permutation.parse(
-            "12463578"
-        )
+        alpha, rho = Permutation.parse(EXAMPLE_3["alpha"]), Permutation.parse(EXAMPLE_3["rho"])
+        assert unique_labeled_leaf(alpha, EXAMPLE_3["t"], EXAMPLE_3["n"]) == rho
         assert unique_labeled_leaf(ID, 2, 3) == ID
         assert unique_labeled_leaf(Permutation.parse("132"), 2, 3) == Permutation.parse("132")
 
@@ -319,9 +270,9 @@ class TestLeafCounts:
             assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
 
     def test_figure_2_and_a_leaf_root(self):
-        summary = leaf_counts(Permutation.parse("321465"), 2, "K")
-        assert summary.counts == parse_map({"421356": 1, "341256": 1, "431256": 1})
-        assert summary.null_count == 4
+        summary = leaf_counts(Permutation.parse(FIGURE_2["perm"]), FIGURE_2["t"], "K")
+        assert summary.counts == FIGURE_2_COUNTS
+        assert summary.null_count == FIGURE_2["null_leaves"]
         assert summary_pair(leaf_counts(ID, 3, "K")) == ({ID: 1}, 0)
 
     def test_ceiling_counts_distinct_labels_not_nodes(self):

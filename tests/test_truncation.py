@@ -14,12 +14,20 @@ from schubert import (
     truncation_product,
     verify,
 )
+from schubert.grothendieck import parse_expansion
+from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION_IDENTITY
 
 ID = Permutation.identity()
 
 
-def parse_map(pairs: dict[str, int]) -> dict[Permutation, int]:
-    return {Permutation.parse(text): value for text, value in pairs.items()}
+def problem_of(example):
+    """Detect the truncation problem of a worked product example."""
+    sigma, alpha = Permutation.parse(example["sigma"]), Permutation.parse(example["alpha"])
+    return detect(sigma, alpha, example["n"], example["t"])
+
+
+def expected(example, mode="K"):
+    return parse_expansion(example["expansions"][mode])
 
 
 def resum(expansion: dict[Permutation, int]) -> Polynomial:
@@ -31,14 +39,14 @@ def resum(expansion: dict[Permutation, int]) -> Polynomial:
 
 class TestDetect:
     def test_example_3(self):
-        problem = detect(Permutation.parse("3412"), Permutation.parse("3214"), 4, 4)
+        problem = problem_of(EXAMPLE_3)
         assert problem is not None
-        assert problem.rho == Permutation.parse("12463578")
+        assert problem.rho == Permutation.parse(EXAMPLE_3["rho"])
 
     def test_example_4(self):
-        problem = detect(Permutation.parse("321"), Permutation.parse("132"), 3, 2)
+        problem = problem_of(EXAMPLE_4)
         assert problem is not None
-        assert problem.rho == Permutation.parse("132")
+        assert problem.rho == Permutation.parse(EXAMPLE_4["rho"])
 
     def test_sigma_descent_too_late(self):
         assert detect(Permutation.parse("4321"), Permutation.parse("2143"), 4, 1) is None
@@ -59,40 +67,20 @@ class TestDetect:
 
 class TestTruncationProduct:
     def test_example_3(self):
-        problem = detect(Permutation.parse("3412"), Permutation.parse("3214"), 4, 4)
-        assert truncation_product(problem, "K") == parse_map(
-            {
-                "46123578": 1,
-                "36142578": 1,
-                "35162478": 1,
-                "34261578": 1,
-                "46132578": -1,
-                "36152478": -1,
-                "36241578": -1,
-                "35261478": -1,
-                "36251478": 1,
-            }
-        )
+        assert truncation_product(problem_of(EXAMPLE_3), "K") == expected(EXAMPLE_3)
 
     def test_example_4(self):
-        problem = detect(Permutation.parse("321"), Permutation.parse("132"), 3, 2)
-        assert truncation_product(problem, "K") == parse_map(
-            {"421356": 1, "341256": 1, "431256": -1}
-        )
+        assert truncation_product(problem_of(EXAMPLE_4), "K") == expected(EXAMPLE_4)
 
     def test_example_5(self):
-        problem = detect(Permutation.parse("41352"), Permutation.parse("4321"), 5, 7)
+        problem = problem_of(EXAMPLE_5)
         assert problem is not None
-        assert problem.rho == Permutation.parse("123469857,10")
-        assert truncation_product(problem, "K") == parse_map(
-            {"413629857,10": 1, "413569827,10": 1, "413659827,10": -1}
-        )
-        assert truncation_product(problem, "cohomology") == parse_map(
-            {"413629857,10": 1, "413569827,10": 1}
-        )
+        assert problem.rho == Permutation.parse(EXAMPLE_5["rho"])
+        assert truncation_product(problem, "K") == expected(EXAMPLE_5)
+        assert truncation_product(problem, "cohomology") == expected(EXAMPLE_5, "cohomology")
 
     def test_cohomology_signs_and_degrees(self):
-        problem = detect(Permutation.parse("321"), Permutation.parse("132"), 3, 2)
+        problem = problem_of(EXAMPLE_4)
         top = problem.sigma.length() + problem.rho.length()
         expansion = truncation_product(problem, "cohomology")
         assert all(c > 0 for c in expansion.values())
@@ -101,16 +89,17 @@ class TestTruncationProduct:
 
 class TestTruncateViaTree:
     def test_figure_2_case(self):
-        expansion = truncate_grothendieck_via_tree(Permutation.parse("321465"), 2)
-        assert expansion == parse_map({"421356": 1, "341256": 1, "431256": -1})
-        assert resum(expansion) == grothendieck(Permutation.parse("321465")).truncate(2)
+        gamma, t = Permutation.parse(TRUNCATION_IDENTITY["gamma"]), TRUNCATION_IDENTITY["t"]
+        expansion = truncate_grothendieck_via_tree(gamma, t)
+        assert expansion == parse_expansion(TRUNCATION_IDENTITY["expansion"])
+        assert resum(expansion) == grothendieck(gamma).truncate(t)
 
     def test_identity(self):
         assert truncate_grothendieck_via_tree(ID, 3) == {ID: 1}
 
     def test_single_march_case(self):
         expansion = truncate_grothendieck_via_tree(Permutation.parse("132"), 1)
-        assert expansion == parse_map({"21": 1})
+        assert expansion == parse_expansion({"21": 1})
         assert resum(expansion) == grothendieck(Permutation.parse("132")).truncate(1)
 
     def test_identity_sweep_s4(self):
@@ -128,18 +117,17 @@ class TestTruncateViaTree:
 
 class TestVerify:
     def test_example_4_k_and_cohomology(self):
-        problem = detect(Permutation.parse("321"), Permutation.parse("132"), 3, 2)
+        problem = problem_of(EXAMPLE_4)
         report = verify(problem, "K")
         assert report.match and not report.discrepancies
-        assert len(report.tree_expansion) == 3
+        assert len(report.tree_expansion) == len(EXAMPLE_4["expansions"]["K"])
         assert report.oracle_expansion == report.tree_expansion
         assert verify(problem, "cohomology").match
 
     def test_example_3(self):
-        problem = detect(Permutation.parse("3412"), Permutation.parse("3214"), 4, 4)
-        report = verify(problem, "K")
+        report = verify(problem_of(EXAMPLE_3), "K")
         assert report.match
-        assert len(report.tree_expansion) == 9
+        assert len(report.tree_expansion) == len(EXAMPLE_3["expansions"]["K"])
 
     def test_degenerate_identity_sigma(self):
         problem = detect(ID, Permutation.parse("132"), 3, 2)
@@ -148,14 +136,14 @@ class TestVerify:
         assert report.tree_expansion == {problem.rho: 1}
 
     def test_oracle_ceiling(self):
-        problem = detect(Permutation.parse("41352"), Permutation.parse("4321"), 5, 7)
+        problem = problem_of(EXAMPLE_5)
         with pytest.raises(OracleCeilingExceeded):
             verify(problem, "K")
         report = verify(problem, "K", oracle_window_ceiling=10)
         assert report.match
 
     def test_report_json_fields(self):
-        problem = detect(Permutation.parse("321"), Permutation.parse("132"), 3, 2)
+        problem = problem_of(EXAMPLE_4)
         obj = verify(problem, "K").to_json_obj()
         assert set(obj) == {
             "problem",
