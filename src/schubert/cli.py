@@ -367,6 +367,9 @@ def _cmd_verify_paper(_: argparse.Namespace) -> int:
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {record['name']}: {exc}")
+        except Exception as exc:  # a record the library rejects fails its fixture only
+            failures += 1
+            print(f"FAIL {record['name']}: {type(exc).__name__}: {exc}")
         else:
             print(f"ok   {record['name']}")
     if failures:

@@ -36,8 +36,8 @@ permutation, see :func:`expand_in_basis`), which is the brute-force
 oracle for structure constants.  The remainder lives in one mutable
 dict and the leading term of its lowest degree is kept on a lazily
 pruned heap, so a strip touches only the terms of the subtracted basis
-element.  Packed exponents become tuples only for
-:meth:`Permutation.from_lehmer`, once per strip.
+element.  The leading exponent of a strip, read as a Lehmer code, is
+decoded straight to the canonical window of its permutation.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from . import poly
 from .diagram import _Window, _post_order, _window_marches
-from .permutations import Permutation
+from .permutations import Permutation, _lehmer_window
 from .poly import (
     DEGREE_MASK,
     FIELD_MASK,
@@ -296,7 +296,7 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
             )
         exponent = -heap[0]
         coeff = remaining[exponent]
-        perm = Permutation.from_lehmer(_unpack(exponent))
+        perm = Permutation._trusted(_lehmer_window(_unpack(exponent)))
         if perm in coefficients:
             raise RuntimeError(f"basis expansion revisited {perm}; ordering bug")
         coefficients[perm] = coeff

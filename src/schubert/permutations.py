@@ -20,6 +20,7 @@ import bisect
 import itertools
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Sequence
 
 LehmerCode = tuple[int, ...]
@@ -95,25 +96,17 @@ class Permutation:
         code = tuple(code)
         if any(c < 0 for c in code):
             raise ValueError(f"negative Lehmer code entry: {code}")
-        n = max((c + i for i, c in enumerate(code, start=1)), default=0)
-        n = max(n, len(code))
-        available = list(range(1, n + 1))
-        window = []
-        for i in range(n):
-            c = code[i] if i < len(code) else 0
-            window.append(available.pop(c))
-        # Popping from the values left builds a bijection; trim it.
-        return cls._trusted(_trim(window))
+        return cls._trusted(_lehmer_window(code))
 
     # -- text format ---------------------------------------------------
 
     def text(self) -> str:
         """Render the canonical window; exact inverse of :meth:`parse`."""
-        if not self.window:
+        window = self.window
+        if not window:
             return "1"
-        if all(v <= 9 for v in self.window):
-            return "".join(str(v) for v in self.window)
-        return ",".join(str(v) for v in self.window)
+        # The window holds exactly 1..n, so every value is a digit iff n <= 9.
+        return ("" if len(window) <= 9 else ",").join(map(str, window))
 
     def __str__(self) -> str:
         return self.text()
@@ -235,6 +228,20 @@ def _trim(values: list[int]) -> tuple[int, ...]:
     while values and values[-1] == len(values):
         values.pop()
     return tuple(values)
+
+
+def _lehmer_window(code: Sequence[int]) -> tuple[int, ...]:
+    """The canonical window of the permutation with Lehmer code ``code``,
+    whose entries must be non-negative (trailing zeros are allowed).
+
+    Position i takes the c_i-th smallest value left, from 1..n with n the
+    largest i + c_i; after the code, each position takes the smallest
+    value left, so those values follow in order.
+    """
+    left = list(range(1, max(map(add, code, itertools.count(1)), default=0) + 1))
+    window = list(map(left.pop, code))
+    window += left
+    return _trim(window)
 
 
 def _last_descent(window: tuple[int, ...]) -> int:

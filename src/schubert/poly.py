@@ -257,27 +257,64 @@ class Polynomial:
 
     def render(self) -> str:
         """Terms in canonical order, e.g. ``x1 + x2 - x1*x2``."""
-        if self.is_zero():
+        terms = self._terms
+        if not terms:
             return "0"
+        # One int key per term: the complemented degree above the exponent
+        # bytes reversed, x1 first, zero-padded to one width.  Within a
+        # degree no trimmed exponent is a prefix of another, so the keys
+        # in descending order are the canonical order.
+        width = ((max(terms) >> DEGREE_BITS).bit_length() + 7) >> 3
+        bits = EXPONENT_BITS * width
+        low = (1 << bits) - 1
+        size = width + DEGREE_BITS // EXPONENT_BITS
+        from_bytes = int.from_bytes
+        keyed = {
+            (MAX_DEGREE - (e & DEGREE_MASK)) << bits
+            | from_bytes(e.to_bytes(size, "little"), "big") & low: c
+            for e, c in terms.items()
+        }
+        # A term's factors are those of its first half of the variables
+        # and those of the rest; each half's text is made once per value.
+        head = width // 2
+        tail_bits = bits - EXPONENT_BITS * head
+        tail_mask = (1 << tail_bits) - 1
+        heads, tails = _FactorText(1, head), _FactorText(head + 1, width - head)
         parts: list[str] = []
-        for e, c in self.terms():
-            factors = [
-                f"x{i}" if power == 1 else f"x{i}^{power}"
-                for i, power in enumerate(e, start=1)
-                if power
-            ]
-            magnitude = abs(c)
+        for key in sorted(keyed, reverse=True):
+            c = keyed[key]
+            first, rest = heads[(key & low) >> tail_bits], tails[key & tail_mask]
+            factors = f"{first}*{rest}" if first and rest else first or rest
+            magnitude = c if c > 0 else -c
             if not factors:
                 body = str(magnitude)
             elif magnitude == 1:
-                body = "*".join(factors)
+                body = factors
             else:
-                body = "*".join([str(magnitude)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                body = f"{magnitude}*{factors}"
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        lead = parts[0]
+        parts[0] = lead[2:] if lead[0] == "+" else f"-{lead[2:]}"
         return " ".join(parts)
+
+
+class _FactorText(dict):
+    """Lazily, the factors ``x3*x4^2`` of the exponent bytes of ``size``
+    variables from x_first, read as a big-endian int (x_first highest)."""
+
+    __slots__ = ("first", "size")
+
+    def __init__(self, first: int, size: int):
+        super().__init__()
+        self.first, self.size = first, size
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = "*".join(
+            f"x{i}" if power == 1 else f"x{i}^{power}"
+            for i, power in enumerate(value.to_bytes(self.size, "big"), start=self.first)
+            if power
+        )
+        return text
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?((?:x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*))?$")
