@@ -18,8 +18,9 @@ constructor checks each term, ``*`` checks its operands' largest fields
 (one pass over each operand, not over the term pairs), and anything
 beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
 appear only at the public boundary: the constructor, :meth:`terms`,
-:meth:`coefficient`, :meth:`render` and :func:`parse_polynomial` take
-or return trimmed tuples (no trailing zero).
+:meth:`coefficient` and :func:`parse_polynomial` take or return trimmed
+tuples (no trailing zero).  :meth:`render` makes no tuples: it sorts one
+int key per term and writes each term from its exponent bytes.
 
 The canonical term order (iteration and printing) is total degree
 ascending, then exponents descending lexicographically, which renders

@@ -203,6 +203,19 @@ class TestVerifyPaper:
         assert sum(line.startswith("ok   ") for line in lines) == 7
         assert lines[-1] == "1 of 8 fixtures failed"
 
+    def test_a_record_the_library_rejects_fails_its_fixture_only(self, capsys, monkeypatch):
+        module = importlib.import_module("schubert.worked_examples")
+        monkeypatch.setitem(module.EXAMPLE_2, "perm", "21")  # rows 1 and 3 are no pivots
+        code, out, _ = invoke(capsys, "verify-paper")
+        lines = out.splitlines()
+        assert code == 1
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert failed == [
+            f"FAIL {module.EXAMPLE_2['name']}: MarchError: rows [1, 3] are not pivot rows of 21"
+        ]
+        assert sum(line.startswith("ok   ") for line in lines) == 7
+        assert lines[-1] == "1 of 8 fixtures failed"
+
     def test_other_commands_do_not_load_the_data_module(self):
         # A fresh process: this one has loaded every module already.
         script = (

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, seed, strategies as st
 
 from schubert import Permutation, symmetric_group
+from schubert.permutations import _lehmer_window
 
 ID = Permutation.identity()
 
@@ -34,6 +35,13 @@ class TestParseFormat:
         p = Permutation.parse("10,9,8,7,6,5,4,3,2,1")
         assert p.window == (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
         assert p.text() == "10,9,8,7,6,5,4,3,2,1"
+
+    def test_text_at_the_digit_boundary(self):
+        # A window of 9 holds only digits; a window of 10 holds the value 10.
+        for text in ("912345678", "10,1,2,3,4,5,6,7,8,9"):
+            p = Permutation.parse(text)
+            assert p.text() == text
+            assert Permutation.parse(p.text()) == p
 
     def test_identity_text(self):
         assert ID.text() == "1"
@@ -88,6 +96,25 @@ class TestStatistics:
     def test_lehmer_round_trip_on_s5(self):
         for p in symmetric_group(5):
             assert Permutation.from_lehmer(p.lehmer_code()) == p
+
+    def test_lehmer_decoder_round_trip_on_s1_to_s7(self):
+        # The one decoder behind from_lehmer and the strips of the basis
+        # expansion, which hand it exponent bytes.
+        for n in range(1, 8):
+            for p in symmetric_group(n):
+                code = p.lehmer_code()
+                assert _lehmer_window(code) == p.window
+                assert _lehmer_window(bytes(code)) == p.window
+                assert _lehmer_window(code + (0, 0)) == p.window
+
+    def test_lehmer_decoder_of_the_identity(self):
+        assert _lehmer_window(()) == ()
+        assert _lehmer_window((0, 0, 0)) == ()
+        assert Permutation.from_lehmer((0, 0, 0)) == ID
+
+    def test_from_lehmer_rejects_negative_entries(self):
+        with pytest.raises(ValueError):
+            Permutation.from_lehmer((1, -1))
 
     def test_from_lehmer_extends_window(self):
         assert Permutation.from_lehmer((4, 2)).window == (5, 3, 1, 2, 4)

@@ -41,6 +41,22 @@ mixed_polys = st.builds(
     ),
 )
 
+# Up to x12 (two-digit names, exponents over several bytes), exponents up
+# to the ceiling, and coefficients far beyond one digit next to units and
+# the constant term.
+wide_polys = st.builds(
+    Polynomial,
+    st.dictionaries(
+        st.lists(
+            st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=MAX_EXPONENT),
+            max_size=12,
+        ).map(tuple),
+        st.sampled_from([1, -1]) | st.integers(min_value=-(10**30), max_value=10**30),
+        max_size=12,
+    ),
+)
+X10_X12 = (0,) * 9 + (1, 0, MAX_EXPONENT)
+
 
 def assert_canonical(f):
     """Trimmed non-negative exponents, non-zero coefficients, and equal to
@@ -155,6 +171,7 @@ class TestText:
         assert Polynomial.zero().render() == "0"
         assert Polynomial.constant(-3).render() == "-3"
         assert (2 * X1 * X1 + ONE).render() == "1 + 2*x1^2"
+        assert Polynomial.monomial(X10_X12, -4).render() == "-4*x10*x12^255"
 
     def test_degree_then_lex_descending_order(self):
         f = Polynomial({(0, 2): 1, (1, 1): 1, (2,): 1, (1,): 1})
@@ -321,6 +338,20 @@ class TestAgainstTheTupleKernel:
     )
     def test_random_polynomials(self, f, g):
         assert_kernels_agree(f, g)
+
+    @seed(20101)
+    @given(wide_polys)
+    @example(Polynomial.zero())
+    @example(Polynomial.constant(1))
+    @example(Polynomial.constant(-1))
+    @example(Polynomial.constant(-4))
+    @example(Polynomial.monomial(X10_X12))
+    @example(Polynomial({(): 1, X10_X12: -1, (0,) * 11 + (1,): 1}))
+    @example(Polynomial({(): -4, X10_X12: 12345678901234567890, (1,): -1}))
+    def test_render_of_wide_polynomials(self, f):
+        text = f.render()
+        assert text == tuple_render(dict(f.terms()))
+        assert parse_polynomial(text) == f
 
     def test_every_s4_product_of_grothendieck_polynomials(self):
         polys = [grothendieck(p) for p in symmetric_group(4)]
