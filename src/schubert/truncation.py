@@ -9,7 +9,9 @@ product sigma *_n alpha.
 
 :func:`verify` checks three routes term by term: the signed tree
 expansion, the basis expansion of G_sigma * r_t(G_{id * alpha}), and
-the direct product oracle for (sigma, rho).
+the direct product oracle for (sigma, rho).  Product = oracle is decided
+by comparing the factors r_t(G_{id * alpha}) and G_rho, so both
+expansions run only when the factors differ.
 """
 from __future__ import annotations
 
@@ -134,8 +136,28 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
     return leaf_counts(gamma, t, "K").signed(gamma.length())
 
 
-def _restrict_to_degree(expansion: ExpansionMap, degree: int) -> ExpansionMap:
-    return {perm: c for perm, c in expansion.items() if perm.length() == degree}
+def _in_mode(expansion: ExpansionMap, problem: TruncationProblem, mode: Mode) -> ExpansionMap:
+    """The expansion itself in K; its top degree layer in cohomology."""
+    if mode != "cohomology":
+        return expansion
+    top = problem.sigma.length() + problem.rho.length()
+    return {perm: c for perm, c in expansion.items() if perm.length() == top}
+
+
+def _discrepancies(
+    tree: ExpansionMap, product: ExpansionMap, oracle: ExpansionMap
+) -> list[dict]:
+    """The permutations on which the three routes disagree, ordered by
+    length and then by text."""
+    found = []
+    perms = set(tree) | set(product) | set(oracle)
+    for perm in sorted(perms, key=lambda q: (q.length(), q.text())):
+        values = (tree.get(perm, 0), product.get(perm, 0), oracle.get(perm, 0))
+        if len(set(values)) != 1:
+            found.append(
+                {"perm": perm.text(), "tree": values[0], "product": values[1], "oracle": values[2]}
+            )
+    return found
 
 
 def verify(
@@ -147,8 +169,13 @@ def verify(
 
     Compares the tree expansion with the basis expansion of
     G_sigma * r_t(G_{id * alpha}) and with the direct (sigma, rho)
-    product, term by term.  In cohomology mode the polynomial routes are
-    restricted to the top degree layer length(sigma) + length(rho).
+    product, term by term.  Product = oracle is decided by comparing the
+    factors: G_sigma is nonzero and Z[x] is a domain, so the two
+    products, and hence their expansions, are equal exactly when
+    r_t(G_{id * alpha}) = G_rho, which the truncation identity asserts.
+    G_sigma * r_t(G_{id * alpha}) is multiplied out and expanded only
+    when the factors differ.  In cohomology mode the polynomial routes
+    are restricted to the top degree layer length(sigma) + length(rho).
     """
     star = problem.star_root()
     if star.size() > oracle_window_ceiling:
@@ -157,32 +184,17 @@ def verify(
         )
     tree_expansion = truncation_product(problem, mode)
     truncated = grothendieck(problem.alpha.stabilize(problem.n)).truncate(problem.t)
-    product_expansion = expand_in_basis(grothendieck(problem.sigma) * truncated)
-    oracle_expansion = structure_constants(problem.sigma, problem.rho)
-    if mode == "cohomology":
-        top = problem.sigma.length() + problem.rho.length()
-        product_expansion = _restrict_to_degree(product_expansion, top)
-        oracle_expansion = _restrict_to_degree(oracle_expansion, top)
+    oracle_expansion = _in_mode(structure_constants(problem.sigma, problem.rho), problem, mode)
+    if truncated == grothendieck(problem.rho):
+        # A copy, so that editing one report field leaves the other alone.
+        product_expansion = dict(oracle_expansion)
+    else:
+        product = grothendieck(problem.sigma) * truncated
+        product_expansion = _in_mode(expand_in_basis(product), problem, mode)
 
     discrepancies = []
-    for perm in sorted(
-        set(tree_expansion) | set(product_expansion) | set(oracle_expansion),
-        key=lambda q: (q.length(), q.text()),
-    ):
-        values = (
-            tree_expansion.get(perm, 0),
-            product_expansion.get(perm, 0),
-            oracle_expansion.get(perm, 0),
-        )
-        if len(set(values)) != 1:
-            discrepancies.append(
-                {
-                    "perm": perm.text(),
-                    "tree": values[0],
-                    "product": values[1],
-                    "oracle": values[2],
-                }
-            )
+    if not tree_expansion == product_expansion == oracle_expansion:
+        discrepancies = _discrepancies(tree_expansion, product_expansion, oracle_expansion)
     return VerificationReport(
         problem=problem,
         mode=mode,

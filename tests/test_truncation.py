@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +16,7 @@ from schubert import (
     truncation_product,
     verify,
 )
-from schubert.grothendieck import parse_expansion
+from schubert.grothendieck import expand_in_basis, parse_expansion
 from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION_IDENTITY
 
 ID = Permutation.identity()
@@ -28,6 +30,29 @@ def problem_of(example):
 
 def expected(example, mode="K"):
     return parse_expansion(example["expansions"][mode])
+
+
+def truncation_problems(n, alphas):
+    """Every truncation problem (sigma, alpha, n, t) with sigma in S_n and
+    alpha in ``alphas``, over every level t the detector admits."""
+    for sigma, alpha in itertools.product(symmetric_group(n), alphas):
+        last = sigma.last_descent() or 0
+        for t in range(max(1, last), 2 * n + 1):
+            problem = detect(sigma, alpha, n, t)
+            if problem is not None:
+                yield problem
+
+
+def assert_three_way(problem):
+    """The routes agree in both modes, and product = oracle was decided
+    by the factors: r_t(G_{id * alpha}) = G_rho, the truncation identity."""
+    truncated = grothendieck(problem.alpha.stabilize(problem.n)).truncate(problem.t)
+    assert truncated == grothendieck(problem.rho), problem
+    for mode in ("K", "cohomology"):
+        report = verify(problem, mode)
+        assert report.match, (problem, mode)
+        assert report.product_expansion == report.oracle_expansion
+        assert report.product_expansion is not report.oracle_expansion
 
 
 def resum(expansion: dict[Permutation, int]) -> Polynomial:
@@ -159,48 +184,60 @@ class TestVerify:
         assert obj["product_expansion"] == obj["oracle_expansion"] == obj["tree_expansion"]
         assert obj["match"] is True and obj["discrepancies"] == []
 
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_a_wrong_rho_is_reported_as_a_discrepancy(self, mode):
+        problem = dataclasses.replace(problem_of(EXAMPLE_4), rho=Permutation.parse("213"))
+        report = verify(problem, mode)
+        assert not report.match
+
+        def in_mode(expansion):
+            top = problem.sigma.length() + problem.rho.length()
+            return {p: c for p, c in expansion.items() if mode == "K" or p.length() == top}
+
+        truncated = grothendieck(problem.alpha.stabilize(3)).truncate(2)
+        product = expand_in_basis(grothendieck(problem.sigma) * truncated)
+        assert report.product_expansion == in_mode(product)
+        assert report.oracle_expansion == in_mode(structure_constants(problem.sigma, problem.rho))
+        expected = [{"perm": "3412", "tree": 1, "product": 1, "oracle": 0}]
+        if mode == "K":
+            expected.append({"perm": "4312", "tree": -1, "product": -1, "oracle": 0})
+        assert report.discrepancies == expected
+
 
 class TestSweeps:
     def test_three_way_verification_on_s3(self):
         checked = 0
-        for sigma, alpha in itertools.product(symmetric_group(3), repeat=2):
-            last = sigma.last_descent() or 0
-            for t in range(max(1, last), 7):
-                problem = detect(sigma, alpha, 3, t)
-                if problem is None:
-                    continue
-                checked += 1
-                assert verify(problem, "K").match
-                assert verify(problem, "cohomology").match
+        for problem in truncation_problems(3, symmetric_group(3)):
+            checked += 1
+            assert verify(problem, "K").match
+            assert verify(problem, "cohomology").match
         assert checked > 100
 
     def test_three_way_verification_exhaustive_at_n4(self):
         checked = 0
-        for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
-            last = sigma.last_descent() or 0
-            for t in range(max(1, last), 9):
-                problem = detect(sigma, alpha, 4, t)
-                if problem is None:
-                    continue
-                checked += 1
-                assert verify(problem, "K").match, (sigma, alpha, t)
-                assert verify(problem, "cohomology").match, (sigma, alpha, t)
+        for problem in truncation_problems(4, symmetric_group(4)):
+            checked += 1
+            assert_three_way(problem)
         assert checked == 3596
 
+    def test_three_way_verification_on_an_s5_sample(self):
+        """A seeded sample of 300 of the 5,540 problems with sigma in S_5,
+        alpha in S_3 and n = 5.  Alpha is kept in S_3 so that every star
+        root has window at most 8, the default oracle ceiling."""
+        problems = list(truncation_problems(5, symmetric_group(3)))
+        assert len(problems) == 5540
+        for problem in random.Random(2004).sample(problems, 300):
+            assert_three_way(problem)
+
     def test_cohomology_is_the_top_layer_of_k_mode_on_s3(self):
-        for sigma, alpha in itertools.product(symmetric_group(3), repeat=2):
-            last = sigma.last_descent() or 0
-            for t in range(max(1, last), 7):
-                problem = detect(sigma, alpha, 3, t)
-                if problem is None:
-                    continue
-                top = problem.sigma.length() + problem.rho.length()
-                k_layer = {
-                    perm: abs(c)
-                    for perm, c in truncation_product(problem, "K").items()
-                    if perm.length() == top
-                }
-                assert truncation_product(problem, "cohomology") == k_layer
+        for problem in truncation_problems(3, symmetric_group(3)):
+            top = problem.sigma.length() + problem.rho.length()
+            k_layer = {
+                perm: abs(c)
+                for perm, c in truncation_product(problem, "K").items()
+                if perm.length() == top
+            }
+            assert truncation_product(problem, "cohomology") == k_layer
 
     def test_no_pivot_vanishing_on_s4(self):
         from schubert import pivots
