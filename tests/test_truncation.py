@@ -209,8 +209,7 @@ class TestSweeps:
         checked = 0
         for problem in truncation_problems(3, symmetric_group(3)):
             checked += 1
-            assert verify(problem, "K").match
-            assert verify(problem, "cohomology").match
+            assert_three_way(problem)
         assert checked > 100
 
     def test_three_way_verification_exhaustive_at_n4(self):
