@@ -8,10 +8,10 @@ polynomial -- a variable's exponent above 255 or a total degree above
 65,535, e.g. ``groth`` on a window longer than 256).  Results go to
 stdout, diagnostics to stderr.  The tree node ceiling can be set per
 invocation with ``--node-ceiling`` or globally with the
-``SCHUBERT_NODE_CEILING`` environment variable.  ``tree`` materialises
-the tree and counts its nodes, null leaves included, against the
-ceiling; ``product`` counts the distinct labels of the marching DAG it
-walks instead.
+``SCHUBERT_NODE_CEILING`` environment variable.  ``tree`` counts the
+nodes of the unfolded tree, null leaves included, against the ceiling
+before it builds any; ``product`` counts the distinct labels of the
+marching DAG it walks instead.
 """
 from __future__ import annotations
 

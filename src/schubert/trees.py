@@ -8,16 +8,12 @@ per non-empty subset of pivot rows.  A label with no pivots gets a
 single null child.
 
 The subtree under a vertex depends only on its label, so the tree is
-the unfolding of a marching DAG over distinct labels.
-:func:`leaf_counts` walks that DAG over raw windows, with the
-post-order walk that the Grothendieck transition formula also uses,
-marches each distinct window once and counts root-to-leaf paths; it
-builds no :class:`TreeNode`, wraps only the root's children and the
-labeled leaves in :class:`Permutation`, and is what detection and the
-marching products use.  :func:`build_tree` materialises the tree for
-the exports and the worked-example fixtures.  The node ceiling bounds
-the distinct labels of :func:`leaf_counts` and the nodes of
-:func:`build_tree`.
+the unfolding of a marching DAG over distinct labels.  One walk marches
+each distinct window once; :func:`leaf_counts` counts root-to-leaf
+paths over that DAG, and :func:`build_tree` unfolds it for the exports
+and the worked-example fixtures, sharing one tuple of child nodes
+between all vertices with the same label.  The node ceiling bounds the
+distinct labels of the first and the unfolded nodes of the second.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -28,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .diagram import Mode, _post_order, _window_marches, march_children
 from .permutations import Permutation, _last_descent
@@ -102,47 +98,61 @@ def _check_level_and_mode(t: int, mode: Mode) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _march_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:
+    """Each distinct window under beta, in post-order, mapped to its children
+    ``{rows: child window}`` in tree order: None for a leaf, {} for a
+    pivotless label (whose only child is the null leaf).  Raises
+    :class:`NodeCeilingExceeded` past ``ceiling`` distinct labels."""
+    labels = 0
+    root = beta.window
+
+    def expand(window: tuple[int, ...]) -> tuple[dict | None, Iterable[tuple[int, ...]]]:
+        nonlocal labels
+        labels += 1
+        if labels > ceiling:
+            raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
+        if _last_descent(window) <= t:
+            return None, ()
+        if window is root:
+            # Through the public march_children, which bench/tracer.py wraps,
+            # so traced runs still see tree marching in the diagram layer.
+            marches = {rows: child.window for rows, child in march_children(beta, mode)}
+        else:
+            marches = _window_marches(window, mode)[2]
+        return marches, marches.values()
+
+    dag: dict = {}
+    for window, marches in _post_order(root, expand, dag):
+        dag[window] = marches
+    return dag
+
+
 def build_tree(
     beta: Permutation,
     t: int,
     mode: Mode = "K",
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> MarchTree:
-    """Grow the marching tree rooted at beta with truncation level t.
-
-    Materialises every node, null leaves included, and raises
-    :class:`NodeCeilingExceeded` past ``node_ceiling`` of them.
-    """
+    """The marching tree rooted at beta with truncation level t: the
+    marching DAG of :func:`leaf_counts` unfolded, with one tuple of child
+    nodes per distinct label, shared by every vertex with that label.
+    Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null
+    leaves included), counted over the DAG before any node is built."""
     _check_level_and_mode(t, mode)
-    budget = node_ceiling
-
-    def start(label: Permutation | None, march: tuple[int, ...]) -> TreeNode | list:
-        """A finished leaf, or the frame [label, march, child specs, built children]."""
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-        if label is None or (label.last_descent() or 0) <= t:
-            return TreeNode(label, march, ())
-        specs = march_children(label, mode) or [((), None)]
-        return [label, march, iter(specs), []]
-
-    top = [None, (), iter([((), beta)]), []]  # a frame whose one child is the root
-    stack = [top]
-    while stack:
-        frame = stack[-1]
-        for rows, child in frame[2]:
-            item = start(child, rows)
-            if isinstance(item, TreeNode):
-                frame[3].append(item)
-            else:
-                stack.append(item)
-                break
-        else:
-            stack.pop()
-            if stack:
-                stack[-1][3].append(TreeNode(frame[0], frame[1], tuple(frame[3])))
-    return MarchTree(top[3][0], t, mode)
+    dag = _march_dag(beta, t, mode, node_ceiling, "nodes")
+    # A pivotless label ({}) has the null leaf as its only child.
+    sizes: dict[tuple[int, ...], int] = {}  # window -> nodes of its subtree
+    for window, marches in dag.items():
+        sizes[window] = 1 if marches is None else 1 + (sum(sizes[c] for c in marches.values()) or 1)
+    if sizes[beta.window] > node_ceiling:  # the root's subtree is the largest
+        raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
+    null = (TreeNode(None, (), ()),)
+    children: dict[tuple[int, ...], tuple[TreeNode, ...]] = {}  # one tuple per distinct label
+    for window, marches in dag.items():
+        children[window] = () if marches is None else tuple(
+            TreeNode(Permutation._trusted(c), rows, children[c]) for rows, c in marches.items()
+        ) or null
+    return MarchTree(TreeNode(beta, (), children[beta.window]), t, mode)
 
 
 def leaf_counts(
@@ -153,59 +163,30 @@ def leaf_counts(
 ) -> LeafSummary:
     """The leaf summary of ``build_tree(beta, t, mode)`` without building it.
 
-    A depth-first walk expands each distinct label once, in post-order;
-    path multiplicities then flow from the root in reverse post-order,
-    which lists every label before its children (the labels form a DAG:
-    a label below itself would make its tree infinite).  Raises
+    Path multiplicities flow from the root in reverse post-order, which
+    lists every label before its children.  Raises
     :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
     """
     _check_level_and_mode(t, mode)
-    labels = 0
-    root = beta.window
-
-    def expand(window: tuple[int, ...]) -> tuple[tuple, tuple]:
-        """(children in the tree, the windows among them): () for a leaf,
-        and (None,) for a pivotless label whose only child is the null leaf."""
-        nonlocal labels
-        labels += 1
-        if labels > node_ceiling:
-            raise NodeCeilingExceeded(f"more than {node_ceiling} distinct labels")
-        if _last_descent(window) <= t:
-            return (), ()
-        if window is root:
-            # Through the public march_children, which bench/tracer.py wraps,
-            # so traced runs still see tree marching in the diagram layer.
-            kids = tuple(child.window for _, child in march_children(beta, mode))
-        else:
-            kids = tuple(_window_marches(window, mode)[2].values())
-        return kids or (None,), kids
-
-    nodes: dict[tuple[int, ...], tuple] = {}  # window -> its children, in post-order
-    for window, kids in _post_order(root, expand, nodes):
-        nodes[window] = kids
-    paths = {root: 1}
+    dag = _march_dag(beta, t, mode, node_ceiling, "distinct labels")
+    paths = {beta.window: 1}
     counts: dict[Permutation, int] = {}
     nulls = 0
-    for window, kids in reversed(nodes.items()):
+    for window, marches in reversed(dag.items()):
         count = paths.pop(window)
-        if not kids:
+        if marches is None:
             counts[Permutation._trusted(window)] = count
-        for child in kids:
-            if child is None:
-                nulls += count
-            else:
+        elif not marches:
+            nulls += count
+        else:
+            for child in marches.values():
                 paths[child] = paths.get(child, 0) + count
     return LeafSummary(counts, nulls)
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:
-    counts: Counter[Permutation] = Counter()
-    nulls = 0
-    for leaf in tree.leaves():
-        if leaf.label is None:
-            nulls += 1
-        else:
-            counts[leaf.label] += 1
+    counts = Counter(leaf.label for leaf in tree.leaves())
+    nulls = counts.pop(None, 0)
     return LeafSummary(dict(counts), nulls)
 
 
@@ -233,16 +214,16 @@ def _label_text(node: TreeNode) -> str:
 
 
 def to_text(tree: MarchTree) -> str:
-    lines: list[str] = []
-    stack = [(tree.root, 0)]
+    edges: dict[int, str] = {}  # id(node) -> "--I--> label", rendered once per node object
+    lines = [_label_text(tree.root)]
+    stack = [(child, 1) for child in reversed(tree.root.children)]
     while stack:
         node, depth = stack.pop()
-        if depth == 0:
-            lines.append(_label_text(node))
-        else:
-            rows = ",".join(str(i) for i in node.march)
-            lines.append(f"{'  ' * depth}--{rows}--> {_label_text(node)}")
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        edge = edges.get(id(node))
+        if edge is None:
+            edge = edges[id(node)] = f"--{','.join(map(str, node.march))}--> {_label_text(node)}"
+        lines.append("  " * depth + edge)
+        stack += [(child, depth + 1) for child in reversed(node.children)]
     return "\n".join(lines)
 
 
@@ -255,10 +236,8 @@ def to_json_obj(tree: MarchTree) -> dict:
     stack = [(tree.root, root)]
     while stack:
         node, obj = stack.pop()
-        for child in node.children:
-            child_obj = encode(child)
-            obj["children"].append(child_obj)
-            stack.append((child, child_obj))
+        obj["children"] = [encode(child) for child in node.children]
+        stack += zip(node.children, obj["children"])
     return root
 
 
@@ -269,6 +248,7 @@ def to_json(tree: MarchTree) -> str:
     A node at depth d opens its object at indent 4d, its keys sit at
     4d + 2 and the items of its lists at 4d + 4.
     """
+    labels: dict[int, str] = {}  # id(node) -> its encoded label
     parts: list[str] = []
     stack: list[str | tuple[TreeNode, int]] = [(tree.root, 0)]
     while stack:
@@ -280,7 +260,11 @@ def to_json(tree: MarchTree) -> str:
         close = "\n" + "  " * (2 * depth)
         key = close + "  "
         entry = key + "  "
-        label = "null" if node.label is None else encode_basestring(node.label.text())
+        label = labels.get(id(node))
+        if label is None:
+            label = labels[id(node)] = (
+                "null" if node.label is None else encode_basestring(node.label.text())
+            )
         march = (
             "[" + entry + ("," + entry).join(map(str, node.march)) + key + "]"
             if node.march
@@ -300,13 +284,28 @@ def to_json(tree: MarchTree) -> str:
 
 
 def to_dot(tree: MarchTree) -> str:
-    nodes = list(tree.nodes())
-    ids = {id(node): k for k, node in enumerate(nodes)}
+    """Nodes numbered n0, n1, ... in preorder: a node's children follow it,
+    each after the whole subtree of the one before.  One post-order pass
+    sizes and renders each node object once, however often it occurs."""
+    layout: dict[int, tuple[int, str, str]] = {}  # id(node) -> (size, vertex, edge in)
+    stack = [tree.root]
+    while stack:
+        node = stack[-1]
+        pending = [child for child in node.children if id(child) not in layout]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        size = 1 + sum(layout[id(child)][0] for child in node.children)
+        label, rows = _label_text(node), ",".join(map(str, node.march))
+        layout[id(node)] = (size, f' [label="{label}"];', f' [label="{rows}"];')
     lines = ["digraph march_tree {"]
-    for k, node in enumerate(nodes):
-        lines.append(f'  n{k} [label="{_label_text(node)}"];')
+    for k, node in enumerate(tree.nodes()):
+        lines.append(f"  n{k}{layout[id(node)][1]}")
+        j = k + 1
         for child in node.children:
-            rows = ",".join(str(i) for i in child.march)
-            lines.append(f'  n{k} -> n{ids[id(child)]} [label="{rows}"];')
+            size, _, edge = layout[id(child)]
+            lines.append(f"  n{k} -> n{j}{edge}")
+            j += size
     lines.append("}")
     return "\n".join(lines)
