@@ -24,6 +24,7 @@ from schubert import (
     unique_labeled_leaf,
 )
 from schubert.cli import run
+from schubert.diagram import march_children
 from schubert.grothendieck import parse_expansion
 from schubert.trees import to_json_obj
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
@@ -31,6 +32,42 @@ from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
 ID = Permutation.identity()
 FIGURE_2_LEAVES = parse_expansion(FIGURE_2["leaves"])
 FIGURE_2_COUNTS = {perm: abs(c) for perm, c in FIGURE_2_LEAVES.items()}
+
+
+def grown_tree(beta: Permutation, t: int, mode: str = "K") -> MarchTree:
+    """The marching tree grown node by node through ``march_children``, on
+    an explicit stack, with no node shared: the oracle of ``build_tree``."""
+
+    def start(label: Permutation | None, march: tuple[int, ...]) -> TreeNode | list:
+        """A finished leaf, or the frame [label, march, child specs, built children]."""
+        if label is None or (label.last_descent() or 0) <= t:
+            return TreeNode(label, march, ())
+        specs = march_children(label, mode) or [((), None)]
+        return [label, march, iter(specs), []]
+
+    top = [None, (), iter([((), beta)]), []]  # a frame whose one child is the root
+    stack = [top]
+    while stack:
+        frame = stack[-1]
+        for rows, child in frame[2]:
+            item = start(child, rows)
+            if isinstance(item, TreeNode):
+                frame[3].append(item)
+            else:
+                stack.append(item)
+                break
+        else:
+            stack.pop()
+            if stack:
+                stack[-1][3].append(TreeNode(frame[0], frame[1], tuple(frame[3])))
+    return MarchTree(top[3][0], t, mode)
+
+
+def assert_same_exports(tree: MarchTree, oracle: MarchTree) -> None:
+    assert sum(1 for _ in tree.nodes()) == sum(1 for _ in oracle.nodes())
+    assert to_json(tree) == to_json(oracle)
+    assert to_dot(tree) == to_dot(oracle)
+    assert to_text(tree) == to_text(oracle)
 
 
 def paths(tree: MarchTree) -> dict[tuple, Permutation | None]:
@@ -226,6 +263,30 @@ class TestSerialization:
             "}"
         )
 
+    def test_dot_numbers_a_shared_node_at_each_occurrence(self):
+        P = Permutation.parse
+        leaf = TreeNode(P("21"), (1,), ())  # one object under both children
+        left, right = TreeNode(P("231"), (1,), (leaf,)), TreeNode(P("312"), (2,), (leaf,))
+        tree = MarchTree(TreeNode(P("321"), (), (left, right)), 1, "K")
+        assert to_dot(tree) == (
+            "digraph march_tree {\n"
+            '  n0 [label="321"];\n'
+            '  n0 -> n1 [label="1"];\n'
+            '  n0 -> n3 [label="2"];\n'
+            '  n1 [label="231"];\n'
+            '  n1 -> n2 [label="1"];\n'
+            '  n2 [label="21"];\n'
+            '  n3 [label="312"];\n'
+            '  n3 -> n4 [label="1"];\n'
+            '  n4 [label="21"];\n'
+            "}"
+        )
+        copy = TreeNode(P("21"), (1,), ())
+        unshared = MarchTree(
+            TreeNode(P("321"), (), (left, TreeNode(P("312"), (2,), (copy,)))), 1, "K"
+        )
+        assert_same_exports(tree, unshared)
+
     def test_null_leaf_serialization(self):
         tree = build_tree(Permutation.parse("231"), 1, "K")
         assert to_text(tree) == "231\n  ----> ∅"
@@ -235,6 +296,51 @@ class TestSerialization:
         obj = json.loads(to_json(tree))
         assert obj["children"][0]["label"] is None
         assert obj["children"][0]["march"] == []
+
+
+class TestUnfolding:
+    """build_tree unfolds the marching DAG; the node-by-node growth is its oracle."""
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_matches_the_grown_tree_on_every_s4_star_root(self, mode):
+        rng = random.Random(2012)
+        s4 = list(symmetric_group(4))
+        for sigma, alpha in itertools.product(s4, s4):
+            root = sigma.star(alpha, 4)
+            for t in rng.sample(range(max(1, sigma.last_descent() or 0), 9), 2):
+                assert_same_exports(build_tree(root, t, mode), grown_tree(root, t, mode))
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_matches_the_grown_tree_on_sampled_s5_star_roots(self, mode):
+        # At the smallest level, where the trees are largest (up to 21,555 nodes).
+        rng = random.Random(2013)
+        s5 = list(symmetric_group(5))
+        for _ in range(50):
+            sigma, alpha = rng.choice(s5), rng.choice(s5)
+            root, t = sigma.star(alpha, 5), max(1, sigma.last_descent() or 0)
+            assert_same_exports(build_tree(root, t, mode), grown_tree(root, t, mode))
+
+    def test_children_are_shared_per_label(self):
+        tree = build_tree(Permutation.parse("43218765"), 3, "K")
+        nodes = list(tree.nodes())
+        labels = {node.label for node in nodes if node.label is not None}
+        assert (len(nodes), len(labels)) == (1899, 608)
+        shared = {id(node.children) for node in nodes if node.children}
+        assert len(shared) <= len(labels)
+
+    def test_ceiling_counts_every_unfolded_node(self):
+        root = Permutation.parse("43218765")
+        with pytest.raises(NodeCeilingExceeded, match="more than 1898 nodes"):
+            build_tree(root, 3, "K", node_ceiling=1898)
+        assert sum(1 for _ in build_tree(root, 3, "K", node_ceiling=1899).nodes()) == 1899
+
+    def test_cli_stops_at_the_ceiling_before_writing(self, capsys):
+        argv = ["tree", "43218765", "--t", "3", "--node-ceiling"]
+        assert run(argv + ["1898"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 1898 nodes" in err
+        assert run(argv + ["1899"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1899
 
 
 def summary_pair(summary):
