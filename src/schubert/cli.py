@@ -193,12 +193,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     ceiling = args.node_ceiling if args.node_ceiling is not None else _default_ceiling()
     mode = "cohomology" if args.cohomology else "K"
     tree = build_tree(p, args.t, mode, ceiling)
-    if args.format == "text":
-        print(to_text(tree))
-    elif args.format == "json":
-        print(to_json(tree))
-    else:
-        print(to_dot(tree))
+    print({"text": to_text, "json": to_json, "dot": to_dot}[args.format](tree))
     return EXIT_OK
 
 

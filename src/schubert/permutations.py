@@ -173,17 +173,6 @@ class Permutation:
         d = self.descents()
         return d[0] if len(d) == 1 else None
 
-    def is_vexillary(self) -> bool:
-        """True iff the window avoids the pattern 2143.
-
-        Exhaustive subsequence scan; windows at this scale are tiny.
-        """
-        w = self.window
-        for i, j, k, l in itertools.combinations(range(len(w)), 4):
-            if w[j] < w[i] < w[l] < w[k]:
-                return False
-        return True
-
     # -- structural operations ---------------------------------------
 
     def transpose(self, i: int, j: int) -> Permutation:
@@ -214,12 +203,6 @@ class Permutation:
             raise ValueError("stabilization shift must be non-negative")
         values = tuple(range(1, n + 1)) + tuple(n + v for v in self.window)
         return Permutation(values)
-
-    def w0_conjugate(self, n: int) -> Permutation:
-        """Conjugation by the longest element of S_n; an involution."""
-        if self.size() > n:
-            raise ValueError(f"window exceeds S_{n}")
-        return Permutation(tuple(n + 1 - self(n + 1 - i) for i in range(1, n + 1)))
 
 
 def _trim(values: list[int]) -> tuple[int, ...]:

@@ -10,10 +10,11 @@ single null child.
 The subtree under a vertex depends only on its label, so the tree is
 the unfolding of a marching DAG over distinct labels.  One walk marches
 each distinct window once; :func:`leaf_counts` counts root-to-leaf
-paths over that DAG, and :func:`build_tree` unfolds it for the exports
-and the worked-example fixtures, sharing one tuple of child nodes
-between all vertices with the same label.  The node ceiling bounds the
-distinct labels of the first and the unfolded nodes of the second.
+paths over that DAG, and :func:`build_tree` keeps it, with subtree
+sizes, for the exporters to write from in preorder.  Its
+:class:`TreeNode` objects are built only when ``MarchTree.root`` is
+read.  The node ceiling bounds the distinct labels of the first and the
+unfolded nodes of the second.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .diagram import Mode, _post_order, _window_marches, march_children
 from .permutations import Permutation, _last_descent
@@ -57,11 +58,54 @@ class TreeNode:
             stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
+class _Unfolding(NamedTuple):
+    """A tree's distinct vertices, children before parents and the root last."""
+
+    root_march: tuple[int, ...]
+    out: list[list[tuple[tuple[int, ...], int]]]  # per vertex: (march set, child) pairs
+    labels: list[Permutation | None]  # per vertex: None for the null leaf
+    texts: list[str]  # per vertex: its label's text, "∅" for the null leaf
+    sizes: list[int]  # per vertex: the nodes of its subtree
+
+
+def _unfold(vertices: Iterable[tuple], root_march: tuple[int, ...]) -> _Unfolding:
+    """The unfolding of ``(key, label, [(march set, child key)])`` listed
+    with every child before its parent and the root last; vertex 0, keyed
+    None, is the null leaf."""
+    index: dict = {None: 0}
+    out, labels, texts, sizes = [[]], [None], ["∅"], [1]
+    for key, label, edges in vertices:
+        index[key] = len(out)
+        out.append([(rows, index[child]) for rows, child in edges])
+        labels.append(label)
+        texts.append("∅" if label is None else label.text())
+        sizes.append(1 + sum([sizes[v] for _, v in out[-1]]))
+    return _Unfolding(root_march, out, labels, texts, sizes)
+
+
 class MarchTree:
-    root: TreeNode
-    t: int
-    mode: Mode
+    """A marching tree at truncation level t in a mode.  The exporters
+    write from its unfolding, which :func:`build_tree` keeps and builds
+    ``root`` from on first read; a hand-built ``root`` is unfolded."""
+
+    def __init__(self, root: TreeNode, t: int, mode: Mode) -> None:
+        self._root, self._unfolding, self.t, self.mode = root, None, t, mode
+
+    @property
+    def root(self) -> TreeNode:
+        if self._root is None:  # one tuple of child nodes per vertex
+            view, children = self._unfolding, []
+            for edges in view.out:
+                children.append(tuple(TreeNode(view.labels[v], m, children[v]) for m, v in edges))
+            self._root = TreeNode(view.labels[-1], view.root_march, children[-1])
+        return self._root
+
+    def _unfolded(self) -> _Unfolding:
+        if self._unfolding is None:  # hand-built: every node a vertex, children before parents
+            nodes = reversed(list(self._root.walk()))
+            vertices = ((id(n), n.label, [(c.march, id(c)) for c in n.children]) for n in nodes)
+            self._unfolding = _unfold(vertices, self._root.march)
+        return self._unfolding
 
     def nodes(self) -> Iterator[TreeNode]:
         return self.root.walk()
@@ -134,25 +178,22 @@ def build_tree(
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> MarchTree:
     """The marching tree rooted at beta with truncation level t: the
-    marching DAG of :func:`leaf_counts` unfolded, with one tuple of child
-    nodes per distinct label, shared by every vertex with that label.
-    Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null
-    leaves included), counted over the DAG before any node is built."""
+    marching DAG of :func:`leaf_counts` with its subtree sizes.  Its
+    :class:`TreeNode` objects, one tuple of children per distinct label,
+    are built when ``root`` is first read.  Raises
+    :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null leaves
+    included), counted over the DAG before any node is built."""
     _check_level_and_mode(t, mode)
     dag = _march_dag(beta, t, mode, node_ceiling, "nodes")
-    # A pivotless label ({}) has the null leaf as its only child.
-    sizes: dict[tuple[int, ...], int] = {}  # window -> nodes of its subtree
-    for window, marches in dag.items():
-        sizes[window] = 1 if marches is None else 1 + (sum(sizes[c] for c in marches.values()) or 1)
-    if sizes[beta.window] > node_ceiling:  # the root's subtree is the largest
+    vertices = (  # a pivotless label ({}) has the null leaf as its only child
+        (w, Permutation._trusted(w), () if marches is None else marches.items() or [((), None)])
+        for w, marches in dag.items()
+    )
+    tree = MarchTree.__new__(MarchTree)
+    tree._root, tree._unfolding, tree.t, tree.mode = None, _unfold(vertices, ()), t, mode
+    if tree._unfolding.sizes[-1] > node_ceiling:  # the root's subtree is the largest
         raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-    null = (TreeNode(None, (), ()),)
-    children: dict[tuple[int, ...], tuple[TreeNode, ...]] = {}  # one tuple per distinct label
-    for window, marches in dag.items():
-        children[window] = () if marches is None else tuple(
-            TreeNode(Permutation._trusted(c), rows, children[c]) for rows, c in marches.items()
-        ) or null
-    return MarchTree(TreeNode(beta, (), children[beta.window]), t, mode)
+    return tree
 
 
 def leaf_counts(
@@ -209,103 +250,84 @@ def unique_labeled_leaf(
 # -- serialization ---------------------------------------------------------
 
 
-def _label_text(node: TreeNode) -> str:
-    return "∅" if node.label is None else node.label.text()
+def _preorder(view: _Unfolding) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(march set, vertex, depth) of every node in preorder, the root first."""
+    out = view.out
+    stack = [iter([(view.root_march, len(out) - 1)])]  # the nodes still to visit, per depth
+    while stack:
+        depth = len(stack) - 1
+        for rows, v in stack[-1]:
+            yield rows, v, depth
+            if out[v]:
+                stack.append(iter(out[v]))
+                break
+        else:
+            stack.pop()
 
 
 def to_text(tree: MarchTree) -> str:
-    edges: dict[int, str] = {}  # id(node) -> "--I--> label", rendered once per node object
-    lines = [_label_text(tree.root)]
-    stack = [(child, 1) for child in reversed(tree.root.children)]
-    while stack:
-        node, depth = stack.pop()
-        edge = edges.get(id(node))
-        if edge is None:
-            edge = edges[id(node)] = f"--{','.join(map(str, node.march))}--> {_label_text(node)}"
-        lines.append("  " * depth + edge)
-        stack += [(child, depth + 1) for child in reversed(node.children)]
+    """The root's label, then one line per other node in preorder: two
+    spaces per depth, then ``--I--> label``."""
+    view = tree._unfolded()
+    lines, rendered = [], {}  # rendered: (march set, vertex, depth) -> line
+    for node in _preorder(view):
+        line = rendered.get(node)
+        if line is None:
+            rows, v, depth = node
+            line = f"{'  ' * depth}--{','.join(map(str, rows))}--> {view.texts[v]}"
+            rendered[node] = line
+        lines.append(line)
+    lines[0] = view.texts[-1]  # the root's line is its label alone
     return "\n".join(lines)
 
 
-def to_json_obj(tree: MarchTree) -> dict:
-    def encode(node: TreeNode) -> dict:
-        label = None if node.label is None else node.label.text()
-        return {"label": label, "march": list(node.march), "children": []}
-
-    root = encode(tree.root)
-    stack = [(tree.root, root)]
-    while stack:
-        node, obj = stack.pop()
-        obj["children"] = [encode(child) for child in node.children]
-        stack += zip(node.children, obj["children"])
-    return root
-
-
 def to_json(tree: MarchTree) -> str:
-    """Exactly ``json.dumps(to_json_obj(tree), ensure_ascii=False, indent=2)``,
-    written in one pass.
-
-    A node at depth d opens its object at indent 4d, its keys sit at
-    4d + 2 and the items of its lists at 4d + 4.
-    """
-    labels: dict[int, str] = {}  # id(node) -> its encoded label
-    parts: list[str] = []
-    stack: list[str | tuple[TreeNode, int]] = [(tree.root, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        node, depth = item
-        close = "\n" + "  " * (2 * depth)
-        key = close + "  "
-        entry = key + "  "
-        label = labels.get(id(node))
-        if label is None:
-            label = labels[id(node)] = (
-                "null" if node.label is None else encode_basestring(node.label.text())
-            )
-        march = (
-            "[" + entry + ("," + entry).join(map(str, node.march)) + key + "]"
-            if node.march
-            else "[]"
-        )
-        parts.append(f'{{{key}"label": {label},{key}"march": {march},{key}"children": ')
-        if not node.children:
-            parts.append("[]" + close + "}")
-            continue
-        parts.append("[" + entry)
-        stack.append(key + "]" + close + "}")
-        separator = "," + entry
-        for child in reversed(node.children[1:]):
-            stack += ((child, depth + 1), separator)
-        stack.append((node.children[0], depth + 1))
+    """Nested ``{"label", "march", "children"}`` objects (null for the
+    null leaf's label) exactly as ``json.dumps(..., ensure_ascii=False,
+    indent=2)`` writes them.  A node at depth d opens its object at indent
+    4d, its keys sit at 4d + 2 and the items of its lists at 4d + 4."""
+    view = tree._unfolded()
+    out, labels, texts = view.out, view.labels, view.texts
+    parts, rendered = [], {}  # rendered: (march set, vertex, depth) -> text up to the children
+    closings, previous = [], -1  # per depth: after the children; the depth of the node before
+    for node in _preorder(view):
+        rows, v, depth = node
+        if depth == len(closings):
+            close = "\n" + "  " * (2 * depth)
+            closings.append(close + "  ]" + close + "}")
+        if depth <= previous:  # after a leaf: end the lists of its ancestors down to depth
+            parts += reversed(closings[depth:previous])
+            parts.append(",")
+        previous = depth
+        text = rendered.get(node)
+        if text is None:  # the node's own line break and indent first
+            close = "\n" + "  " * (2 * depth)
+            key, entry = close + "  ", close + "    "
+            label = "null" if labels[v] is None else encode_basestring(texts[v])
+            items = "[" + entry + ("," + entry).join(map(str, rows)) + key + "]" if rows else "[]"
+            tail = "[" if out[v] else "[]" + close + "}"
+            text = f'{close}{{{key}"label": {label},{key}"march": {items},{key}"children": {tail}'
+            rendered[node] = text
+        parts.append(text)
+    parts += reversed(closings[:previous])
+    parts[0] = parts[0][1:]  # the root's object opens the text
     return "".join(parts)
 
 
 def to_dot(tree: MarchTree) -> str:
     """Nodes numbered n0, n1, ... in preorder: a node's children follow it,
-    each after the whole subtree of the one before.  One post-order pass
-    sizes and renders each node object once, however often it occurs."""
-    layout: dict[int, tuple[int, str, str]] = {}  # id(node) -> (size, vertex, edge in)
-    stack = [tree.root]
-    while stack:
-        node = stack[-1]
-        pending = [child for child in node.children if id(child) not in layout]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        size = 1 + sum(layout[id(child)][0] for child in node.children)
-        label, rows = _label_text(node), ",".join(map(str, node.march))
-        layout[id(node)] = (size, f' [label="{label}"];', f' [label="{rows}"];')
+    each after the whole subtree of the one before."""
+    view = tree._unfolded()
+    out, sizes = view.out, view.sizes
+    vertices = [f' [label="{text}"];' for text in view.texts]
+    marches = {rows for edges in out for rows, _ in edges}
+    edges = {rows: f' [label="{",".join(map(str, rows))}"];' for rows in marches}
     lines = ["digraph march_tree {"]
-    for k, node in enumerate(tree.nodes()):
-        lines.append(f"  n{k}{layout[id(node)][1]}")
-        j = k + 1
-        for child in node.children:
-            size, _, edge = layout[id(child)]
-            lines.append(f"  n{k} -> n{j}{edge}")
-            j += size
+    for k, (_, v, _) in enumerate(_preorder(view)):
+        name, j = f"  n{k}", k + 1
+        lines.append(name + vertices[v])
+        for rows, c in out[v]:
+            lines.append(f"{name} -> n{j}{edges[rows]}")
+            j += sizes[c]
     lines.append("}")
     return "\n".join(lines)

@@ -24,6 +24,9 @@ from schubert import (
     structure_constants,
     symmetric_group,
     build_tree,
+    to_dot,
+    to_json,
+    to_text,
     truncate_grothendieck_via_tree,
     truncation_product,
     unique_labeled_leaf,
@@ -31,6 +34,8 @@ from schubert import (
 )
 from schubert.grothendieck import parse_expansion
 from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, EXAMPLE_5, FIGURE_2
+
+from permutation_helpers import is_vexillary
 
 ID = Permutation.identity()
 
@@ -167,7 +172,7 @@ def test_criterion_9_property_suites():
 
         # Vexillary permutations have at most one labeled leaf.
         for beta in symmetric_group(5):
-            if not beta.is_vexillary():
+            if not is_vexillary(beta):
                 continue
             for s in (1, 2, 3, 4):
                 summary = leaf_summary(build_tree(beta, s, "K"))
@@ -192,3 +197,17 @@ def test_criterion_9_property_suites():
             if tau.is_identity() or pivots(tau):
                 continue
             assert grothendieck(tau).truncate(tau.last_descent() - 1).is_zero()
+
+
+def test_criterion_10_export_at_s5_scale():
+    # The benchmark's two export trees: the K trees of these S_5 pairs at
+    # their smallest level, t = 4, each about 20k nodes.
+    cases = [("54213", "54321", 19739), ("54321", "53421", 19638)]
+    problems = [(detect(Permutation.parse(s), Permutation.parse(a), 5, 4), n) for s, a, n in cases]
+    with criterion(10, "JSON, DOT and text export of two 20k-node S_5 trees", 5.0):
+        for problem, nodes in problems:
+            tree = build_tree(problem.star_root(), problem.t, "K")
+            encoded, dot, text = to_json(tree), to_dot(tree), to_text(tree)
+            assert encoded.count('"label": ') == nodes
+            assert dot.count(" -> ") == nodes - 1
+            assert text.count("\n") == nodes - 1

@@ -26,8 +26,9 @@ from schubert import (
 from schubert.cli import run
 from schubert.diagram import march_children
 from schubert.grothendieck import parse_expansion
-from schubert.trees import to_json_obj
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
+
+from permutation_helpers import is_vexillary
 
 ID = Permutation.identity()
 FIGURE_2_LEAVES = parse_expansion(FIGURE_2["leaves"])
@@ -63,11 +64,61 @@ def grown_tree(beta: Permutation, t: int, mode: str = "K") -> MarchTree:
     return MarchTree(top[3][0], t, mode)
 
 
+def to_json_obj(tree: MarchTree) -> dict:
+    """The tree as nested {"label", "march", "children"} objects, built node
+    by node from its TreeNodes: ``json.dumps`` of it is the oracle of
+    ``to_json``."""
+
+    def encode(node: TreeNode) -> dict:
+        label = None if node.label is None else node.label.text()
+        return {"label": label, "march": list(node.march), "children": []}
+
+    root = encode(tree.root)
+    stack = [(tree.root, root)]
+    while stack:
+        node, obj = stack.pop()
+        obj["children"] = [encode(child) for child in node.children]
+        stack += zip(node.children, obj["children"])
+    return root
+
+
+def dot_and_text(tree: MarchTree) -> tuple[str, str]:
+    """DOT and text written node by node from the tree's TreeNodes, each
+    node numbered by its position in preorder: the oracle of ``to_dot``
+    and ``to_text``."""
+    order = []  # (node, depth, number of its parent) in preorder
+    stack = [(tree.root, 0, -1)]
+    while stack:
+        node, depth, parent = stack.pop()
+        stack += [(child, depth + 1, len(order)) for child in reversed(node.children)]
+        order.append((node, depth, parent))
+    children = [[] for _ in order]
+    for k, (_, _, parent) in enumerate(order[1:], 1):
+        children[parent].append(k)
+
+    def label(node: TreeNode) -> str:
+        return "∅" if node.label is None else node.label.text()
+
+    def rows(node: TreeNode) -> str:
+        return ",".join(map(str, node.march))
+
+    dot = ["digraph march_tree {"]
+    for k, (node, _, _) in enumerate(order):
+        dot.append(f'  n{k} [label="{label(node)}"];')
+        dot += [f'  n{k} -> n{j} [label="{rows(order[j][0])}"];' for j in children[k]]
+    dot.append("}")
+    text = [label(tree.root)]
+    text += ["  " * depth + f"--{rows(node)}--> {label(node)}" for node, depth, _ in order[1:]]
+    return "\n".join(dot), "\n".join(text)
+
+
 def assert_same_exports(tree: MarchTree, oracle: MarchTree) -> None:
+    """tree, and oracle unfolded from its own nodes, export as the
+    node-by-node oracles write oracle."""
     assert sum(1 for _ in tree.nodes()) == sum(1 for _ in oracle.nodes())
-    assert to_json(tree) == to_json(oracle)
-    assert to_dot(tree) == to_dot(oracle)
-    assert to_text(tree) == to_text(oracle)
+    expected = (json.dumps(to_json_obj(oracle), ensure_ascii=False, indent=2), *dot_and_text(oracle))
+    for exported in (tree, oracle):
+        assert (to_json(exported), to_dot(exported), to_text(exported)) == expected
 
 
 def paths(tree: MarchTree) -> dict[tuple, Permutation | None]:
@@ -192,7 +243,7 @@ class TestPruning:
 class TestSingleLeafFamilies:
     def test_vexillary_bound_on_s5(self):
         for beta in symmetric_group(5):
-            if not beta.is_vexillary():
+            if not is_vexillary(beta):
                 continue
             for s in (1, 2, 3, 4):
                 summary = leaf_summary(build_tree(beta, s, "K"))
@@ -327,6 +378,29 @@ class TestUnfolding:
         assert (len(nodes), len(labels)) == (1899, 608)
         shared = {id(node.children) for node in nodes if node.children}
         assert len(shared) <= len(labels)
+
+    def test_exports_build_no_tree_node_and_root_builds_them_once(self, monkeypatch):
+        built = []
+        init = TreeNode.__init__
+
+        def counting_init(node, *args):
+            built.append(node)
+            init(node, *args)
+
+        monkeypatch.setattr(TreeNode, "__init__", counting_init)
+        root = Permutation.parse("43218765")
+        with pytest.raises(NodeCeilingExceeded, match="more than 1898 nodes"):
+            build_tree(root, 3, "K", node_ceiling=1898)
+        tree = build_tree(root, 3, "K", node_ceiling=1899)
+        exports = to_json(tree), to_dot(tree), to_text(tree)
+        assert built == []
+        assert tree.root is tree.root
+        count = len(built)
+        assert 0 < count < 1899  # one node per distinct edge, not per vertex
+        assert sum(1 for _ in tree.nodes()) == 1899
+        assert summary_pair(leaf_summary(tree)) == summary_pair(leaf_counts(root, 3, "K"))
+        assert (to_json(tree), to_dot(tree), to_text(tree)) == exports
+        assert len(built) == count
 
     def test_ceiling_counts_every_unfolded_node(self):
         root = Permutation.parse("43218765")

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import random
 
@@ -18,6 +19,8 @@ from schubert import (
 )
 from schubert.grothendieck import expand_in_basis, parse_expansion
 from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION_IDENTITY
+
+from permutation_helpers import w0_conjugate
 
 ID = Permutation.identity()
 
@@ -204,6 +207,27 @@ class TestVerify:
         assert report.discrepancies == expected
 
 
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_one_basis_expansion_when_the_factors_agree(self, mode, monkeypatch):
+        # The product route is a copy of the oracle exactly when
+        # r_t(G_{id * alpha}) = G_rho; only a mismatch expands it on its own.
+        calls = []
+        for name in ("schubert.grothendieck", "schubert.truncation"):
+            module = importlib.import_module(name)
+            monkeypatch.setattr(
+                module,
+                "expand_in_basis",
+                lambda f, expand=module.expand_in_basis: calls.append(f) or expand(f),
+            )
+        problem = problem_of(EXAMPLE_4)
+        assert verify(problem, mode).match
+        assert len(calls) == 1
+        calls.clear()
+        wrong = dataclasses.replace(problem, rho=Permutation.parse("213"))
+        assert not verify(wrong, mode).match
+        assert len(calls) == 2
+
+
 class TestSweeps:
     def test_three_way_verification_on_s3(self):
         checked = 0
@@ -256,8 +280,8 @@ class TestSweeps:
             constants = structure_constants(sigma, rho)
             base = max([sigma.size(), rho.size(), 2] + [p.size() for p in constants])
             for n in (base, base + 1):
-                flipped = structure_constants(sigma.w0_conjugate(n), rho.w0_conjugate(n))
+                flipped = structure_constants(w0_conjugate(sigma, n), w0_conjugate(rho, n))
                 restricted = {p: c for p, c in flipped.items() if p.size() <= n}
                 assert restricted == {
-                    p.w0_conjugate(n): c for p, c in constants.items() if p.size() <= n
+                    w0_conjugate(p, n): c for p, c in constants.items() if p.size() <= n
                 }
