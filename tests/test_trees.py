@@ -116,7 +116,8 @@ def assert_same_exports(tree: MarchTree, oracle: MarchTree) -> None:
     """tree, and oracle unfolded from its own nodes, export as the
     node-by-node oracles write oracle."""
     assert sum(1 for _ in tree.nodes()) == sum(1 for _ in oracle.nodes())
-    expected = (json.dumps(to_json_obj(oracle), ensure_ascii=False, indent=2), *dot_and_text(oracle))
+    encoded = json.dumps(to_json_obj(oracle), ensure_ascii=False, indent=2)
+    expected = (encoded, *dot_and_text(oracle))
     for exported in (tree, oracle):
         assert (to_json(exported), to_dot(exported), to_text(exported)) == expected
 
