@@ -1,15 +1,15 @@
 """Command-line surface: diagrams, marches, trees, polynomials, products.
 
 Exit codes: 0 success, 1 a worked-example fixture of ``verify-paper``
-failed, 2 usage or parse error, 3 precondition failure, 4 resource
-ceiling (the tree node ceiling, the oracle window ceiling, the
-basis-expansion strip ceiling, or the packed-exponent ceiling of a
-polynomial -- a variable's exponent above 255 or a total degree above
-65,535, e.g. ``groth`` on a window longer than 256).  Results go to
-stdout, diagnostics to stderr.  The tree node ceiling can be set per
-invocation with ``--node-ceiling`` or globally with the
-``SCHUBERT_NODE_CEILING`` environment variable.  ``tree`` counts the
-nodes of the unfolded tree, null leaves included, against the ceiling
+failed, 2 usage or parse error, 3 precondition failure, 4 any
+:class:`schubert.poly.CeilingExceeded`: the tree node ceiling, the
+oracle window ceiling, the basis-expansion strip ceiling, or the
+packed-exponent ceiling of a polynomial (a variable's exponent above
+255 or a total degree above 65,535, e.g. ``groth`` on a window longer
+than 256).  Results go to stdout, diagnostics to stderr.  ``tree`` and
+``product`` take the node ceiling from ``--node-ceiling``, else from the
+``SCHUBERT_NODE_CEILING`` environment variable, else 10^6.  ``tree``
+counts the nodes of the unfolded tree, null leaves included, against it
 before it builds any; ``product`` counts the distinct labels of the
 marching DAG it walks instead.
 """
@@ -33,18 +33,16 @@ from .diagram import (
     transition_pair,
 )
 from .grothendieck import (
-    ExpansionCeilingExceeded,
     expansion_to_json,
     grothendieck,
     parse_expansion,
     structure_constants,
 )
 from .permutations import Permutation
-from .poly import ExponentCeilingExceeded, Polynomial
+from .poly import CeilingExceeded, Polynomial
 from .trees import (
     DEFAULT_NODE_CEILING,
     MarchTree,
-    NodeCeilingExceeded,
     build_tree,
     leaf_summary,
     to_dot,
@@ -53,7 +51,6 @@ from .trees import (
     unique_labeled_leaf,
 )
 from .truncation import (
-    OracleCeilingExceeded,
     detect,
     truncate_grothendieck_via_tree,
     truncation_product,
@@ -96,21 +93,17 @@ _positive = _at_least(1)
 _non_negative = _at_least(0)
 
 
-def _default_ceiling() -> int:
-    raw = os.environ.get("SCHUBERT_NODE_CEILING")
-    if raw is None:
-        return DEFAULT_NODE_CEILING
-    try:
-        return _non_negative(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"SCHUBERT_NODE_CEILING: {exc}") from None
-
-
 def _rows(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise _UsageError(f"malformed row list: {text!r}") from None
+
+
+def _mode_flag(p: argparse.ArgumentParser, help: str | None = None) -> None:
+    """``--cohomology``, parsed straight into ``args.mode`` ("K" without it)."""
+    p.add_argument("--cohomology", dest="mode", action="store_const", const="cohomology",
+                   default="K", help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,39 +113,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("diagram", help="ASCII diagram, maximal corner, pivots")
+    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("diagram", _cmd_diagram, "ASCII diagram, maximal corner, pivots")
     p.add_argument("perm")
 
-    p = sub.add_parser("march", help="(K-)march towards a set of pivot rows")
+    p = command("march", _cmd_march, "(K-)march towards a set of pivot rows")
     p.add_argument("perm")
     p.add_argument("--rows", required=True, help="comma-separated pivot rows")
     p.add_argument("--steps", action="store_true", help="show the march/add-box intermediates")
 
-    p = sub.add_parser("tree", help="build a marching tree")
+    p = command("tree", _cmd_tree, "build a marching tree")
     p.add_argument("perm")
     p.add_argument("--t", type=_positive, required=True, help="truncation level")
-    p.add_argument("--cohomology", action="store_true", help="single marches only")
+    _mode_flag(p, "single marches only")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
-    p = sub.add_parser("groth", help="Grothendieck polynomial (optionally truncated)")
+    p = command("groth", _cmd_groth, "Grothendieck polynomial (optionally truncated)")
     p.add_argument("perm")
     p.add_argument("--truncate", type=_non_negative, default=None, metavar="T")
 
-    p = sub.add_parser("multiply", help="expand a product of two Grothendieck classes")
+    p = command("multiply", _cmd_multiply, "expand a product of two Grothendieck classes")
     p.add_argument("sigma")
     p.add_argument("rho")
-    p.add_argument("--cohomology", action="store_true", help="top degree layer only")
+    _mode_flag(p, "top degree layer only")
 
-    p = sub.add_parser("product", help="detect a truncation problem and expand by marching")
+    p = command("product", _cmd_product, "detect a truncation problem and expand by marching")
     p.add_argument("sigma")
     p.add_argument("alpha")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--t", type=_positive, required=True)
-    p.add_argument("--cohomology", action="store_true")
+    _mode_flag(p)
     p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
-    sub.add_parser("verify-paper", help="re-run the worked example fixtures")
+    command("verify-paper", _cmd_verify_paper, "re-run the worked example fixtures")
 
     return parser
 
@@ -161,12 +159,9 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     p = _perm(args.perm)
     print(render(p))
     corner = maximal_corner(p)
-    print(f"corner: {corner if corner else 'none'}")
-    if corner is None:
-        print("pivots: none")
-    else:
-        boxes = pivots(p)
-        print(f"pivots: {' '.join(str(b) for b in boxes) if boxes else 'none'}")
+    boxes = pivots(p) if corner else []
+    print(f"corner: {corner or 'none'}")
+    print(f"pivots: {' '.join(map(str, boxes)) or 'none'}")
     return EXIT_OK
 
 
@@ -190,9 +185,7 @@ def _cmd_march(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     p = _perm(args.perm)
-    ceiling = args.node_ceiling if args.node_ceiling is not None else _default_ceiling()
-    mode = "cohomology" if args.cohomology else "K"
-    tree = build_tree(p, args.t, mode, ceiling)
+    tree = build_tree(p, args.t, args.mode, args.node_ceiling)
     print({"text": to_text, "json": to_json, "dot": to_dot}[args.format](tree))
     return EXIT_OK
 
@@ -210,7 +203,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     sigma = _perm(args.sigma)
     rho = _perm(args.rho)
     expansion = structure_constants(sigma, rho)
-    if args.cohomology:
+    if args.mode == "cohomology":
         top = sigma.length() + rho.length()
         expansion = {q: c for q, c in expansion.items() if q.length() == top}
     print(expansion_to_json(expansion))
@@ -220,8 +213,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     sigma = _perm(args.sigma)
     alpha = _perm(args.alpha)
-    ceiling = args.node_ceiling if args.node_ceiling is not None else _default_ceiling()
-    problem = detect(sigma, alpha, args.n, args.t, ceiling)
+    problem = detect(sigma, alpha, args.n, args.t, args.node_ceiling)
     if problem is None:
         print(
             f"({args.sigma}, {args.alpha}, n={args.n}, t={args.t}) "
@@ -230,8 +222,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         )
         return EXIT_PRECONDITION
     print(f"rho = {problem.rho}", file=sys.stderr)
-    mode = "cohomology" if args.cohomology else "K"
-    print(expansion_to_json(truncation_product(problem, mode, ceiling)))
+    print(expansion_to_json(truncation_product(problem, args.mode, args.node_ceiling)))
     return EXIT_OK
 
 
@@ -374,17 +365,6 @@ def _cmd_verify_paper(_: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "diagram": _cmd_diagram,
-    "march": _cmd_march,
-    "tree": _cmd_tree,
-    "groth": _cmd_groth,
-    "multiply": _cmd_multiply,
-    "product": _cmd_product,
-    "verify-paper": _cmd_verify_paper,
-}
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -392,16 +372,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        if "node_ceiling" in args and args.node_ceiling is None:
+            raw = os.environ.get("SCHUBERT_NODE_CEILING", str(DEFAULT_NODE_CEILING))
+            try:
+                args.node_ceiling = _non_negative(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise _UsageError(f"SCHUBERT_NODE_CEILING: {exc}") from None
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        NodeCeilingExceeded,
-        OracleCeilingExceeded,
-        ExpansionCeilingExceeded,
-        ExponentCeilingExceeded,
-    ) as exc:
+    except CeilingExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MarchError, ValueError) as exc:

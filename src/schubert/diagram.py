@@ -172,8 +172,14 @@ def pivot_rows(p: Permutation) -> list[int]:
 def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
     """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
     of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
+    _check_mode(mode)
     _, _, children = _window_marches(p.window, mode)
     return [(rows, Permutation._trusted(child)) for rows, child in children.items()]
+
+
+def _check_mode(mode: Mode) -> None:
+    if mode not in ("K", "cohomology"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def march(p: Permutation, i: int) -> Permutation:

@@ -51,6 +51,7 @@ from .permutations import Permutation, _lehmer_window
 from .poly import (
     DEGREE_MASK,
     FIELD_MASK,
+    CeilingExceeded,
     ExponentCeilingExceeded,
     Polynomial,
     _unchecked,
@@ -63,7 +64,7 @@ ExpansionMap = dict[Permutation, int]
 EXPANSION_ITERATION_CEILING = 100_000
 
 
-class ExpansionCeilingExceeded(RuntimeError):
+class ExpansionCeilingExceeded(CeilingExceeded):
     """A basis expansion needs more strips than EXPANSION_ITERATION_CEILING."""
 
 

@@ -67,7 +67,9 @@ class Permutation:
 
         Also accepts the mixed display form where runs of single-digit
         values sit between commas and each multi-digit value is its own
-        chunk, e.g. ``123469857,10``.
+        chunk, e.g. ``123469857,10``.  The digit count fixes the window
+        length n; a chunk that spells one of 10..n is that value, and any
+        other chunk is a run of digits (so a run must not spell one).
 
         >>> Permutation.parse("1,2,3")
         Permutation(window=())
@@ -75,19 +77,17 @@ class Permutation:
         text = text.strip()
         if not _TEXT_RE.fullmatch(text):
             raise ValueError(f"malformed permutation text: {text!r}")
-        if "," not in text:
-            return cls(tuple(int(ch) for ch in text))
-        chunks = text.split(",")
-        try:
-            return cls(tuple(int(chunk) for chunk in chunks))
-        except ValueError:
-            pass
+        n, digits = 9, 9  # 1..9 take one digit each, then 10, 11, ... in turn
+        while digits < len(text) - text.count(","):
+            n += 1
+            digits += len(str(n))
+        spelled = set(map(str, range(10, n + 1)))
         values: list[int] = []
-        for chunk in chunks:
-            if "0" in chunk:
+        for chunk in text.split(","):
+            if chunk in spelled:
                 values.append(int(chunk))
             else:
-                values.extend(int(ch) for ch in chunk)
+                values.extend(map(int, chunk))
         return cls(tuple(values))
 
     @classmethod

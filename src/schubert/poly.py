@@ -46,7 +46,11 @@ MAX_EXPONENT = FIELD_MASK
 MAX_DEGREE = DEGREE_MASK
 
 
-class ExponentCeilingExceeded(RuntimeError):
+class CeilingExceeded(RuntimeError):
+    """A resource ceiling of the library was hit; the CLI exits 4 on any."""
+
+
+class ExponentCeilingExceeded(CeilingExceeded):
     """An exponent or a total degree does not fit its packed field."""
 
 
@@ -318,7 +322,9 @@ class _FactorText(dict):
         return text
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?((?:x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*))?$")
+# Variables are 1-based, and a coefficient's "*" needs a factor after it.
+_FACTOR = r"x[1-9]\d*(?:\^\d+)?"
+_TERM_RE = re.compile(rf"^(?:(\d+)(?:\*(?=x))?)?({_FACTOR}(?:\*{_FACTOR})*)?$")
 
 
 def parse_polynomial(text: str) -> Polynomial:

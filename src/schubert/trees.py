@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator, NamedTuple
 
-from .diagram import Mode, _post_order, _window_marches, march_children
+from .diagram import Mode, _check_mode, _post_order, _window_marches, march_children
 from .permutations import Permutation, _last_descent
+from .poly import CeilingExceeded
 
 DEFAULT_NODE_CEILING = 10**6
 
 
-class NodeCeilingExceeded(RuntimeError):
+class NodeCeilingExceeded(CeilingExceeded):
     """Tree construction hit the configured node-count ceiling."""
 
 
@@ -138,8 +139,7 @@ class LeafSummary:
 def _check_level_and_mode(t: int, mode: Mode) -> None:
     if t < 1:
         raise ValueError("truncation level must be positive")
-    if mode not in ("K", "cohomology"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
 
 
 def _march_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:

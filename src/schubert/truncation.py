@@ -26,6 +26,7 @@ from .grothendieck import (
     structure_constants,
 )
 from .permutations import Permutation
+from .poly import CeilingExceeded
 from .trees import (
     DEFAULT_NODE_CEILING,
     Mode,
@@ -36,7 +37,7 @@ from .trees import (
 DEFAULT_ORACLE_WINDOW_CEILING = 8
 
 
-class OracleCeilingExceeded(RuntimeError):
+class OracleCeilingExceeded(CeilingExceeded):
     """The problem is too large for the polynomial oracle at this ceiling."""
 
 

@@ -1,11 +1,15 @@
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import schubert
+from schubert import cli
 from schubert.cli import run
 
 EXAMPLE_1_DIAGRAM = "\n".join(
@@ -289,3 +293,49 @@ class TestUsageErrors:
         assert code == 4
         assert out == ""
         assert err.startswith("resource limit:")
+
+
+class TestCeilingFamily:
+    @pytest.mark.parametrize(
+        "ceiling",
+        [
+            schubert.ExponentCeilingExceeded,
+            schubert.ExpansionCeilingExceeded,
+            schubert.NodeCeilingExceeded,
+            schubert.OracleCeilingExceeded,
+        ],
+    )
+    def test_every_ceiling_is_a_ceiling_exceeded(self, ceiling):
+        assert issubclass(ceiling, schubert.CeilingExceeded)
+        assert issubclass(ceiling, RuntimeError)
+
+    def test_a_ceiling_the_cli_has_never_seen_is_a_resource_limit(self, capsys, monkeypatch):
+        class WidgetCeilingExceeded(schubert.CeilingExceeded):
+            pass
+
+        def grothendieck(_):
+            raise WidgetCeilingExceeded("more than 3 widgets")
+
+        monkeypatch.setattr(cli, "grothendieck", grothendieck)
+        assert invoke(capsys, "groth", "132") == (4, "", "resource limit: more than 3 widgets\n")
+
+    def test_only_commands_with_a_node_ceiling_read_its_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "-5")
+        assert invoke(capsys, "multiply", "321", "132") == (
+            0, '{"3412": 1, "4213": 1, "4312": -1}\n', ""
+        )
+        assert invoke(capsys, "product", "321", "132", "--n", "3", "--t", "2") == (
+            2, "", "error: SCHUBERT_NODE_CEILING: must be at least 0, got -5\n"
+        )
+
+
+class TestReadme:
+    def test_command_line_examples_print_what_they_show(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [line.split("# -> ") for line in block.splitlines() if "# -> " in line]
+        assert len(examples) >= 4
+        for command, shown in examples:
+            program, *argv = shlex.split(command)
+            assert program == "schubert"
+            assert invoke(capsys, *argv) == (0, shown + "\n", ""), command

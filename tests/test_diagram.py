@@ -304,6 +304,10 @@ class TestKMarch:
         with pytest.raises(MarchError):
             k_march(ID, [1])
 
+    def test_march_children_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'quantum'"):
+            march_children(EX1, "quantum")
+
 
 class TestRender:
     def test_example_1_snapshot(self):

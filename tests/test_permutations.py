@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, strategies as st
@@ -13,6 +14,20 @@ ID = Permutation.identity()
 windows = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
 )
+
+
+def mixed_form(window: list[int]) -> str:
+    """Runs of single-digit values between commas, each larger value its own
+    chunk; a run that would spell a value of the window goes digit by digit."""
+    spelled = {str(v) for v in window if v > 9}
+    chunks: list[str] = []
+    for large, group in itertools.groupby(window, key=lambda v: v > 9):
+        if large:
+            chunks.extend(map(str, group))
+        else:
+            run = "".join(map(str, group))
+            chunks.extend(run if run in spelled else [run])
+    return ",".join(chunks)
 
 
 def brute_inversions(p: Permutation) -> int:
@@ -32,6 +47,18 @@ class TestParseFormat:
         p = Permutation.parse("123469857,10")
         assert p.window == (1, 2, 3, 4, 6, 9, 8, 5, 7)
         assert p.text() == "123469857"
+
+    def test_mixed_form_round_trips_on_seeded_windows(self):
+        rng = random.Random(14)
+        for n in (10, 11, 12):
+            for _ in range(300):
+                window = list(range(1, n + 1))
+                rng.shuffle(window)
+                assert Permutation.parse(mixed_form(window)) == Permutation(tuple(window))
+        assert Permutation.parse("123456789,11,10").window == (*range(1, 10), 11, 10)
+        assert mixed_form([1, 2, 12, 11, 3, 4, 5, 6, 7, 8, 9, 10]) == "1,2,12,11,3456789,10"
+        with pytest.raises(ValueError):  # the run 1,2 spells 12, so 12 appears twice
+            Permutation.parse("12,12,11,3456789,10")
 
     def test_plain_comma_form(self):
         p = Permutation.parse("10,9,8,7,6,5,4,3,2,1")

@@ -184,7 +184,7 @@ class TestText:
         assert parse_polynomial("1 + 2*x1^2") == ONE + 2 * X1 * X1
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "x", "1 +", "x1^", "y2"]:
+        for bad in ["", "x", "1 +", "x1^", "y2", "x0", "x0^5*x1", "x1 + x0", "2*", "x1 - 3*"]:
             with pytest.raises(ValueError):
                 parse_polynomial(bad)
 
