@@ -7,19 +7,21 @@ Coxeter length of p.
 Marching is implemented twice: the transposition form (always used by
 the library) and the literal box-hopping procedure on the picture
 (:func:`march_boxes`, kept so the test suite can assert the two agree).
-One private primitive lists every (K-)march out of a canonical window
-with one corner and pivot scan.  The Grothendieck transition walk and
-the leaf count of :mod:`schubert.trees` call it directly, through one
-private explicit-stack post-order walk over windows;
-:func:`march_children` wraps it in :class:`Permutation` labels for
-:func:`schubert.trees.build_tree` and for the root of the leaf count.
+The transposition form is one private kernel over canonical windows,
+which every marching function here reads: one scan decides whether a
+window is a leaf at level t and finds its corner and pivot rows, and
+each (K-)march out of it is built as a tuple.  One private
+explicit-stack walk marches each window of a DAG once and returns it as
+a post-order dict, which the Grothendieck transition formula sums over
+and :mod:`schubert.trees` counts and unfolds.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Container, Iterable, Iterator, Literal, NamedTuple, TypeVar
+import math
+from typing import Container, Iterable, Literal, NamedTuple
 
-from .permutations import Permutation, _last_descent, _trim
+from .permutations import Permutation, _trim
 
 Mode = Literal["K", "cohomology"]
 
@@ -56,8 +58,8 @@ def maximal_corner(p: Permutation) -> Box | None:
     """
     if p.is_identity():
         return None
-    g, m, _ = _corner_scan(p.window)
-    return Box(g, p(m))
+    g, q, _ = _marches(p)
+    return Box(g, Permutation._trusted(q)(g))
 
 
 def transition_pair(p: Permutation) -> tuple[int, int, Permutation]:
@@ -67,91 +69,101 @@ def transition_pair(p: Permutation) -> tuple[int, int, Permutation]:
     p(m) < p(g).  The result drops the length by one and its diagram is
     the diagram of p minus the maximal corner.
     """
-    g, m, _ = _corner_scan(p.window)
-    return g, m, p.transpose(g, m)
+    g, q, _ = _marches(p)
+    q = Permutation._trusted(q)
+    return g, p.window.index(q(g)) + 1, q
 
 
-def _corner_scan(window: tuple[int, ...]) -> tuple[int, int, list[int]]:
-    """(g, m, pivot rows) of a canonical window: g is the last descent and m
-    the transition index of :func:`transition_pair`.  Row a < g holds a
-    pivot iff p(a) lies below the corner column p(m) and above every such
-    value in rows a+1..g-1."""
-    if not window:
-        raise MarchError("the identity has no maximal corner")
-    g = _last_descent(window)
+_Window = tuple[int, ...]
+
+
+def _window_marches(window: _Window, mode: Mode, t: int = 0) -> tuple | None:
+    """None when the last descent g of a canonical window is at most t (the
+    identity at t = 0); else (g, q, {I: q t_{i1<->g} ... t_{ik<->g}}) for
+    q = p t_{g<->m} and every non-empty set I of pivot rows (single rows
+    in cohomology mode), in (|I|, I) order.  One scan from the right
+    finds g, m (see :func:`transition_pair`) and the pivot rows: row a < g
+    holds one iff p(a) lies below the corner column p(m) and above every
+    such value in rows a+1..g-1.  Each word is q's list with the values
+    at I and g rotated, frozen once; it can end in a fixed point only
+    when p(g) = n, which puts m last, and only then is it trimmed.
+    """
+    n = len(window)
+    g = n - 1
+    while g > t and window[g - 1] < window[g]:
+        g -= 1
+    if g <= t:
+        return None
     corner_value = window[g - 1]
-    m = len(window)
-    while window[m - 1] >= corner_value:
+    m = n
+    while window[m - 1] > corner_value:
         m -= 1
     corner_col = window[m - 1]
-    rows = []
-    highest = 0
+    rows, highest = [], 0
     for a in range(g - 1, 0, -1):
         value = window[a - 1]
         if highest < value < corner_col:
             rows.append(a)
             highest = value
-    return g, m, rows[::-1]
-
-
-def _window_marches(
-    window: tuple[int, ...], mode: Mode
-) -> tuple[int, tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]:
-    """(g, q, {I: q t_{i1<->g} ... t_{ik<->g}}) on canonical windows, for
-    q = p t_{g<->m} and every non-empty set I of pivot rows (single rows
-    in cohomology mode), in (|I|, I) order.
-
-    That order lists I minus its last row before I, so each word is the
-    word of that smaller set times one transposition."""
-    g, m, rows = _corner_scan(window)
     q = list(window)
-    q[g - 1], q[m - 1] = q[m - 1], q[g - 1]
-    if not rows:  # most labels of a transition walk
-        return g, _trim(q), {}
-    largest = 1 if mode == "cohomology" else len(rows)
-    words = {(): q}
-    for size in range(1, largest + 1):
-        for subset in itertools.combinations(rows, size):
-            word = words[subset[:-1]][:]
-            i = subset[-1]
-            word[i - 1], word[g - 1] = word[g - 1], word[i - 1]
-            words[subset] = word
-    del words[()]
-    for subset, word in words.items():
-        words[subset] = _trim(word)
-    return g, _trim(q), words
+    q[g - 1], q[m - 1] = corner_col, corner_value
+    freeze = _trim if corner_value == n else tuple
+    children = {}
+    rows.reverse()
+    for i in rows:
+        word = q[:]
+        word[i - 1], word[g - 1] = corner_col, window[i - 1]
+        children[i,] = freeze(word)
+    if mode == "K":
+        for size in range(2, len(rows) + 1):
+            for subset in itertools.combinations(rows, size):
+                word, value = q[:], corner_col
+                for i in subset:
+                    word[i - 1], value = value, word[i - 1]
+                word[g - 1] = value
+                children[subset] = freeze(word)
+    return g, freeze(q), children
 
 
-_Window = tuple[int, ...]
-_Node = TypeVar("_Node")
-
-
-def _post_order(
-    root: _Window,
-    expand: Callable[[_Window], tuple[_Node, Iterable[_Window]]],
-    known: Container[_Window],
-) -> Iterator[tuple[_Window, _Node]]:
-    """Yield (w, node) for root and every window w reachable from it
-    through windows not in ``known``, each after every window it needs;
-    ``expand(w)`` returns ``(node, windows w needs)``.  The caller adds
-    each yielded window to ``known`` before resuming, so the walk keeps
-    no set of its own and expands each window once: the windows still on
-    the stack are ancestors of the one expanded, which in a DAG needs
-    none of them.  The explicit stack leaves no chain of windows too
-    long for the interpreter's recursion limit.
-    """
-    node, needed = expand(root)
-    stack = [(root, node, iter(needed))]
+def _march_dag(root: _Window, entry, mode: Mode, t: int, known: Container = (), ceiling=math.inf):
+    """{window: entry} for root (its entry given) and every window reachable
+    from it through windows not in ``known``, each after every window it
+    needs; None past ``ceiling`` windows.  At t = 0 (the transition DAG)
+    an entry is the kernel's triple and a window needs q and its children;
+    at t >= 1 (a marching tree) it is the children {I: child}, or None
+    for a leaf, and a window needs its children.  The windows on the
+    explicit stack are ancestors of the one marched, which in a DAG needs
+    none of them, so each window is marched once."""
+    transition = not t
+    if ceiling < 1:
+        return None
+    needed = (entry[1], *entry[2].values()) if transition and entry else (entry or {}).values()
+    dag: dict = {}
+    labels = 1
+    stack = [(root, entry, iter(needed))]
     while stack:
-        window, node, pending = stack[-1]
+        window, entry, pending = stack[-1]
         for child in pending:
-            if child not in known:
-                child_node, needed = expand(child)
-                stack.append((child, child_node, iter(needed)))
+            if child in dag or child in known:
+                continue
+            labels += 1
+            if labels > ceiling:
+                return None
+            node = _window_marches(child, mode, t)
+            if node is None:  # a leaf needs nothing, so it is listed at once
+                dag[child] = None
+            elif transition:
+                stack.append((child, node, iter((node[1], *node[2].values()))))
                 break
+            elif node[2]:
+                stack.append((child, node[2], iter(node[2].values())))
+                break
+            else:  # no pivots: the null leaf is the only child
+                dag[child] = {}
         else:
             stack.pop()
-            yield window, node
+            dag[window] = entry
+    return dag
 
 
 def pivots(p: Permutation) -> list[Box]:
@@ -166,14 +178,22 @@ def pivots(p: Permutation) -> list[Box]:
 
 
 def pivot_rows(p: Permutation) -> list[int]:
-    return _corner_scan(p.window)[2]
+    return [i for i, in _marches(p)[2]]
+
+
+def _marches(p: Permutation, mode: Mode = "cohomology") -> tuple:
+    """The kernel's triple of p; in cohomology mode its keys are the pivot rows."""
+    marches = _window_marches(p.window, mode)
+    if marches is None:
+        raise MarchError("the identity has no maximal corner")
+    return marches
 
 
 def march_children(p: Permutation, mode: Mode = "K") -> list[tuple[tuple[int, ...], Permutation]]:
     """(I, p t_{g<->m} t_{i1<->g} ... t_{ik<->g}) for every non-empty set I
     of pivot rows (single rows in cohomology mode), in (|I|, I) order."""
     _check_mode(mode)
-    _, _, children = _window_marches(p.window, mode)
+    _, _, children = _marches(p, mode)
     return [(rows, Permutation._trusted(child)) for rows, child in children.items()]
 
 
@@ -213,11 +233,11 @@ def _k_march_rows(p: Permutation, rows: Iterable[int]) -> tuple[int, Permutation
     index_set = sorted(set(rows))
     if not index_set:
         raise MarchError("K-march needs a non-empty set of pivot rows")
-    g, m, valid = _corner_scan(p.window)
-    bad = [i for i in index_set if i not in valid]
+    g, q, valid = _marches(p)
+    bad = [i for i in index_set if (i,) not in valid]
     if bad:
         raise MarchError(f"rows {bad} are not pivot rows of {p}")
-    return g, p.transpose(g, m), index_set
+    return g, Permutation._trusted(q), index_set
 
 
 def k_march(p: Permutation, rows: Iterable[int]) -> Permutation:

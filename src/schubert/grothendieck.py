@@ -10,15 +10,15 @@ Two independent constructions of the Grothendieck polynomial are kept:
   with base case G_id = 1, where g is the last descent of p and
   q = p t_{g<->m} removes the maximal corner (the K-march children of
   :mod:`schubert.diagram`).  The windows the formula needs form a DAG,
-  yielded in post-order by the explicit-stack walk that
-  :func:`schubert.trees.leaf_counts` also uses, so no window is too
+  which the explicit-stack walk of :mod:`schubert.diagram`, shared with
+  the marching trees, returns as a post-order dict, so no window is too
   long for the interpreter's recursion limit.  One memo maps each
-  window to its polynomial, and the walk stops at memoised windows.
-  A node is summed once, as soon as it is yielded, into one fresh dict
-  of packed exponents (see :mod:`schubert.poly`), not through
-  polynomial arithmetic: raising x_g adds
-  ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
-  int.  The sum cancels no term, so nothing is filtered.  Every
+  window to its polynomial, and the walk skips memoised windows.  The
+  walk's dict lists each window after the windows it reads, and each is
+  summed once, in that order, into one fresh dict of packed exponents
+  (see :mod:`schubert.poly`), not through polynomial arithmetic: raising
+  x_g adds ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the
+  packed int.  The sum cancels no term, so nothing is filtered.  Every
   monomial of G_w for w in S_n divides the staircase
   x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
   most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
@@ -46,7 +46,7 @@ import json
 from typing import NamedTuple
 
 from . import poly
-from .diagram import _Window, _post_order, _window_marches
+from .diagram import _march_dag, _Window, _window_marches
 from .permutations import Permutation, _lehmer_window
 from .poly import (
     DEGREE_MASK,
@@ -111,27 +111,19 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _walk(root: _Window) -> None:
-    """Memoise G of root and of every window it needs, each as soon as
-    the walk yields it, so each node is summed from memoised windows.
-    The transition formula terminates on every permutation (Lascoux), so
-    the windows form a DAG.  Each summed node reads its q and its
-    children: 1 + len(children) lookups.
-    """
+    """Memoise G of root and of every window it needs, in the order of the
+    transition DAG (a DAG: the formula terminates on every permutation, by
+    Lascoux), which sums each window from memoised windows.  Each summed
+    window reads its q and its children: 1 + len(children) lookups."""
     global _lookups
-    memo = _memo
+    dag = _march_dag(root, _window_marches(root, "K"), "K", 0, _memo)
     lookups = 0
     try:
-        for window, node in _post_order(root, _transition_node, memo):
-            memo[window] = _transition_sum(*node)
-            lookups += 1 + len(node[2])
+        for window, (g, q, children) in dag.items():
+            _memo[window] = _transition_sum(g, q, children)
+            lookups += 1 + len(children)
     finally:
         _lookups += lookups
-
-
-def _transition_node(window: _Window) -> tuple[tuple, tuple[_Window, ...]]:
-    """(g, q, {I: child_I}) of window, and the windows its sum reads."""
-    node = _window_marches(window, "K")
-    return node, (node[1], *node[2].values())
 
 
 def _transition_sum(g: int, q: _Window, children: dict) -> Polynomial:

@@ -8,13 +8,14 @@ per non-empty subset of pivot rows.  A label with no pivots gets a
 single null child.
 
 The subtree under a vertex depends only on its label, so the tree is
-the unfolding of a marching DAG over distinct labels.  One walk marches
-each distinct window once; :func:`leaf_counts` counts root-to-leaf
-paths over that DAG, and :func:`build_tree` keeps it, with subtree
-sizes, for the exporters to write from in preorder.  Its
-:class:`TreeNode` objects are built only when ``MarchTree.root`` is
-read.  The node ceiling bounds the distinct labels of the first and the
-unfolded nodes of the second.
+the unfolding of a marching DAG over distinct labels, which the walk of
+:mod:`schubert.diagram` returns as a post-order dict, marching each
+distinct window once.  :func:`leaf_counts` counts root-to-leaf paths
+over that dict, and :func:`build_tree` keeps it, with subtree sizes,
+for the exporters to write from in preorder.  Its :class:`TreeNode`
+objects are built only when ``MarchTree.root`` is read.  The node
+ceiling bounds the distinct labels of the first and the unfolded nodes
+of the second.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Iterable, Iterator, NamedTuple
 
-from .diagram import Mode, _check_mode, _post_order, _window_marches, march_children
+from .diagram import Mode, _check_mode, _march_dag, march_children
 from .permutations import Permutation, _last_descent
 from .poly import CeilingExceeded
 
@@ -142,32 +143,17 @@ def _check_level_and_mode(t: int, mode: Mode) -> None:
     _check_mode(mode)
 
 
-def _march_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:
-    """Each distinct window under beta, in post-order, mapped to its children
-    ``{rows: child window}`` in tree order: None for a leaf, {} for a
-    pivotless label (whose only child is the null leaf).  Raises
-    :class:`NodeCeilingExceeded` past ``ceiling`` distinct labels."""
-    labels = 0
-    root = beta.window
-
-    def expand(window: tuple[int, ...]) -> tuple[dict | None, Iterable[tuple[int, ...]]]:
-        nonlocal labels
-        labels += 1
-        if labels > ceiling:
-            raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
-        if _last_descent(window) <= t:
-            return None, ()
-        if window is root:
-            # Through the public march_children, which bench/tracer.py wraps,
-            # so traced runs still see tree marching in the diagram layer.
-            marches = {rows: child.window for rows, child in march_children(beta, mode)}
-        else:
-            marches = _window_marches(window, mode)[2]
-        return marches, marches.values()
-
-    dag: dict = {}
-    for window, marches in _post_order(root, expand, dag):
-        dag[window] = marches
+def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:
+    """The shared walk's DAG under beta: {window: None for a leaf, else its
+    children {rows: child window} in tree order, {} with no pivots (a null
+    leaf)}.  Raises :class:`NodeCeilingExceeded` past ``ceiling`` labels."""
+    # The root marches through the public march_children, which bench/tracer.py
+    # wraps, so traced runs still see tree marching in the diagram layer.
+    leaf = _last_descent(beta.window) <= t
+    marches = None if leaf else {rows: child.window for rows, child in march_children(beta, mode)}
+    dag = _march_dag(beta.window, marches, mode, t, ceiling=ceiling)
+    if dag is None:
+        raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
     return dag
 
 
@@ -184,7 +170,7 @@ def build_tree(
     :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null leaves
     included), counted over the DAG before any node is built."""
     _check_level_and_mode(t, mode)
-    dag = _march_dag(beta, t, mode, node_ceiling, "nodes")
+    dag = _tree_dag(beta, t, mode, node_ceiling, "nodes")
     vertices = (  # a pivotless label ({}) has the null leaf as its only child
         (w, Permutation._trusted(w), () if marches is None else marches.items() or [((), None)])
         for w, marches in dag.items()
@@ -209,7 +195,7 @@ def leaf_counts(
     :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
     """
     _check_level_and_mode(t, mode)
-    dag = _march_dag(beta, t, mode, node_ceiling, "distinct labels")
+    dag = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
     paths = {beta.window: 1}
     counts: dict[Permutation, int] = {}
     nulls = 0

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import random
 
 import pytest
 
@@ -14,13 +16,13 @@ from schubert import (
     march_boxes,
     march_children,
     maximal_corner,
+    pivot_rows,
     pivots,
     render,
     symmetric_group,
     transition_pair,
 )
-from schubert.diagram import _post_order, _window_marches
-from schubert.permutations import _last_descent
+from schubert.diagram import _march_dag, _window_marches
 from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, FIGURE_2
 
 ID = Permutation.identity()
@@ -125,73 +127,140 @@ class TestTransition:
             transition_pair(ID)
 
 
-def transition_needs(window):
-    """q and the K-march children: the windows the transition sum reads."""
-    if not window:
+def brute_transition(p: Permutation) -> tuple[int, Permutation]:
+    """Independent oracle: (g, p t_{g<->m}) from the definitions."""
+    g = p.last_descent()
+    m = max(j for j in range(g + 1, p.size() + 1) if p(j) < p(g))
+    return g, p.transpose(g, m)
+
+
+def check_kernel(p: Permutation, t: int, mode: str) -> None:
+    """The kernel against the public marching functions and the oracles."""
+    marches = _window_marches(p.window, mode, t)
+    if (p.last_descent() or 0) <= t:
+        assert marches is None
+        return
+    g, q, children = marches
+    rows = pivot_rows(p)
+    assert rows == [row for row, _ in geometric_pivots(p)]
+    sizes = range(1, 2 if mode == "cohomology" else len(rows) + 1)
+    subsets = [I for size in sizes for I in itertools.combinations(rows, size)]
+    assert list(children.items()) == [(I, k_march(p, I).window) for I in subsets]
+    oracle_g, oracle_q = brute_transition(p)
+    assert (g, q) == (oracle_g, transition_pair(p)[2].window) == (oracle_g, oracle_q.window)
+    for I, child in children.items():
+        word = oracle_q
+        for i in I:
+            word = word.transpose(i, g)
+        assert child == word.window
+
+
+def corner_in_last_position(window: tuple[int, ...]) -> bool:
+    g = Permutation._trusted(window).last_descent()
+    return max(j for j in range(g + 1, len(window) + 1) if window[j - 1] < window[g - 1]) == len(window)
+
+
+class TestKernel:
+    """The one marching kernel, ``_window_marches``."""
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_every_window_of_s6_at_every_level(self, mode):
+        for p in symmetric_group(6):
+            for t in range(7):
+                check_kernel(p, t, mode)
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_seeded_s9_windows_with_the_corner_column_last(self, mode):
+        rng = random.Random(9)
+        sample, trimmed = [], 0
+        while len(sample) < 300:
+            values = list(range(1, 10))
+            rng.shuffle(values)
+            p = Permutation(values)
+            if p.is_identity() or not corner_in_last_position(p.window):
+                continue
+            sample.append(p)
+            trimmed += p(p.last_descent()) == p.size()  # q ends in a fixed point
+        assert 0 < trimmed < len(sample)
+        for p in sample:
+            for t in range(p.last_descent() + 1):
+                check_kernel(p, t, mode)
+
+    def test_identity_is_a_leaf_at_every_level(self):
+        for t in range(3):
+            assert _window_marches((), "K", t) is None
+        with pytest.raises(MarchError):
+            march_children(ID)
+
+
+def needs(t, marches):
+    """The windows an entry of the walk needs: q and the children at t = 0,
+    the children at t >= 1."""
+    if marches is None:
         return ()
-    _, q, children = _window_marches(window, "K")
-    return (q, *children.values())
+    if t == 0:
+        _, q, children = marches
+        return (q, *children.values())
+    return tuple(marches.values())
 
 
-def leaf_needs(t):
-    """The labeled children of a window in the K tree at level t."""
-    def needs(window):
-        if _last_descent(window) <= t:
-            return ()
-        return tuple(_window_marches(window, "K")[2].values())
-    return needs
+def entry(window, mode, t):
+    """A window's entry in the walk, from the kernel."""
+    marches = _window_marches(window, mode, t)
+    return marches if t == 0 or marches is None else marches[2]
 
 
-def check_post_order(root, needs, known):
-    """Walk from root with ``known`` known beforehand, adding each yielded
-    window to the known windows before resuming, as the walk asks."""
-    expanded = []
+def check_walk(root, mode, t, known, monkeypatch):
+    """Walk from root with ``known`` known beforehand, counting the windows
+    the kernel marches."""
+    marched = []
 
-    def expand(window):
-        expanded.append(window)
-        return needs(window), needs(window)
+    def kernel(window, mode, t):
+        marched.append(window)
+        return _window_marches(window, mode, t)
 
-    done = set(known)
-    order = []
-    for window, node in _post_order(root, expand, done):
-        order.append((window, node))
-        done.add(window)
-    windows = [window for window, _ in order]
+    monkeypatch.setattr(importlib.import_module("schubert.diagram"), "_window_marches", kernel)
+    dag = _march_dag(root, entry(root, mode, t), mode, t, known)
+    monkeypatch.undo()
+    windows = list(dag)
     reachable, frontier = {root}, [root]
     while frontier:
-        for child in needs(frontier.pop()):
+        for child in needs(t, entry(frontier.pop(), mode, t)):
             if child not in known and child not in reachable:
                 reachable.add(child)
                 frontier.append(child)
     assert len(windows) == len(reachable) and set(windows) == reachable
-    assert sorted(expanded) == sorted(windows)
-    assert not known.intersection(expanded)
+    assert sorted(marched) == sorted(set(windows) - {root})
+    assert not set(known).intersection(marched)
     position = {window: k for k, window in enumerate(windows)}
-    for window, node in order:
-        assert node == needs(window)
-        assert all(child in known or position[child] < position[window] for child in node)
+    for window, marches in dag.items():
+        assert marches == entry(window, mode, t)
+        assert all(child in known or position[child] < position[window] for child in needs(t, marches))
+    assert _march_dag(root, entry(root, mode, t), mode, t, known, ceiling=len(windows)) == dag
+    assert _march_dag(root, entry(root, mode, t), mode, t, known, ceiling=len(windows) - 1) is None
     return windows
 
 
-def check_post_order_with_and_without_known(root, needs):
+def check_walk_with_and_without_known(root, mode, t, monkeypatch):
     """Walk once from scratch, then with every third other window known."""
-    windows = sorted(check_post_order(root, needs, frozenset()))
+    windows = sorted(check_walk(root, mode, t, frozenset(), monkeypatch))
     windows.remove(root)
-    check_post_order(root, needs, frozenset(windows[::3]))
+    check_walk(root, mode, t, frozenset(windows[::3]), monkeypatch)
 
 
 class TestPostOrder:
-    """The walk shared by the transition formula and the leaf count."""
+    """The walk shared by the transition formula and the marching trees."""
 
-    def test_transition_dag_of_every_s5_root(self):
+    def test_transition_dag_of_every_s5_root(self, monkeypatch):
         for p in symmetric_group(5):
-            check_post_order_with_and_without_known(p.window, transition_needs)
+            check_walk_with_and_without_known(p.window, "K", 0, monkeypatch)
 
-    def test_leaf_dag_of_every_s4_star_root(self):
+    def test_leaf_dag_of_every_s4_star_root(self, monkeypatch):
         s4 = list(symmetric_group(4))
         for sigma, alpha in itertools.product(s4, s4):
             t = max(1, sigma.last_descent() or 0)
-            check_post_order_with_and_without_known(sigma.star(alpha, 4).window, leaf_needs(t))
+            for mode in ("K", "cohomology"):
+                check_walk_with_and_without_known(sigma.star(alpha, 4).window, mode, t, monkeypatch)
 
 
 class TestMarch:

@@ -470,6 +470,30 @@ class TestLeafCounts:
         with pytest.raises(NodeCeilingExceeded):
             leaf_counts(root, 3, "K", node_ceiling=labels - 1)
 
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_ceiling_boundary_is_the_distinct_label_count(self, mode):
+        root = Permutation.parse("43218765")
+        tree = build_tree(root, 3, mode)
+        labels = len({node.label for node in tree.nodes() if node.label is not None})
+        assert labels == {"K": 608, "cohomology": 88}[mode]
+        assert summary_pair(leaf_counts(root, 3, mode, node_ceiling=labels)) == summary_pair(
+            leaf_summary(tree)
+        )
+        with pytest.raises(NodeCeilingExceeded, match=f"more than {labels - 1} distinct labels"):
+            leaf_counts(root, 3, mode, node_ceiling=labels - 1)
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_identity_and_pivotless_roots(self, mode):
+        assert summary_pair(leaf_counts(ID, 1, mode)) == ({ID: 1}, 0)
+        assert summary_pair(leaf_counts(ID, 1, mode, node_ceiling=1)) == ({ID: 1}, 0)
+        with pytest.raises(NodeCeilingExceeded, match="more than 0 distinct labels"):
+            leaf_counts(ID, 1, mode, node_ceiling=0)
+        pivotless = Permutation.parse("321")  # last descent 2, corner (2, 1), no pivots
+        assert summary_pair(leaf_counts(pivotless, 1, mode)) == ({}, 1)
+        tree = build_tree(pivotless, 1, mode)
+        assert tree.root.children == (TreeNode(None, (), ()),)
+        assert to_text(tree) == "321\n  ----> ∅"
+
     def test_mode_and_level_validation(self):
         with pytest.raises(ValueError):
             leaf_counts(ID, 0, "K")
