@@ -99,7 +99,8 @@ def _window_marches(window: _Window, mode: Mode, t: int = 0) -> tuple | None:
     while window[m - 1] > corner_value:
         m -= 1
     corner_col = window[m - 1]
-    rows, highest = [], 0
+    rows = []
+    highest = 0
     for a in range(g - 1, 0, -1):
         value = window[a - 1]
         if highest < value < corner_col:

@@ -111,10 +111,11 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _walk(root: _Window) -> None:
-    """Memoise G of root and of every window it needs, in the order of the
-    transition DAG (a DAG: the formula terminates on every permutation, by
-    Lascoux), which sums each window from memoised windows.  Each summed
-    window reads its q and its children: 1 + len(children) lookups."""
+    """Memoise G of root and of every window it needs, each summed from
+    memoised windows: the walk lists every window after the windows it
+    reads, which form a DAG because the transition formula terminates on
+    every permutation (Lascoux).  Each summed window reads its q and its
+    children: 1 + len(children) lookups."""
     global _lookups
     dag = _march_dag(root, _window_marches(root, "K"), "K", 0, _memo)
     lookups = 0

@@ -155,9 +155,9 @@ def check_kernel(p: Permutation, t: int, mode: str) -> None:
         assert child == word.window
 
 
-def corner_in_last_position(window: tuple[int, ...]) -> bool:
-    g = Permutation._trusted(window).last_descent()
-    return max(j for j in range(g + 1, len(window) + 1) if window[j - 1] < window[g - 1]) == len(window)
+def corner_in_last_position(p: Permutation) -> bool:
+    """m, the largest position with p(m) < p(g), is the window's last."""
+    return p(p.size()) < p(p.last_descent())
 
 
 class TestKernel:
@@ -177,7 +177,7 @@ class TestKernel:
             values = list(range(1, 10))
             rng.shuffle(values)
             p = Permutation(values)
-            if p.is_identity() or not corner_in_last_position(p.window):
+            if p.is_identity() or not corner_in_last_position(p):
                 continue
             sample.append(p)
             trimmed += p(p.last_descent()) == p.size()  # q ends in a fixed point
@@ -235,7 +235,8 @@ def check_walk(root, mode, t, known, monkeypatch):
     position = {window: k for k, window in enumerate(windows)}
     for window, marches in dag.items():
         assert marches == entry(window, mode, t)
-        assert all(child in known or position[child] < position[window] for child in needs(t, marches))
+        for child in needs(t, marches):
+            assert child in known or position[child] < position[window]
     assert _march_dag(root, entry(root, mode, t), mode, t, known, ceiling=len(windows)) == dag
     assert _march_dag(root, entry(root, mode, t), mode, t, known, ceiling=len(windows) - 1) is None
     return windows
