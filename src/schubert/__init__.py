@@ -39,7 +39,6 @@ from .trees import (
     LeafSummary,
     MarchTree,
     NodeCeilingExceeded,
-    TreeNode,
     build_tree,
     leaf_counts,
     leaf_summary,
@@ -78,7 +77,6 @@ __all__ = [
     "OracleCeilingExceeded",
     "Permutation",
     "Polynomial",
-    "TreeNode",
     "TruncationProblem",
     "VerificationReport",
     "add_box",

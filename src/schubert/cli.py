@@ -37,6 +37,7 @@ from .grothendieck import (
     grothendieck,
     parse_expansion,
     structure_constants,
+    top_layer,
 )
 from .permutations import Permutation
 from .poly import CeilingExceeded, Polynomial
@@ -44,7 +45,7 @@ from .trees import (
     DEFAULT_NODE_CEILING,
     MarchTree,
     build_tree,
-    leaf_summary,
+    leaf_counts,
     to_dot,
     to_json,
     to_text,
@@ -204,8 +205,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     rho = _perm(args.rho)
     expansion = structure_constants(sigma, rho)
     if args.mode == "cohomology":
-        top = sigma.length() + rho.length()
-        expansion = {q: c for q, c in expansion.items() if q.length() == top}
+        expansion = top_layer(expansion, sigma, rho)
     print(expansion_to_json(expansion))
     return EXIT_OK
 
@@ -263,42 +263,39 @@ def _figure_tree(fig: dict) -> MarchTree:
     left, right, k = fig["star"]
     root = Permutation.parse(left).star(Permutation.parse(right), k)
     _check(root == Permutation.parse(fig["perm"]), f"star product {left} *_{k} {right}")
-    tree = build_tree(root, fig["t"], "K")
     leaves = parse_expansion(fig["leaves"])
-    summary = leaf_summary(tree)
+    summary = leaf_counts(root, fig["t"], "K")
     _check(
         summary.counts == {p: abs(c) for p, c in leaves.items()}
         and summary.null_count == fig["null_leaves"],
         "leaf summary",
     )
     _check(summary.signed(root.length()) == leaves, "signed leaves")
-    return tree
+    return build_tree(root, fig["t"], "K")
 
 
 def _fixture_figure2(fig: dict) -> None:
     _fixture_permutation(fig)
-    root = _figure_tree(fig).root
+    view = _figure_tree(fig).unfolding
+    out, labels = view.out, view.labels
     marches = [((row,), Permutation.parse(text)) for row, text in fig["marches"].items()]
-    _check([(c.march, c.label) for c in root.children] == marches, "root edges")
-    child = root.children[0]
+    _check([(rows, labels[v]) for rows, v in out[-1]] == marches, "root edges")
+    child = out[-1][0][1]
     second = {rows: Permutation.parse(text) for rows, text in fig["second_level"].items()}
-    _check({c.march: c.label for c in child.children} == second, "second-level edges")
+    _check({rows: labels[v] for rows, v in out[child]} == second, "second-level edges")
     no_pivots = list(second.values())[-1]
     _check(pivots(no_pivots) == [], f"{no_pivots} has no pivots")
-    nulls = [
-        c
-        for c in child.children
-        if len(c.children) == 1 and c.children[0].label is None
-    ]
+    # Vertex 0 is the null leaf.
+    nulls = [v for _, v in out[child] if [c for _, c in out[v]] == [0]]
     _check(len(nulls) == fig["null_leaves"], "null leaves below the second level")
 
 
 def _fixture_figure1(fig: dict) -> None:
-    tree = _figure_tree(fig)
-    labeled = [node for node in tree.nodes() if node.label is not None]
-    _check(len(labeled) == fig["labeled"], "labeled vertex count")
-    _check(all(node.label is not None for node in tree.nodes()), "no null leaves")
-    edges = {(node.label, c.march, c.label) for node in tree.nodes() for c in node.children}
+    view = _figure_tree(fig).unfolding
+    out, labels = view.out, view.labels
+    _check(all(v for edges in out for _, v in edges), "no null leaves")  # vertex 0 is the null leaf
+    _check(view.sizes[-1] == fig["labeled"], "labeled vertex count")
+    edges = {(labels[u], rows, labels[v]) for u, children in enumerate(out) for rows, v in children}
     parse = Permutation.parse
     _check(edges == {(parse(a), rows, parse(b)) for a, rows, b in fig["edges"]}, "edges")
 

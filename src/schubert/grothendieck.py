@@ -312,6 +312,13 @@ def structure_constants(sigma: Permutation, rho: Permutation) -> ExpansionMap:
     return expand_in_basis(grothendieck(sigma) * grothendieck(rho))
 
 
+def top_layer(expansion: ExpansionMap, sigma: Permutation, rho: Permutation) -> ExpansionMap:
+    """The terms of length len(sigma) + len(rho) of an expansion of
+    G_sigma * G_rho: the expansion of S_sigma * S_rho, in cohomology."""
+    top = sigma.length() + rho.length()
+    return {perm: c for perm, c in expansion.items() if perm.length() == top}
+
+
 def expansion_to_json_obj(expansion: ExpansionMap) -> dict[str, int]:
     """Text -> coefficient, ordered by length and then by text."""
     # Texts are distinct, so the sort never compares coefficients.

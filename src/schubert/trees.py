@@ -11,11 +11,12 @@ The subtree under a vertex depends only on its label, so the tree is
 the unfolding of a marching DAG over distinct labels, which the walk of
 :mod:`schubert.diagram` returns as a post-order dict, marching each
 distinct window once.  :func:`leaf_counts` counts root-to-leaf paths
-over that dict, and :func:`build_tree` keeps it, with subtree sizes,
-for the exporters to write from in preorder.  Its :class:`TreeNode`
-objects are built only when ``MarchTree.root`` is read.  The node
-ceiling bounds the distinct labels of the first and the unfolded nodes
-of the second.
+over that dict, and :func:`build_tree`, the only maker of a
+:class:`MarchTree`, keeps it, with subtree sizes, as the tree's
+unfolding, which the exporters write from in preorder.  The
+:class:`TreeNode` objects of ``MarchTree.root`` are a read-only view of
+the unfolding, built only when it is read.  The node ceiling bounds the
+distinct labels of the first and the unfolded nodes of the second.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -23,10 +24,10 @@ interpreter's recursion limit.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .diagram import Mode, _check_mode, _march_dag, march_children
 from .permutations import Permutation, _last_descent
@@ -41,79 +42,48 @@ class NodeCeilingExceeded(CeilingExceeded):
 
 @dataclass(frozen=True)
 class TreeNode:
-    """A vertex: its label (None for the null leaf), the march index set
-    that produced it (empty at the root), and its ordered children."""
+    """A vertex of ``MarchTree.root``: its label (None for the null leaf),
+    the march index set that produced it (empty at the root), and its
+    ordered children."""
 
     label: Permutation | None
     march: tuple[int, ...]
     children: tuple[TreeNode, ...]
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def walk(self) -> Iterator[TreeNode]:
-        """Every node of the subtree in preorder."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
 
 class _Unfolding(NamedTuple):
-    """A tree's distinct vertices, children before parents and the root last."""
+    """A tree's distinct vertices, children before parents and the root
+    last; vertex 0 is the null leaf."""
 
-    root_march: tuple[int, ...]
     out: list[list[tuple[tuple[int, ...], int]]]  # per vertex: (march set, child) pairs
     labels: list[Permutation | None]  # per vertex: None for the null leaf
     texts: list[str]  # per vertex: its label's text, "∅" for the null leaf
     sizes: list[int]  # per vertex: the nodes of its subtree
 
 
-def _unfold(vertices: Iterable[tuple], root_march: tuple[int, ...]) -> _Unfolding:
-    """The unfolding of ``(key, label, [(march set, child key)])`` listed
-    with every child before its parent and the root last; vertex 0, keyed
-    None, is the null leaf."""
-    index: dict = {None: 0}
-    out, labels, texts, sizes = [[]], [None], ["∅"], [1]
-    for key, label, edges in vertices:
-        index[key] = len(out)
-        out.append([(rows, index[child]) for rows, child in edges])
-        labels.append(label)
-        texts.append("∅" if label is None else label.text())
-        sizes.append(1 + sum([sizes[v] for _, v in out[-1]]))
-    return _Unfolding(root_march, out, labels, texts, sizes)
-
-
 class MarchTree:
-    """A marching tree at truncation level t in a mode.  The exporters
-    write from its unfolding, which :func:`build_tree` keeps and builds
-    ``root`` from on first read; a hand-built ``root`` is unfolded."""
+    """A marching tree at truncation level t in a mode, made by
+    :func:`build_tree`.  The exporters write from its ``unfolding``;
+    ``root`` views it as :class:`TreeNode` objects, built on first read,
+    with one shared tuple of child nodes per distinct label."""
 
-    def __init__(self, root: TreeNode, t: int, mode: Mode) -> None:
-        self._root, self._unfolding, self.t, self.mode = root, None, t, mode
+    def __init__(self, unfolding: _Unfolding, t: int, mode: Mode) -> None:
+        self.unfolding, self.t, self.mode = unfolding, t, mode
 
-    @property
+    @cached_property
     def root(self) -> TreeNode:
-        if self._root is None:  # one tuple of child nodes per vertex
-            view, children = self._unfolding, []
-            for edges in view.out:
-                children.append(tuple(TreeNode(view.labels[v], m, children[v]) for m, v in edges))
-            self._root = TreeNode(view.labels[-1], view.root_march, children[-1])
-        return self._root
-
-    def _unfolded(self) -> _Unfolding:
-        if self._unfolding is None:  # hand-built: every node a vertex, children before parents
-            nodes = reversed(list(self._root.walk()))
-            vertices = ((id(n), n.label, [(c.march, id(c)) for c in n.children]) for n in nodes)
-            self._unfolding = _unfold(vertices, self._root.march)
-        return self._unfolding
+        view, children = self.unfolding, []  # one tuple of child nodes per vertex
+        for edges in view.out:
+            children.append(tuple(TreeNode(view.labels[v], m, children[v]) for m, v in edges))
+        return TreeNode(view.labels[-1], (), children[-1])
 
     def nodes(self) -> Iterator[TreeNode]:
-        return self.root.walk()
-
-    def leaves(self) -> Iterator[TreeNode]:
-        return (node for node in self.nodes() if node.is_leaf())
+        """Every node of ``root`` in preorder (``bench/make_pools.py`` counts them)."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -164,22 +134,25 @@ def build_tree(
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> MarchTree:
     """The marching tree rooted at beta with truncation level t: the
-    marching DAG of :func:`leaf_counts` with its subtree sizes.  Its
-    :class:`TreeNode` objects, one tuple of children per distinct label,
-    are built when ``root`` is first read.  Raises
-    :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null leaves
-    included), counted over the DAG before any node is built."""
+    marching DAG of :func:`leaf_counts`, unfolded with its subtree sizes.
+    Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null
+    leaves included), counted over the DAG before any node is built."""
     _check_level_and_mode(t, mode)
     dag = _tree_dag(beta, t, mode, node_ceiling, "nodes")
-    vertices = (  # a pivotless label ({}) has the null leaf as its only child
-        (w, Permutation._trusted(w), () if marches is None else marches.items() or [((), None)])
-        for w, marches in dag.items()
-    )
-    tree = MarchTree.__new__(MarchTree)
-    tree._root, tree._unfolding, tree.t, tree.mode = None, _unfold(vertices, ()), t, mode
-    if tree._unfolding.sizes[-1] > node_ceiling:  # the root's subtree is the largest
+    index = {None: 0}
+    out, labels, texts, sizes = [[]], [None], ["∅"], [1]
+    for window, marches in dag.items():
+        # A pivotless label ({}) has the null leaf as its only child.
+        edges = () if marches is None else marches.items() or [((), None)]
+        index[window] = len(out)
+        out.append([(rows, index[child]) for rows, child in edges])
+        label = Permutation._trusted(window)
+        labels.append(label)
+        texts.append(label.text())
+        sizes.append(1 + sum([sizes[v] for _, v in out[-1]]))
+    if sizes[-1] > node_ceiling:  # the root's subtree is the largest
         raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-    return tree
+    return MarchTree(_Unfolding(out, labels, texts, sizes), t, mode)
 
 
 def leaf_counts(
@@ -212,9 +185,10 @@ def leaf_counts(
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:
-    counts = Counter(leaf.label for leaf in tree.leaves())
-    nulls = counts.pop(None, 0)
-    return LeafSummary(dict(counts), nulls)
+    """The leaf summary of a built tree, counted by :func:`leaf_counts`
+    (the tree's nodes bound its distinct labels)."""
+    view = tree.unfolding
+    return leaf_counts(view.labels[-1], tree.t, tree.mode, view.sizes[-1])
 
 
 def unique_labeled_leaf(
@@ -239,7 +213,7 @@ def unique_labeled_leaf(
 def _preorder(view: _Unfolding) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(march set, vertex, depth) of every node in preorder, the root first."""
     out = view.out
-    stack = [iter([(view.root_march, len(out) - 1)])]  # the nodes still to visit, per depth
+    stack = [iter([((), len(out) - 1)])]  # the nodes still to visit, per depth
     while stack:
         depth = len(stack) - 1
         for rows, v in stack[-1]:
@@ -254,7 +228,7 @@ def _preorder(view: _Unfolding) -> Iterator[tuple[tuple[int, ...], int, int]]:
 def to_text(tree: MarchTree) -> str:
     """The root's label, then one line per other node in preorder: two
     spaces per depth, then ``--I--> label``."""
-    view = tree._unfolded()
+    view = tree.unfolding
     lines, rendered = [], {}  # rendered: (march set, vertex, depth) -> line
     for node in _preorder(view):
         line = rendered.get(node)
@@ -272,7 +246,7 @@ def to_json(tree: MarchTree) -> str:
     null leaf's label) exactly as ``json.dumps(..., ensure_ascii=False,
     indent=2)`` writes them.  A node at depth d opens its object at indent
     4d, its keys sit at 4d + 2 and the items of its lists at 4d + 4."""
-    view = tree._unfolded()
+    view = tree.unfolding
     out, labels, texts = view.out, view.labels, view.texts
     parts, rendered = [], {}  # rendered: (march set, vertex, depth) -> text up to the children
     closings, previous = [], -1  # per depth: after the children; the depth of the node before
@@ -303,7 +277,7 @@ def to_json(tree: MarchTree) -> str:
 def to_dot(tree: MarchTree) -> str:
     """Nodes numbered n0, n1, ... in preorder: a node's children follow it,
     each after the whole subtree of the one before."""
-    view = tree._unfolded()
+    view = tree.unfolding
     out, sizes = view.out, view.sizes
     vertices = [f' [label="{text}"];' for text in view.texts]
     marches = {rows for edges in out for rows, _ in edges}

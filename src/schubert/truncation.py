@@ -24,6 +24,7 @@ from .grothendieck import (
     expansion_to_json_obj,
     grothendieck,
     structure_constants,
+    top_layer,
 )
 from .permutations import Permutation
 from .poly import CeilingExceeded
@@ -139,10 +140,7 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
 
 def _in_mode(expansion: ExpansionMap, problem: TruncationProblem, mode: Mode) -> ExpansionMap:
     """The expansion itself in K; its top degree layer in cohomology."""
-    if mode != "cohomology":
-        return expansion
-    top = problem.sigma.length() + problem.rho.length()
-    return {perm: c for perm, c in expansion.items() if perm.length() == top}
+    return top_layer(expansion, problem.sigma, problem.rho) if mode == "cohomology" else expansion
 
 
 def _discrepancies(

@@ -17,7 +17,6 @@ from schubert import (
     grothendieck_dd,
     k_march,
     k_march_steps,
-    leaf_summary,
     march,
     maximal_corner,
     pivots,
@@ -36,6 +35,7 @@ from schubert.grothendieck import parse_expansion
 from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, EXAMPLE_5, FIGURE_2
 
 from permutation_helpers import is_vexillary
+from tree_helpers import leaf_summary_of
 
 ID = Permutation.identity()
 
@@ -108,7 +108,7 @@ def test_criterion_4_figure_2_fixture():
         assert [c.march for c in tree.root.children] == root_marches
         child = tree.root.children[0]
         assert {c.march for c in child.children} == set(FIGURE_2["second_level"])
-        summary = leaf_summary(tree)
+        summary = leaf_summary_of(tree.root)
         assert summary.counts == counts
         assert summary.null_count == FIGURE_2["null_leaves"]
         assert summary.signed(FIGURE_2["length"]) == leaves
@@ -175,7 +175,7 @@ def test_criterion_9_property_suites():
             if not is_vexillary(beta):
                 continue
             for s in (1, 2, 3, 4):
-                summary = leaf_summary(build_tree(beta, s, "K"))
+                summary = leaf_summary_of(build_tree(beta, s, "K").root)
                 assert sum(summary.counts.values()) <= 1, (beta, s)
 
         # Brion sign positivity across S_4 x S_4.

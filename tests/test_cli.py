@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -194,6 +195,10 @@ class TestVerifyPaper:
         assert "all 8 fixtures passed" in out
         assert out.count("ok   ") == 8
         assert "FAIL" not in out
+        # Byte for byte, so that a rewrite of a fixture cannot change a line.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fb75375dddb688fa6f1b1eb50606e871465529438e16a48fa05c4e2f2445b604"
+        )
 
     def test_a_wrong_record_fails_its_fixture_only(self, capsys, monkeypatch):
         module = importlib.import_module("schubert.worked_examples")
@@ -339,3 +344,18 @@ class TestReadme:
             program, *argv = shlex.split(command)
             assert program == "schubert"
             assert invoke(capsys, *argv) == (0, shown + "\n", ""), command
+
+    def test_library_sketch_runs_as_written(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        assert out.startswith("digraph march_tree {")
+        assert "  n17 [" in out and "n18" not in out  # "nodes n0..n17 in preorder"
+
+
+class TestPublicSurface:
+    def test_every_name_in_all_resolves(self):
+        assert len(set(schubert.__all__)) == len(schubert.__all__)
+        for name in schubert.__all__:
+            assert getattr(schubert, name) is not None, name

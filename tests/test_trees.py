@@ -11,7 +11,6 @@ from schubert import (
     NodeCeilingExceeded,
     Permutation,
     Polynomial,
-    TreeNode,
     build_tree,
     grothendieck,
     grothendieck_dd,
@@ -26,18 +25,21 @@ from schubert import (
 from schubert.cli import run
 from schubert.diagram import march_children
 from schubert.grothendieck import parse_expansion
+from schubert.trees import TreeNode
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
 
 from permutation_helpers import is_vexillary
+from tree_helpers import leaf_summary_of, preorder
 
 ID = Permutation.identity()
 FIGURE_2_LEAVES = parse_expansion(FIGURE_2["leaves"])
 FIGURE_2_COUNTS = {perm: abs(c) for perm, c in FIGURE_2_LEAVES.items()}
 
 
-def grown_tree(beta: Permutation, t: int, mode: str = "K") -> MarchTree:
-    """The marching tree grown node by node through ``march_children``, on
-    an explicit stack, with no node shared: the oracle of ``build_tree``."""
+def grown_tree(beta: Permutation, t: int, mode: str = "K") -> TreeNode:
+    """The root of the marching tree grown node by node through
+    ``march_children``, on an explicit stack, with no node shared: the
+    oracle of ``build_tree`` and ``leaf_counts``."""
 
     def start(label: Permutation | None, march: tuple[int, ...]) -> TreeNode | list:
         """A finished leaf, or the frame [label, march, child specs, built children]."""
@@ -61,33 +63,33 @@ def grown_tree(beta: Permutation, t: int, mode: str = "K") -> MarchTree:
             stack.pop()
             if stack:
                 stack[-1][3].append(TreeNode(frame[0], frame[1], tuple(frame[3])))
-    return MarchTree(top[3][0], t, mode)
+    return top[3][0]
 
 
-def to_json_obj(tree: MarchTree) -> dict:
-    """The tree as nested {"label", "march", "children"} objects, built node
-    by node from its TreeNodes: ``json.dumps`` of it is the oracle of
+def to_json_obj(root: TreeNode) -> dict:
+    """The tree under root as nested {"label", "march", "children"}
+    objects, built node by node: ``json.dumps`` of it is the oracle of
     ``to_json``."""
 
     def encode(node: TreeNode) -> dict:
         label = None if node.label is None else node.label.text()
         return {"label": label, "march": list(node.march), "children": []}
 
-    root = encode(tree.root)
-    stack = [(tree.root, root)]
+    top = encode(root)
+    stack = [(root, top)]
     while stack:
         node, obj = stack.pop()
         obj["children"] = [encode(child) for child in node.children]
         stack += zip(node.children, obj["children"])
-    return root
+    return top
 
 
-def dot_and_text(tree: MarchTree) -> tuple[str, str]:
-    """DOT and text written node by node from the tree's TreeNodes, each
+def dot_and_text(root: TreeNode) -> tuple[str, str]:
+    """DOT and text written node by node from the tree under root, each
     node numbered by its position in preorder: the oracle of ``to_dot``
     and ``to_text``."""
     order = []  # (node, depth, number of its parent) in preorder
-    stack = [(tree.root, 0, -1)]
+    stack = [(root, 0, -1)]
     while stack:
         node, depth, parent = stack.pop()
         stack += [(child, depth + 1, len(order)) for child in reversed(node.children)]
@@ -107,19 +109,17 @@ def dot_and_text(tree: MarchTree) -> tuple[str, str]:
         dot.append(f'  n{k} [label="{label(node)}"];')
         dot += [f'  n{k} -> n{j} [label="{rows(order[j][0])}"];' for j in children[k]]
     dot.append("}")
-    text = [label(tree.root)]
+    text = [label(root)]
     text += ["  " * depth + f"--{rows(node)}--> {label(node)}" for node, depth, _ in order[1:]]
     return "\n".join(dot), "\n".join(text)
 
 
-def assert_same_exports(tree: MarchTree, oracle: MarchTree) -> None:
-    """tree, and oracle unfolded from its own nodes, export as the
-    node-by-node oracles write oracle."""
-    assert sum(1 for _ in tree.nodes()) == sum(1 for _ in oracle.nodes())
+def assert_same_exports(tree: MarchTree, oracle: TreeNode) -> None:
+    """tree's root view is the grown tree oracle, and tree exports as the
+    node-by-node oracles write it."""
+    assert tree.root == oracle
     encoded = json.dumps(to_json_obj(oracle), ensure_ascii=False, indent=2)
-    expected = (encoded, *dot_and_text(oracle))
-    for exported in (tree, oracle):
-        assert (to_json(exported), to_dot(exported), to_text(exported)) == expected
+    assert (to_json(tree), to_dot(tree), to_text(tree)) == (encoded, *dot_and_text(oracle))
 
 
 def paths(tree: MarchTree) -> dict[tuple, Permutation | None]:
@@ -153,13 +153,13 @@ class TestFigure2:
         }
 
     def test_leaf_summary(self):
-        summary = leaf_summary(self.tree)
+        summary = leaf_summary_of(self.tree.root)
         assert summary.counts == FIGURE_2_COUNTS
         assert summary.null_count == FIGURE_2["null_leaves"]
         assert summary.total() == len(FIGURE_2["second_level"])
 
     def test_signed_expansion(self):
-        assert leaf_summary(self.tree).signed(FIGURE_2["length"]) == FIGURE_2_LEAVES
+        assert leaf_summary_of(self.tree.root).signed(FIGURE_2["length"]) == FIGURE_2_LEAVES
 
 
 class TestFigure1:
@@ -167,22 +167,23 @@ class TestFigure1:
         self.tree = build_tree(Permutation.parse(FIGURE_1["perm"]), FIGURE_1["t"], "K")
 
     def test_shape_and_leaves(self):
-        labeled = [n for n in self.tree.nodes() if n.label is not None]
+        nodes = list(preorder(self.tree.root))
+        labeled = [n for n in nodes if n.label is not None]
         assert len(labeled) == FIGURE_1["labeled"]
-        assert all(n.label is not None for n in self.tree.nodes())
-        summary = leaf_summary(self.tree)
+        assert all(n.label is not None for n in nodes)
+        summary = leaf_summary_of(self.tree.root)
         assert summary.null_count == FIGURE_1["null_leaves"]
         # Figure 1's leaves are Example 3's nine permutations, each once.
         assert summary.counts == {perm: 1 for perm in parse_expansion(FIGURE_1["leaves"])}
 
     def test_example_3_signs(self):
-        expansion = leaf_summary(self.tree).signed(self.tree.root.label.length())
+        expansion = leaf_summary_of(self.tree.root).signed(self.tree.root.label.length())
         assert sorted(expansion.values()) == sorted(EXAMPLE_3["expansions"]["K"].values())
 
     def test_complete_edge_structure(self):
         edges = {
             (node.label, child.march, child.label)
-            for node in self.tree.nodes()
+            for node in preorder(self.tree.root)
             for child in node.children
         }
         assert edges == {
@@ -194,25 +195,25 @@ class TestFigure1:
 class TestBasics:
     def test_identity_is_a_single_node(self):
         tree = build_tree(ID, 3, "K")
-        assert tree.root.is_leaf() and tree.root.label == ID
-        summary = leaf_summary(tree)
+        assert tree.root.children == () and tree.root.label == ID
+        summary = leaf_summary_of(tree.root)
         assert summary.counts == {ID: 1} and summary.null_count == 0
         assert summary.signed(0) == {ID: 1}
 
     def test_leaf_descent_split(self):
         for beta in symmetric_group(4):
             for t in (1, 2, 3):
-                for node in build_tree(beta, t, "K").nodes():
+                for node in preorder(build_tree(beta, t, "K").root):
                     if node.label is None:
-                        assert node.is_leaf()
-                    elif node.is_leaf():
+                        assert not node.children
+                    elif not node.children:
                         assert (node.label.last_descent() or 0) <= t
                     else:
                         assert node.label.last_descent() > t
 
     def test_cohomology_children_are_single_marches(self):
         tree = build_tree(Permutation.parse("321465"), 2, "cohomology")
-        for node in tree.nodes():
+        for node in preorder(tree.root):
             for child in node.children:
                 assert len(child.march) <= 1
 
@@ -247,7 +248,7 @@ class TestSingleLeafFamilies:
             if not is_vexillary(beta):
                 continue
             for s in (1, 2, 3, 4):
-                summary = leaf_summary(build_tree(beta, s, "K"))
+                summary = leaf_summary_of(build_tree(beta, s, "K").root)
                 assert sum(summary.counts.values()) <= 1
 
     def test_grassmannian_stabilization_on_s4(self):
@@ -256,7 +257,7 @@ class TestSingleLeafFamilies:
             if s is None:
                 continue
             for n in range(5):
-                summary = leaf_summary(build_tree(pi.stabilize(n), s, "K"))
+                summary = leaf_summary_of(build_tree(pi.stabilize(n), s, "K").root)
                 assert summary.counts == {pi: 1}
 
     def test_unique_labeled_leaf_examples(self):
@@ -316,28 +317,41 @@ class TestSerialization:
         )
 
     def test_dot_numbers_a_shared_node_at_each_occurrence(self):
-        P = Permutation.parse
-        leaf = TreeNode(P("21"), (1,), ())  # one object under both children
-        left, right = TreeNode(P("231"), (1,), (leaf,)), TreeNode(P("312"), (2,), (leaf,))
-        tree = MarchTree(TreeNode(P("321"), (), (left, right)), 1, "K")
+        # 321 sits under both 2413 and 3142, and the null leaf under three labels.
+        root = Permutation.parse("214365")
+        tree = build_tree(root, 1, "cohomology")
         assert to_dot(tree) == (
             "digraph march_tree {\n"
-            '  n0 [label="321"];\n'
-            '  n0 -> n1 [label="1"];\n'
-            '  n0 -> n3 [label="2"];\n'
-            '  n1 [label="231"];\n'
+            '  n0 [label="214365"];\n'
+            '  n0 -> n1 [label="3"];\n'
+            '  n0 -> n6 [label="4"];\n'
+            '  n1 [label="21534"];\n'
             '  n1 -> n2 [label="1"];\n'
-            '  n2 [label="21"];\n'
-            '  n3 [label="312"];\n'
+            '  n1 -> n3 [label="2"];\n'
+            '  n2 [label="4123"];\n'
+            '  n3 [label="2413"];\n'
             '  n3 -> n4 [label="1"];\n'
-            '  n4 [label="21"];\n'
+            '  n4 [label="321"];\n'
+            '  n4 -> n5 [label=""];\n'
+            '  n5 [label="∅"];\n'
+            '  n6 [label="21453"];\n'
+            '  n6 -> n7 [label="1"];\n'
+            '  n6 -> n10 [label="2"];\n'
+            '  n7 [label="3142"];\n'
+            '  n7 -> n8 [label="2"];\n'
+            '  n8 [label="321"];\n'
+            '  n8 -> n9 [label=""];\n'
+            '  n9 [label="∅"];\n'
+            '  n10 [label="2341"];\n'
+            '  n10 -> n11 [label=""];\n'
+            '  n11 [label="∅"];\n'
             "}"
         )
-        copy = TreeNode(P("21"), (1,), ())
-        unshared = MarchTree(
-            TreeNode(P("321"), (), (left, TreeNode(P("312"), (2,), (copy,)))), 1, "K"
-        )
-        assert_same_exports(tree, unshared)
+        under_2413 = tree.root.children[0].children[1].children[0]
+        under_3142 = tree.root.children[1].children[0].children[0]
+        assert under_2413.label == under_3142.label == Permutation.parse("321")
+        assert under_2413.children is under_3142.children  # one tuple per distinct label
+        assert_same_exports(tree, grown_tree(root, 1, "cohomology"))
 
     def test_null_leaf_serialization(self):
         tree = build_tree(Permutation.parse("231"), 1, "K")
@@ -374,7 +388,7 @@ class TestUnfolding:
 
     def test_children_are_shared_per_label(self):
         tree = build_tree(Permutation.parse("43218765"), 3, "K")
-        nodes = list(tree.nodes())
+        nodes = list(preorder(tree.root))
         labels = {node.label for node in nodes if node.label is not None}
         assert (len(nodes), len(labels)) == (1899, 608)
         shared = {id(node.children) for node in nodes if node.children}
@@ -394,12 +408,14 @@ class TestUnfolding:
             build_tree(root, 3, "K", node_ceiling=1898)
         tree = build_tree(root, 3, "K", node_ceiling=1899)
         exports = to_json(tree), to_dot(tree), to_text(tree)
+        summary = leaf_summary(tree)
         assert built == []
+        assert summary_pair(summary) == summary_pair(leaf_counts(root, 3, "K"))
         assert tree.root is tree.root
         count = len(built)
         assert 0 < count < 1899  # one node per distinct edge, not per vertex
-        assert sum(1 for _ in tree.nodes()) == 1899
-        assert summary_pair(leaf_summary(tree)) == summary_pair(leaf_counts(root, 3, "K"))
+        assert sum(1 for _ in preorder(tree.root)) == 1899
+        assert summary_pair(leaf_summary_of(tree.root)) == summary_pair(summary)
         assert (to_json(tree), to_dot(tree), to_text(tree)) == exports
         assert len(built) == count
 
@@ -407,6 +423,7 @@ class TestUnfolding:
         root = Permutation.parse("43218765")
         with pytest.raises(NodeCeilingExceeded, match="more than 1898 nodes"):
             build_tree(root, 3, "K", node_ceiling=1898)
+        # MarchTree.nodes() walks the root view in preorder.
         assert sum(1 for _ in build_tree(root, 3, "K", node_ceiling=1899).nodes()) == 1899
 
     def test_cli_stops_at_the_ceiling_before_writing(self, capsys):
@@ -430,13 +447,13 @@ def star_roots_and_levels(n, pairs):
 
 
 class TestLeafCounts:
-    """leaf_counts walks the marching DAG; the built tree is its oracle."""
+    """leaf_counts walks the marching DAG; the grown tree is its oracle."""
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_matches_the_tree_on_every_s4_star_root(self, mode):
         s4 = list(symmetric_group(4))
         for root, t in star_roots_and_levels(4, itertools.product(s4, s4)):
-            expected = leaf_summary(build_tree(root, t, mode))
+            expected = leaf_summary_of(grown_tree(root, t, mode))
             assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
@@ -447,7 +464,7 @@ class TestLeafCounts:
         for sigma, alpha in pairs:
             root = sigma.star(alpha, 5)
             t = max(1, sigma.last_descent() or 0)
-            expected = leaf_summary(build_tree(root, t, mode))
+            expected = leaf_summary_of(grown_tree(root, t, mode))
             assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
 
     def test_figure_2_and_a_leaf_root(self):
@@ -459,11 +476,11 @@ class TestLeafCounts:
     def test_ceiling_counts_distinct_labels_not_nodes(self):
         root = Permutation.parse("43218765")
         tree = build_tree(root, 3, "K")
-        nodes = sum(1 for _ in tree.nodes())
-        labels = len({node.label for node in tree.nodes() if node.label is not None})
-        assert (nodes, labels) == (1899, 608)
+        nodes = list(preorder(tree.root))
+        labels = len({node.label for node in nodes if node.label is not None})
+        assert (len(nodes), labels) == (1899, 608)
         assert summary_pair(leaf_counts(root, 3, "K", node_ceiling=labels)) == summary_pair(
-            leaf_summary(tree)
+            leaf_summary_of(tree.root)
         )
         with pytest.raises(NodeCeilingExceeded):
             build_tree(root, 3, "K", node_ceiling=labels)
@@ -474,10 +491,10 @@ class TestLeafCounts:
     def test_ceiling_boundary_is_the_distinct_label_count(self, mode):
         root = Permutation.parse("43218765")
         tree = build_tree(root, 3, mode)
-        labels = len({node.label for node in tree.nodes() if node.label is not None})
+        labels = len({node.label for node in preorder(tree.root) if node.label is not None})
         assert labels == {"K": 608, "cohomology": 88}[mode]
         assert summary_pair(leaf_counts(root, 3, mode, node_ceiling=labels)) == summary_pair(
-            leaf_summary(tree)
+            leaf_summary_of(tree.root)
         )
         with pytest.raises(NodeCeilingExceeded, match=f"more than {labels - 1} distinct labels"):
             leaf_counts(root, 3, mode, node_ceiling=labels - 1)
@@ -501,6 +518,9 @@ class TestLeafCounts:
             leaf_counts(ID, 1, "quantum")
 
 
+DEEP_ROOT = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")  # depth 17 at t=2 in cohomology
+
+
 def frame_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -510,37 +530,33 @@ def frame_depth():
 
 class TestNoRecursion:
     def test_a_deep_tree_walks_and_exports_under_a_low_recursion_limit(self):
-        node = TreeNode(None, (), ())
-        for k in range(300):
-            node = TreeNode(Permutation.parse("21"), (k % 3 + 1,), (node,))
-        tree = MarchTree(node, 1, "K")
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(frame_depth() + 40)
-        try:
-            count = sum(1 for _ in tree.nodes())
-            summary = leaf_summary(tree)
-            text, dot, obj, encoded = to_text(tree), to_dot(tree), to_json_obj(tree), to_json(tree)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert count == 301
-        assert summary_pair(summary) == ({}, 1)
-        assert text.count("\n") == 300 and text.endswith("----> ∅")
-        assert dot.count(" -> ") == 300
-        # json.dumps itself recurses, so it runs at the default limit.
-        assert encoded == json.dumps(obj, ensure_ascii=False, indent=2)
-
-    def test_build_tree_is_not_bounded_by_the_recursion_limit(self):
-        # Depth 17: a recursive grow needs more frames than the limit leaves.
-        root = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")
+        tree = build_tree(DEEP_ROOT, 2, "cohomology")
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(frame_depth() + 20)
         try:
-            tree = build_tree(root, 2, "cohomology")
-            counted = leaf_counts(root, 2, "cohomology")
+            text, dot, encoded = to_text(tree), to_dot(tree), to_json(tree)
+            count = sum(1 for _ in tree.nodes())  # builds the root view
         finally:
             sys.setrecursionlimit(limit)
-        assert sum(1 for _ in tree.nodes()) == 10184
-        assert summary_pair(leaf_summary(tree)) == summary_pair(counted)
+        assert count == 10184
+        lines = text.splitlines()
+        assert len(lines) == 10184
+        assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 2 * 17
+        assert dot.count(" -> ") == 10183
+        # json.dumps itself recurses, so it runs at the default limit.
+        assert encoded == json.dumps(to_json_obj(tree.root), ensure_ascii=False, indent=2)
+
+    def test_build_tree_is_not_bounded_by_the_recursion_limit(self):
+        # Depth 17: a recursive grow needs more frames than the limit leaves.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 20)
+        try:
+            tree = build_tree(DEEP_ROOT, 2, "cohomology")
+            counted = leaf_counts(DEEP_ROOT, 2, "cohomology")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree.unfolding.sizes[-1] == 10184
+        assert summary_pair(leaf_summary_of(tree.root)) == summary_pair(counted)
 
     def test_grothendieck_is_not_bounded_by_the_recursion_limit(self):
         # The transition formula reaches w0 of S_40 through 780 lengths,
@@ -575,7 +591,7 @@ class TestJsonExport:
     )
     def test_to_json_is_json_dumps_of_the_object(self, text, t, mode):
         tree = build_tree(Permutation.parse(text), t, mode)
-        assert to_json(tree) == json.dumps(to_json_obj(tree), ensure_ascii=False, indent=2)
+        assert to_json(tree) == json.dumps(to_json_obj(tree.root), ensure_ascii=False, indent=2)
 
     @pytest.mark.parametrize(
         "fmt, digest",
@@ -601,6 +617,10 @@ class TestJsonExport:
                 "9a6c5cf868298bce0b84ac1ef7164f68ac18884a24cb4ebd60b69fa7386fd2f1",
             ),
             (
+                ["multiply", "326541", "7312654", "--cohomology"],
+                "cdff6eb25c88edc957a75331f3090d83cbf8a3c8eb93ae23b1a754489539c8bc",
+            ),
+            (
                 ["product", "41352", "4321", "--n", "5", "--t", "7"],
                 "33254f8a7633f8ba1412ad0869ae534a87fa92127cd49e2546582cadedbffd64",
             ),
@@ -613,7 +633,7 @@ class TestJsonExport:
                 "7660cc71acbbf0aeda512ebad9684760ea9b3bc7c8abdd4569bde3c49d91e2cc",
             ),
         ],
-        ids=["multiply", "product-K", "product-cohomology", "groth-window-11"],
+        ids=["multiply", "multiply-cohomology", "product-K", "product-cohomology", "groth-window-11"],
     )
     def test_cli_output_digests(self, capsys, argv, digest):
         assert run(argv) == 0
