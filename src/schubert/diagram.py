@@ -10,16 +10,16 @@ the library) and the literal box-hopping procedure on the picture
 The transposition form is one private kernel over canonical windows,
 which every marching function here reads: one scan decides whether a
 window is a leaf at level t and finds its corner and pivot rows, and
-each (K-)march out of it is built as a tuple.  One private
-explicit-stack walk marches each window of a DAG once and returns it as
-a post-order dict, which the Grothendieck transition formula sums over
-and :mod:`schubert.trees` counts and unfolds.
+each (K-)march out of it is built as a tuple.  The kernel is the one
+primitive shared by the Grothendieck transition formula and the marching
+trees; each walks its own DAG over it (:mod:`schubert.grothendieck`,
+:mod:`schubert.trees`), because the two need different windows, stop at
+different leaves and bound different things.
 """
 from __future__ import annotations
 
 import itertools
-import math
-from typing import Container, Iterable, Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 from .permutations import Permutation, _trim
 
@@ -124,47 +124,6 @@ def _window_marches(window: _Window, mode: Mode, t: int = 0) -> tuple | None:
                 word[g - 1] = value
                 children[subset] = freeze(word)
     return g, freeze(q), children
-
-
-def _march_dag(root: _Window, entry, mode: Mode, t: int, known: Container = (), ceiling=math.inf):
-    """{window: entry} for root (its entry given) and every window reachable
-    from it through windows not in ``known``, each after every window it
-    needs; None past ``ceiling`` windows.  At t = 0 (the transition DAG)
-    an entry is the kernel's triple and a window needs q and its children;
-    at t >= 1 (a marching tree) it is the children {I: child}, or None
-    for a leaf, and a window needs its children.  The windows on the
-    explicit stack are ancestors of the one marched, which in a DAG needs
-    none of them, so each window is marched once."""
-    transition = not t
-    if ceiling < 1:
-        return None
-    needed = (entry[1], *entry[2].values()) if transition and entry else (entry or {}).values()
-    dag: dict = {}
-    labels = 1
-    stack = [(root, entry, iter(needed))]
-    while stack:
-        window, entry, pending = stack[-1]
-        for child in pending:
-            if child in dag or child in known:
-                continue
-            labels += 1
-            if labels > ceiling:
-                return None
-            node = _window_marches(child, mode, t)
-            if node is None:  # a leaf needs nothing, so it is listed at once
-                dag[child] = None
-            elif transition:
-                stack.append((child, node, iter((node[1], *node[2].values()))))
-                break
-            elif node[2]:
-                stack.append((child, node[2], iter(node[2].values())))
-                break
-            else:  # no pivots: the null leaf is the only child
-                dag[child] = {}
-        else:
-            stack.pop()
-            dag[window] = entry
-    return dag
 
 
 def pivots(p: Permutation) -> list[Box]:

@@ -10,15 +10,15 @@ Two independent constructions of the Grothendieck polynomial are kept:
   with base case G_id = 1, where g is the last descent of p and
   q = p t_{g<->m} removes the maximal corner (the K-march children of
   :mod:`schubert.diagram`).  The windows the formula needs form a DAG,
-  which the explicit-stack walk of :mod:`schubert.diagram`, shared with
-  the marching trees, returns as a post-order dict, so no window is too
-  long for the interpreter's recursion limit.  One memo maps each
-  window to its polynomial, and the walk skips memoised windows.  The
-  walk's dict lists each window after the windows it reads, and each is
-  summed once, in that order, into one fresh dict of packed exponents
-  (see :mod:`schubert.poly`), not through polynomial arithmetic: raising
-  x_g adds ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the
-  packed int.  The sum cancels no term, so nothing is filtered.  Every
+  which one explicit-stack walk over the marching kernel of
+  :mod:`schubert.diagram` climbs, so no window is too long for the
+  interpreter's recursion limit.  One memo maps each window to its
+  polynomial, and the walk skips memoised windows.  Each window is
+  summed once, as it leaves the stack after the windows it reads, into
+  one fresh dict of packed exponents (see :mod:`schubert.poly`), not
+  through polynomial arithmetic: raising x_g adds
+  ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
+  int.  The sum cancels no term, so nothing is filtered.  Every
   monomial of G_w for w in S_n divides the staircase
   x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
   most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
@@ -46,7 +46,7 @@ import json
 from typing import NamedTuple
 
 from . import poly
-from .diagram import _march_dag, _Window, _window_marches
+from .diagram import _Window, _window_marches
 from .permutations import Permutation, _lehmer_window
 from .poly import (
     DEGREE_MASK,
@@ -111,20 +111,29 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _walk(root: _Window) -> None:
-    """Memoise G of root and of every window it needs, each summed from
-    memoised windows: the walk lists every window after the windows it
-    reads, which form a DAG because the transition formula terminates on
-    every permutation (Lascoux).  Each summed window reads its q and its
-    children: 1 + len(children) lookups."""
+    """Memoise G of root and of every window it needs that is not memoised.
+
+    An explicit stack marches each window and pushes the first of its q
+    and children not yet memoised; a window leaves the stack when all of
+    them are, and is summed then.  The windows form a DAG because the
+    transition formula terminates on every permutation (Lascoux), so the
+    windows on the stack, ancestors of the one marched, are never among
+    its needs and each window is marched once.  Each summed window reads
+    its q and its children: 1 + len(children) lookups."""
     global _lookups
-    dag = _march_dag(root, _window_marches(root, "K"), "K", 0, _memo)
-    lookups = 0
-    try:
-        for window, (g, q, children) in dag.items():
+    marches = _window_marches(root, "K")
+    stack = [(root, marches, iter((marches[1], *marches[2].values())))]
+    while stack:
+        window, (g, q, children), pending = stack[-1]
+        for needed in pending:
+            if needed not in _memo:  # not the identity, which is memoised: it marches
+                marches = _window_marches(needed, "K")
+                stack.append((needed, marches, iter((marches[1], *marches[2].values()))))
+                break
+        else:
+            stack.pop()
             _memo[window] = _transition_sum(g, q, children)
-            lookups += 1 + len(children)
-    finally:
-        _lookups += lookups
+            _lookups += 1 + len(children)
 
 
 def _transition_sum(g: int, q: _Window, children: dict) -> Polynomial:

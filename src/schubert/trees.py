@@ -8,15 +8,16 @@ per non-empty subset of pivot rows.  A label with no pivots gets a
 single null child.
 
 The subtree under a vertex depends only on its label, so the tree is
-the unfolding of a marching DAG over distinct labels, which the walk of
-:mod:`schubert.diagram` returns as a post-order dict, marching each
-distinct window once.  :func:`leaf_counts` counts root-to-leaf paths
-over that dict, and :func:`build_tree`, the only maker of a
-:class:`MarchTree`, keeps it, with subtree sizes, as the tree's
-unfolding, which the exporters write from in preorder.  The
-:class:`TreeNode` objects of ``MarchTree.root`` are a read-only view of
-the unfolding, built only when it is read.  The node ceiling bounds the
-distinct labels of the first and the unfolded nodes of the second.
+the unfolding of a marching DAG over distinct labels, which one
+explicit-stack walk over the marching kernel of :mod:`schubert.diagram`
+returns as a post-order dict, marching each distinct window once.
+:func:`leaf_counts` counts root-to-leaf paths over that dict, and
+:func:`build_tree`, the only maker of a :class:`MarchTree`, keeps it,
+with subtree sizes, as the tree's unfolding, which the exporters write
+from in preorder.  The :class:`TreeNode` objects of ``MarchTree.root``
+are a read-only view of the unfolding, built only when it is read.  The
+node ceiling bounds the distinct labels of the first and the unfolded
+nodes of the second.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -29,7 +30,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Iterator, NamedTuple
 
-from .diagram import Mode, _check_mode, _march_dag, march_children
+from .diagram import Mode, _check_mode, _window_marches, march_children
 from .permutations import Permutation, _last_descent
 from .poly import CeilingExceeded
 
@@ -114,16 +115,40 @@ def _check_level_and_mode(t: int, mode: Mode) -> None:
 
 
 def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:
-    """The shared walk's DAG under beta: {window: None for a leaf, else its
-    children {rows: child window} in tree order, {} with no pivots (a null
-    leaf)}.  Raises :class:`NodeCeilingExceeded` past ``ceiling`` labels."""
+    """{window: None for a leaf, else its children {rows: child window} in
+    tree order, {} with no pivots (a null leaf)} for beta's window and every
+    label under it, each after its children.  An explicit stack marches
+    each label once: the labels on it are ancestors of the one marched,
+    which in a DAG are none of its children.  Raises
+    :class:`NodeCeilingExceeded` past ``ceiling`` labels."""
+    if ceiling < 1:
+        raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
     # The root marches through the public march_children, which bench/tracer.py
     # wraps, so traced runs still see tree marching in the diagram layer.
     leaf = _last_descent(beta.window) <= t
     marches = None if leaf else {rows: child.window for rows, child in march_children(beta, mode)}
-    dag = _march_dag(beta.window, marches, mode, t, ceiling=ceiling)
-    if dag is None:
-        raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
+    dag: dict = {}
+    labels = 1
+    stack = [(beta.window, marches, iter((marches or {}).values()))]
+    while stack:
+        window, marches, pending = stack[-1]
+        for child in pending:
+            if child in dag:
+                continue
+            labels += 1
+            if labels > ceiling:
+                raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
+            node = _window_marches(child, mode, t)
+            if node is None:  # a leaf has no children, so it is listed at once
+                dag[child] = None
+            elif node[2]:
+                stack.append((child, node[2], iter(node[2].values())))
+                break
+            else:  # no pivots: the null leaf is the only child
+                dag[child] = {}
+        else:
+            stack.pop()
+            dag[window] = marches
     return dag
 
 

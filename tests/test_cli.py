@@ -250,6 +250,9 @@ class TestUsageErrors:
     def test_non_positive_levels_are_usage_errors(self, capsys):
         assert invoke(capsys, "tree", "321465", "--t", "0")[0] == 2
         assert invoke(capsys, "tree", "321465", "--t", "-1")[0] == 2
+        code, out, err = invoke(capsys, "tree", "321", "--t", "x")
+        assert (code, out) == (2, "")
+        assert "not an integer" in err
         for flags in (("--n", "0", "--t", "2"), ("--n", "-3", "--t", "2"),
                       ("--n", "3", "--t", "0"), ("--n", "3", "--t", "-2")):
             code, _, err = invoke(capsys, "product", "321", "132", *flags)

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 
@@ -22,7 +21,7 @@ from schubert import (
     symmetric_group,
     transition_pair,
 )
-from schubert.diagram import _march_dag, _window_marches
+from schubert.diagram import _window_marches
 from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, FIGURE_2
 
 ID = Permutation.identity()
@@ -193,77 +192,6 @@ class TestKernel:
             march_children(ID)
 
 
-def needs(t, marches):
-    """The windows an entry of the walk needs: q and the children at t = 0,
-    the children at t >= 1."""
-    if marches is None:
-        return ()
-    if t == 0:
-        _, q, children = marches
-        return (q, *children.values())
-    return tuple(marches.values())
-
-
-def entry(window, mode, t):
-    """A window's entry in the walk, from the kernel."""
-    marches = _window_marches(window, mode, t)
-    return marches if t == 0 or marches is None else marches[2]
-
-
-def check_walk(root, mode, t, known, monkeypatch):
-    """Walk from root with ``known`` known beforehand, counting the windows
-    the kernel marches."""
-    marched = []
-
-    def kernel(window, mode, t):
-        marched.append(window)
-        return _window_marches(window, mode, t)
-
-    monkeypatch.setattr(importlib.import_module("schubert.diagram"), "_window_marches", kernel)
-    dag = _march_dag(root, entry(root, mode, t), mode, t, known)
-    monkeypatch.undo()
-    windows = list(dag)
-    reachable, frontier = {root}, [root]
-    while frontier:
-        for child in needs(t, entry(frontier.pop(), mode, t)):
-            if child not in known and child not in reachable:
-                reachable.add(child)
-                frontier.append(child)
-    assert len(windows) == len(reachable) and set(windows) == reachable
-    assert sorted(marched) == sorted(set(windows) - {root})
-    assert not set(known).intersection(marched)
-    position = {window: k for k, window in enumerate(windows)}
-    for window, marches in dag.items():
-        assert marches == entry(window, mode, t)
-        for child in needs(t, marches):
-            assert child in known or position[child] < position[window]
-    assert _march_dag(root, entry(root, mode, t), mode, t, known, ceiling=len(windows)) == dag
-    assert _march_dag(root, entry(root, mode, t), mode, t, known, ceiling=len(windows) - 1) is None
-    return windows
-
-
-def check_walk_with_and_without_known(root, mode, t, monkeypatch):
-    """Walk once from scratch, then with every third other window known."""
-    windows = sorted(check_walk(root, mode, t, frozenset(), monkeypatch))
-    windows.remove(root)
-    check_walk(root, mode, t, frozenset(windows[::3]), monkeypatch)
-
-
-class TestPostOrder:
-    """The walk shared by the transition formula and the marching trees."""
-
-    def test_transition_dag_of_every_s5_root(self, monkeypatch):
-        for p in symmetric_group(5):
-            check_walk_with_and_without_known(p.window, "K", 0, monkeypatch)
-
-    def test_leaf_dag_of_every_s4_star_root(self, monkeypatch):
-        s4 = list(symmetric_group(4))
-        for sigma, alpha in itertools.product(s4, s4):
-            t = max(1, sigma.last_descent() or 0)
-            for mode in ("K", "cohomology"):
-                check_walk_with_and_without_known(sigma.star(alpha, 4).window, mode, t, monkeypatch)
-
-
 class TestMarch:
     def test_worked_example_marches(self):
         for p, example in ((EX1, EXAMPLE_1), (FIG2, FIGURE_2)):
@@ -271,8 +199,9 @@ class TestMarch:
                 assert march(p, row) == Permutation.parse(text)
 
     def test_rejects_non_pivot_row(self):
-        with pytest.raises(MarchError):
-            march(EX1, 4)
+        for march_on in (march, march_boxes):
+            with pytest.raises(MarchError):
+                march_on(EX1, 4)
 
     def test_preserves_length_on_s5(self):
         for p in symmetric_group(5):

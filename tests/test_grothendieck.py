@@ -21,6 +21,7 @@ from schubert import (
     symmetric_group,
     transition_pair,
 )
+from schubert.diagram import _window_marches
 from schubert.grothendieck import (
     NonExactDivision,
     _divide_by_root_difference,
@@ -33,6 +34,7 @@ from schubert.poly import MAX_EXPONENT
 from schubert.worked_examples import EXAMPLE_4
 
 poly_module = importlib.import_module("schubert.poly")
+groth_module = importlib.import_module("schubert.grothendieck")
 
 ID = Permutation.identity()
 X1 = Polynomial.variable(1)
@@ -97,6 +99,59 @@ class TestTransitionConstruction:
         assert info.currsize == len(reached) + 1
         assert grothendieck(root) is g
         assert grothendieck.cache_info().hits == info.hits + 1
+        # All of S_7 from a cleared memo: the reads and misses a change to the walk must keep.
+        grothendieck.cache_clear()
+        for p in symmetric_group(7):
+            grothendieck(p)
+        assert grothendieck.cache_info() == (12_671, 5_039, None, 5_040)
+
+
+def transition_needs(window):
+    """The windows the transition formula reads for G of window."""
+    marches = _window_marches(window, "K")
+    return () if marches is None else (marches[1], *marches[2].values())
+
+
+def check_transition_walk(p, monkeypatch):
+    """G_p from the memo as it stands, counting the windows the kernel
+    marches; returns the windows the walk summed."""
+    known, marched = set(groth_module._memo), []
+
+    def kernel(window, mode, t=0):
+        marched.append(window)
+        return _window_marches(window, mode, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groth_module, "_window_marches", kernel)
+        grothendieck(p)
+    summed = list(groth_module._memo)[len(known):]  # in the order the walk summed them
+    reachable, frontier = set(), [p.window]
+    while frontier:
+        window = frontier.pop()
+        if window not in known and window not in reachable:
+            reachable.add(window)
+            frontier.extend(transition_needs(window))
+    assert len(summed) == len(reachable) and set(summed) == reachable
+    assert sorted(marched) == sorted(reachable)
+    assert not known.intersection(marched)
+    position = {window: k for k, window in enumerate(summed)}
+    for window in summed:
+        for needed in transition_needs(window):
+            assert needed in known or position[needed] < position[window]
+    return reachable
+
+
+class TestTransitionWalk:
+    """The explicit-stack walk that sums the transition formula into the memo."""
+
+    def test_every_s5_root_from_a_cleared_and_a_warmed_memo(self, monkeypatch):
+        for p in symmetric_group(5):
+            grothendieck.cache_clear()
+            windows = sorted(check_transition_walk(p, monkeypatch) - {p.window})
+            grothendieck.cache_clear()
+            for window in windows[::3]:
+                grothendieck(Permutation._trusted(window))
+            check_transition_walk(p, monkeypatch)
 
 
 class TestDividedDifferences:

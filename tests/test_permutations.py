@@ -205,6 +205,8 @@ class TestStructuralOps:
         assert Permutation.parse("21").stabilize(1) == Permutation.parse("132")
         for p in symmetric_group(3):
             assert p.stabilize(0) == p
+        with pytest.raises(ValueError):
+            ID.stabilize(-1)
 
     def test_w0_conjugate_examples(self):
         assert w0_conjugate(Permutation.parse("132"), 3) == Permutation.parse("213")

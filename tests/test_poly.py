@@ -78,11 +78,19 @@ class TestCanonicalization:
         assert Polynomial({(1, 0, 0): 2}) == Polynomial({(1,): 2})
 
     def test_duplicate_keys_accumulate(self):
-        assert Polynomial({(1,): 2, (1, 0): 3}) == Polynomial({(1,): 5})
+        f = Polynomial({(1,): 2, (1, 0): 3})
+        assert f == Polynomial({(1,): 5})
+        assert hash(f) == hash(Polynomial({(1,): 5})) and len(f) == 1
+        assert len(X1 + X2 - X1 * X2) == 3 and len(Polynomial.zero()) == 0
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Polynomial({(-1,): 1})
+        # Variables are 1-based: x_0 is rejected the same way.
+        with pytest.raises(ValueError, match="1-based"):
+            Polynomial.variable(0)
+        with pytest.raises(ValueError, match="1-based"):
+            X1.swap_variables(0, 1)
 
 
 class TestArithmetic:
@@ -126,6 +134,7 @@ class TestArithmetic:
         assert X1 + 1 == Polynomial({(): 1, (1,): 1})
         assert 2 * X1 == Polynomial({(1,): 2})
         assert 1 - X2 == Polynomial({(): 1, (0, 1): -1})
+        assert X1 != "x1" and X1.__eq__("x1") is NotImplemented  # only ints are coerced
 
 
 class TestTruncate:
@@ -135,6 +144,8 @@ class TestTruncate:
         assert f.truncate(2) == f
         assert f.truncate(0) == Polynomial.zero()
         assert (f + 7).truncate(0) == Polynomial.constant(7)
+        with pytest.raises(ValueError):
+            f.truncate(-1)
 
     def test_level_past_every_variable(self):
         # No mask of 16 + 8 (t + 1) bits can be built for such a level.

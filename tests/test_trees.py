@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -23,13 +24,15 @@ from schubert import (
     unique_labeled_leaf,
 )
 from schubert.cli import run
-from schubert.diagram import march_children
+from schubert.diagram import _window_marches, march_children
 from schubert.grothendieck import parse_expansion
-from schubert.trees import TreeNode
+from schubert.trees import DEFAULT_NODE_CEILING, TreeNode, _tree_dag
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
 
 from permutation_helpers import is_vexillary
 from tree_helpers import leaf_summary_of, preorder
+
+trees_module = importlib.import_module("schubert.trees")
 
 ID = Permutation.identity()
 FIGURE_2_LEAVES = parse_expansion(FIGURE_2["leaves"])
@@ -516,6 +519,54 @@ class TestLeafCounts:
             leaf_counts(ID, 0, "K")
         with pytest.raises(ValueError):
             leaf_counts(ID, 1, "quantum")
+
+
+def tree_marches(window, mode, t):
+    """A label's entry in the tree walk, from the kernel: None for a leaf,
+    else its children {rows: child window}."""
+    marches = _window_marches(window, mode, t)
+    return None if marches is None else marches[2]
+
+
+def check_tree_walk(root, t, mode, monkeypatch):
+    """The tree walk from root, counting the labels the kernel marches."""
+    marched = []
+
+    def kernel(window, mode, t):
+        marched.append(window)
+        return _window_marches(window, mode, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trees_module, "_window_marches", kernel)
+        dag = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, "labels")
+    reachable, frontier = {root.window}, [root.window]
+    while frontier:
+        for child in (tree_marches(frontier.pop(), mode, t) or {}).values():
+            if child not in reachable:
+                reachable.add(child)
+                frontier.append(child)
+    assert len(dag) == len(reachable) and set(dag) == reachable
+    # The root marches through march_children; every other label through the kernel, once.
+    assert sorted(marched) == sorted(reachable - {root.window})
+    position = {window: k for k, window in enumerate(dag)}
+    for window, marches in dag.items():
+        assert marches == tree_marches(window, mode, t)
+        for child in (marches or {}).values():
+            assert position[child] < position[window]
+    assert _tree_dag(root, t, mode, len(dag), "labels") == dag
+    with pytest.raises(NodeCeilingExceeded, match=f"more than {len(dag) - 1} labels"):
+        _tree_dag(root, t, mode, len(dag) - 1, "labels")
+
+
+class TestTreeWalk:
+    """The explicit-stack walk that lists a tree's marching DAG."""
+
+    def test_every_s4_star_root_at_the_smallest_level(self, monkeypatch):
+        s4 = list(symmetric_group(4))
+        for sigma, alpha in itertools.product(s4, s4):
+            t = max(1, sigma.last_descent() or 0)
+            for mode in ("K", "cohomology"):
+                check_tree_walk(sigma.star(alpha, 4), t, mode, monkeypatch)
 
 
 DEEP_ROOT = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")  # depth 17 at t=2 in cohomology

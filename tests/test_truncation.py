@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import json
 import random
 
 import pytest
@@ -172,7 +173,9 @@ class TestVerify:
 
     def test_report_json_fields(self):
         problem = problem_of(EXAMPLE_4)
-        obj = verify(problem, "K").to_json_obj()
+        report = verify(problem, "K")
+        obj = report.to_json_obj()
+        assert json.loads(report.to_json()) == obj
         assert set(obj) == {
             "problem",
             "mode",
