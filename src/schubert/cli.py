@@ -276,8 +276,8 @@ def _figure_tree(fig: dict) -> MarchTree:
 
 def _fixture_figure2(fig: dict) -> None:
     _fixture_permutation(fig)
-    view = _figure_tree(fig).unfolding
-    out, labels = view.out, view.labels
+    tree = _figure_tree(fig)
+    out, labels = tree.out, tree.labels
     marches = [((row,), Permutation.parse(text)) for row, text in fig["marches"].items()]
     _check([(rows, labels[v]) for rows, v in out[-1]] == marches, "root edges")
     child = out[-1][0][1]
@@ -291,10 +291,10 @@ def _fixture_figure2(fig: dict) -> None:
 
 
 def _fixture_figure1(fig: dict) -> None:
-    view = _figure_tree(fig).unfolding
-    out, labels = view.out, view.labels
+    tree = _figure_tree(fig)
+    out, labels = tree.out, tree.labels
     _check(all(v for edges in out for _, v in edges), "no null leaves")  # vertex 0 is the null leaf
-    _check(view.sizes[-1] == fig["labeled"], "labeled vertex count")
+    _check(tree.sizes[-1] == fig["labeled"], "labeled vertex count")
     edges = {(labels[u], rows, labels[v]) for u, children in enumerate(out) for rows, v in children}
     parse = Permutation.parse
     _check(edges == {(parse(a), rows, parse(b)) for a, rows, b in fig["edges"]}, "edges")

@@ -12,12 +12,12 @@ the unfolding of a marching DAG over distinct labels, which one
 explicit-stack walk over the marching kernel of :mod:`schubert.diagram`
 returns as a post-order dict, marching each distinct window once.
 :func:`leaf_counts` counts root-to-leaf paths over that dict, and
-:func:`build_tree`, the only maker of a :class:`MarchTree`, keeps it,
-with subtree sizes, as the tree's unfolding, which the exporters write
-from in preorder.  The :class:`TreeNode` objects of ``MarchTree.root``
-are a read-only view of the unfolding, built only when it is read.  The
-node ceiling bounds the distinct labels of the first and the unfolded
-nodes of the second.
+:func:`build_tree`, the only maker of a :class:`MarchTree`, turns it into
+the tree's vertex lists (``out``, ``labels``, ``texts`` and subtree
+``sizes``), which the exporters write from in preorder.  The
+:class:`TreeNode` objects of ``MarchTree.root`` are a read-only view of
+those lists, built only when it is read.  The node ceiling bounds the
+distinct labels of the first and the unfolded nodes of the second.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .diagram import Mode, _check_mode, _window_marches, march_children
 from .permutations import Permutation, _last_descent
@@ -52,31 +52,28 @@ class TreeNode:
     children: tuple[TreeNode, ...]
 
 
-class _Unfolding(NamedTuple):
-    """A tree's distinct vertices, children before parents and the root
-    last; vertex 0 is the null leaf."""
+@dataclass(eq=False)
+class MarchTree:
+    """A marching tree at truncation level t in a mode, made by
+    :func:`build_tree`: lists over its distinct vertices, children before
+    parents and the root last; vertex 0 is the null leaf.  The exporters
+    write from these lists; ``root`` views them as :class:`TreeNode`
+    objects, built on first read, with one shared tuple of child nodes per
+    distinct label."""
 
     out: list[list[tuple[tuple[int, ...], int]]]  # per vertex: (march set, child) pairs
     labels: list[Permutation | None]  # per vertex: None for the null leaf
     texts: list[str]  # per vertex: its label's text, "∅" for the null leaf
     sizes: list[int]  # per vertex: the nodes of its subtree
-
-
-class MarchTree:
-    """A marching tree at truncation level t in a mode, made by
-    :func:`build_tree`.  The exporters write from its ``unfolding``;
-    ``root`` views it as :class:`TreeNode` objects, built on first read,
-    with one shared tuple of child nodes per distinct label."""
-
-    def __init__(self, unfolding: _Unfolding, t: int, mode: Mode) -> None:
-        self.unfolding, self.t, self.mode = unfolding, t, mode
+    t: int
+    mode: Mode
 
     @cached_property
     def root(self) -> TreeNode:
-        view, children = self.unfolding, []  # one tuple of child nodes per vertex
-        for edges in view.out:
-            children.append(tuple(TreeNode(view.labels[v], m, children[v]) for m, v in edges))
-        return TreeNode(view.labels[-1], (), children[-1])
+        labels, children = self.labels, []  # one tuple of child nodes per vertex
+        for edges in self.out:
+            children.append(tuple(TreeNode(labels[v], m, children[v]) for m, v in edges))
+        return TreeNode(labels[-1], (), children[-1])
 
     def nodes(self) -> Iterator[TreeNode]:
         """Every node of ``root`` in preorder (``bench/make_pools.py`` counts them)."""
@@ -177,7 +174,7 @@ def build_tree(
         sizes.append(1 + sum([sizes[v] for _, v in out[-1]]))
     if sizes[-1] > node_ceiling:  # the root's subtree is the largest
         raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-    return MarchTree(_Unfolding(out, labels, texts, sizes), t, mode)
+    return MarchTree(out, labels, texts, sizes, t, mode)
 
 
 def leaf_counts(
@@ -212,8 +209,7 @@ def leaf_counts(
 def leaf_summary(tree: MarchTree) -> LeafSummary:
     """The leaf summary of a built tree, counted by :func:`leaf_counts`
     (the tree's nodes bound its distinct labels)."""
-    view = tree.unfolding
-    return leaf_counts(view.labels[-1], tree.t, tree.mode, view.sizes[-1])
+    return leaf_counts(tree.labels[-1], tree.t, tree.mode, tree.sizes[-1])
 
 
 def unique_labeled_leaf(
@@ -235,9 +231,9 @@ def unique_labeled_leaf(
 # -- serialization ---------------------------------------------------------
 
 
-def _preorder(view: _Unfolding) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(march set, vertex, depth) of every node in preorder, the root first."""
-    out = view.out
+def _preorder(out: list) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(march set, vertex, depth) of every node in preorder, the root first,
+    over a tree's ``out`` lists."""
     stack = [iter([((), len(out) - 1)])]  # the nodes still to visit, per depth
     while stack:
         depth = len(stack) - 1
@@ -253,17 +249,11 @@ def _preorder(view: _Unfolding) -> Iterator[tuple[tuple[int, ...], int, int]]:
 def to_text(tree: MarchTree) -> str:
     """The root's label, then one line per other node in preorder: two
     spaces per depth, then ``--I--> label``."""
-    view = tree.unfolding
-    lines, rendered = [], {}  # rendered: (march set, vertex, depth) -> line
-    for node in _preorder(view):
-        line = rendered.get(node)
-        if line is None:
-            rows, v, depth = node
-            line = f"{'  ' * depth}--{','.join(map(str, rows))}--> {view.texts[v]}"
-            rendered[node] = line
-        lines.append(line)
-    lines[0] = view.texts[-1]  # the root's line is its label alone
-    return "\n".join(lines)
+    texts, nodes = tree.texts, _preorder(tree.out)
+    next(nodes)  # the root's line is its label alone
+    arrows = {rows: f"--{','.join(map(str, rows))}--> " for edges in tree.out for rows, _ in edges}
+    lines = ["  " * depth + arrows[rows] + texts[v] for rows, v, depth in nodes]
+    return "\n".join([texts[-1], *lines])
 
 
 def to_json(tree: MarchTree) -> str:
@@ -271,11 +261,10 @@ def to_json(tree: MarchTree) -> str:
     null leaf's label) exactly as ``json.dumps(..., ensure_ascii=False,
     indent=2)`` writes them.  A node at depth d opens its object at indent
     4d, its keys sit at 4d + 2 and the items of its lists at 4d + 4."""
-    view = tree.unfolding
-    out, labels, texts = view.out, view.labels, view.texts
+    out, labels, texts = tree.out, tree.labels, tree.texts
     parts, rendered = [], {}  # rendered: (march set, vertex, depth) -> text up to the children
     closings, previous = [], -1  # per depth: after the children; the depth of the node before
-    for node in _preorder(view):
+    for node in _preorder(out):
         rows, v, depth = node
         if depth == len(closings):
             close = "\n" + "  " * (2 * depth)
@@ -302,13 +291,12 @@ def to_json(tree: MarchTree) -> str:
 def to_dot(tree: MarchTree) -> str:
     """Nodes numbered n0, n1, ... in preorder: a node's children follow it,
     each after the whole subtree of the one before."""
-    view = tree.unfolding
-    out, sizes = view.out, view.sizes
-    vertices = [f' [label="{text}"];' for text in view.texts]
+    out, sizes = tree.out, tree.sizes
+    vertices = [f' [label="{text}"];' for text in tree.texts]
     marches = {rows for edges in out for rows, _ in edges}
     edges = {rows: f' [label="{",".join(map(str, rows))}"];' for rows in marches}
     lines = ["digraph march_tree {"]
-    for k, (_, v, _) in enumerate(_preorder(view)):
+    for k, (_, v, _) in enumerate(_preorder(out)):
         name, j = f"  n{k}", k + 1
         lines.append(name + vertices[v])
         for rows, c in out[v]:

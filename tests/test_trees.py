@@ -368,7 +368,8 @@ class TestSerialization:
 
 
 class TestUnfolding:
-    """build_tree unfolds the marching DAG; the node-by-node growth is its oracle."""
+    """build_tree unfolds the marching DAG into the tree's vertex lists;
+    the node-by-node growth is its oracle."""
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_matches_the_grown_tree_on_every_s4_star_root(self, mode):
@@ -606,7 +607,7 @@ class TestNoRecursion:
             counted = leaf_counts(DEEP_ROOT, 2, "cohomology")
         finally:
             sys.setrecursionlimit(limit)
-        assert tree.unfolding.sizes[-1] == 10184
+        assert tree.sizes[-1] == 10184
         assert summary_pair(leaf_summary_of(tree.root)) == summary_pair(counted)
 
     def test_grothendieck_is_not_bounded_by_the_recursion_limit(self):
@@ -690,3 +691,25 @@ class TestJsonExport:
         assert run(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_benchmark_export_tree_digests(self):
+        # The two 20k-node K trees that the benchmark's march-s5 workload
+        # exports, at t = 4, pinned byte for byte as `schubert tree` prints
+        # them (with print's trailing newline).
+        digests = {
+            "5,4,2,1,3,10,9,8,7,6": (
+                "a98f4a0dbf2e1774357ecf45f09c373c132317fe91cd6a3263b7486e8eccf25f",
+                "2c5e6afbfc382085bfff957c0ff5d73b46d3510ea437f22e8381794f57640632",
+                "555ccb96c04aacd81623a312d2c91c73b34686dca6a198ccfb8373cca08a611e",
+            ),
+            "5,4,3,2,1,10,8,9,7,6": (
+                "108c028dc4f258b862d74f553d213df819ae77f922a5493b0a2b638538a107f0",
+                "694f1f40c6b3522f6fa29a757430b772250b039de1a806cc0caab1306d872859",
+                "c890dd80f64fe6e25d0977c0ee8d35bf341fd79268c6c93a4da5178555d694a6",
+            ),
+        }
+        for root, expected in digests.items():
+            tree = build_tree(Permutation.parse(root), 4, "K")
+            exports = (to_json(tree), to_dot(tree), to_text(tree))
+            got = tuple(hashlib.sha256((e + "\n").encode()).hexdigest() for e in exports)
+            assert got == expected, root
