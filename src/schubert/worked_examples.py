@@ -5,8 +5,17 @@ plain records.  Permutations are texts for :meth:`Permutation.parse`,
 boxes are (row, column) pairs, march sets are tuples of rows, and an
 expansion maps texts to coefficients (read by
 :func:`schubert.grothendieck.parse_expansion`).  A record's ``name`` is
-the line ``verify-paper`` prints for it.
+the line ``verify-paper`` prints for it.  :data:`FIXTURES` pairs each
+record with the check that ``verify-paper`` runs on it, in run order.
 """
+from .diagram import (
+    diagram, k_march, k_march_steps, march, march_boxes, maximal_corner, pivots, transition_pair
+)
+from .grothendieck import grothendieck, parse_expansion, structure_constants
+from .permutations import Permutation
+from .poly import Polynomial
+from .trees import MarchTree, build_tree, leaf_counts, unique_labeled_leaf
+from .truncation import detect, truncate_grothendieck_via_tree, truncation_product, verify
 
 EXAMPLE_1 = {
     "name": "example 1: diagram, corner, pivots, marches of 4317625",
@@ -100,3 +109,118 @@ TRUNCATION_IDENTITY = {
     "name": "truncation identity for 321465 at level 2",
     "gamma": "321465", "t": 2, "expansion": THREE_TERMS,
 }
+
+
+# -- the worked-example fixtures ------------------------------------------
+# Each checks one record above; a miss raises AssertionError.
+
+
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise AssertionError(message)
+
+
+def _fixture_permutation(ex: dict) -> None:
+    """Length, last descent, diagram, corner, pivots, corner removal, marches."""
+    p = Permutation.parse(ex["perm"])
+    _check(p.length() == ex["length"], f"length of {p}")
+    _check(p.last_descent() == ex["last_descent"], f"last descent of {p}")
+    _check(diagram(p) == frozenset(ex["diagram"]), f"diagram of {p}")
+    _check(maximal_corner(p) == ex["corner"], f"maximal corner of {p}")
+    _check(pivots(p) == list(ex["pivots"]), f"pivots of {p}")
+    g, m, q = ex["transition"]
+    _check(transition_pair(p) == (g, m, Permutation.parse(q)), "corner-removing transposition")
+    for row, expected in ex["marches"].items():
+        result = march(p, row)
+        _check(result == Permutation.parse(expected), f"march towards row {row}")
+        _check(march_boxes(p, row) == diagram(result), f"picture march, row {row}")
+
+
+def _fixture_k_march(ex: dict) -> None:
+    p = Permutation.parse(ex["perm"])
+    expected = [(kind, detail, Permutation.parse(text)) for kind, detail, text in ex["steps"]]
+    _check(k_march_steps(p, ex["rows"]) == expected, "K-march intermediates")
+    _check(k_march(p, ex["rows"]) == expected[-1][2], "algebraic K-march result")
+
+
+def _figure_tree(fig: dict) -> MarchTree:
+    """The K tree of a figure, after checking its root and its leaves."""
+    left, right, k = fig["star"]
+    root = Permutation.parse(left).star(Permutation.parse(right), k)
+    _check(root == Permutation.parse(fig["perm"]), f"star product {left} *_{k} {right}")
+    leaves = parse_expansion(fig["leaves"])
+    summary = leaf_counts(root, fig["t"], "K")
+    _check(
+        summary.counts == {p: abs(c) for p, c in leaves.items()}
+        and summary.null_count == fig["null_leaves"],
+        "leaf summary",
+    )
+    _check(summary.signed(root.length()) == leaves, "signed leaves")
+    return build_tree(root, fig["t"], "K")
+
+
+def _fixture_figure2(fig: dict) -> None:
+    _fixture_permutation(fig)
+    tree = _figure_tree(fig)
+    out, labels = tree.out, tree.labels
+    marches = [((row,), Permutation.parse(text)) for row, text in fig["marches"].items()]
+    _check([(rows, labels[v]) for rows, v in out[-1]] == marches, "root edges")
+    child = out[-1][0][1]
+    second = {rows: Permutation.parse(text) for rows, text in fig["second_level"].items()}
+    _check({rows: labels[v] for rows, v in out[child]} == second, "second-level edges")
+    no_pivots = list(second.values())[-1]
+    _check(pivots(no_pivots) == [], f"{no_pivots} has no pivots")
+    # Vertex 0 is the null leaf.
+    nulls = [v for _, v in out[child] if [c for _, c in out[v]] == [0]]
+    _check(len(nulls) == fig["null_leaves"], "null leaves below the second level")
+
+
+def _fixture_figure1(fig: dict) -> None:
+    tree = _figure_tree(fig)
+    out, labels = tree.out, tree.labels
+    _check(all(v for edges in out for _, v in edges), "no null leaves")  # vertex 0 is the null leaf
+    _check(tree.sizes[-1] == fig["labeled"], "labeled vertex count")
+    edges = {(labels[u], rows, labels[v]) for u, children in enumerate(out) for rows, v in children}
+    parse = Permutation.parse
+    _check(edges == {(parse(a), rows, parse(b)) for a, rows, b in fig["edges"]}, "edges")
+
+
+def _fixture_product(ex: dict) -> None:
+    sigma, alpha, rho = (Permutation.parse(ex[key]) for key in ("sigma", "alpha", "rho"))
+    n, t = ex["n"], ex["t"]
+    if "stabilized" in ex:
+        stabilized = Permutation.parse(ex["stabilized"])
+        _check(alpha.stabilize(n) == stabilized, f"{n}-stabilization of {alpha}")
+    _check(unique_labeled_leaf(alpha, t, n) == rho, f"single labeled leaf for {alpha}")
+    problem = detect(sigma, alpha, n, t)
+    _check(problem is not None and problem.rho == rho, "detection")
+    expected = {mode: parse_expansion(terms) for mode, terms in ex["expansions"].items()}
+    for mode, terms in expected.items():
+        _check(truncation_product(problem, mode) == terms, f"{mode} expansion")
+    if ex["oracle"]:
+        _check(structure_constants(sigma, rho) == expected["K"], "oracle product")
+    for mode in ex["oracle"]:
+        _check(verify(problem, mode).match, f"three-way verification in {mode}")
+
+
+def _fixture_truncation_identity(ex: dict) -> None:
+    gamma = Permutation.parse(ex["gamma"])
+    expansion = truncate_grothendieck_via_tree(gamma, ex["t"])
+    _check(
+        expansion == parse_expansion(ex["expansion"]),
+        "tree expansion of the truncated Grothendieck polynomial",
+    )
+    total = Polynomial.zero()
+    for perm, c in expansion.items():
+        total = total + grothendieck(perm) * c
+    _check(total == grothendieck(gamma).truncate(ex["t"]), "re-summed truncation identity")
+
+
+FIXTURES = (
+    (EXAMPLE_1, _fixture_permutation),
+    (EXAMPLE_2, _fixture_k_march),
+    (FIGURE_2, _fixture_figure2),
+    (FIGURE_1, _fixture_figure1),
+    *((product, _fixture_product) for product in PRODUCTS),
+    (TRUNCATION_IDENTITY, _fixture_truncation_identity),
+)

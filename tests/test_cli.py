@@ -75,8 +75,9 @@ class TestMarch:
         assert invoke(capsys, "march", "1", "--rows", "1")[0] == 3
 
     def test_malformed_rows(self, capsys):
-        code, _, _ = invoke(capsys, "march", "4317625", "--rows", "2;3")
+        code, _, err = invoke(capsys, "march", "4317625", "--rows", "2;3")
         assert code == 2
+        assert "argument --rows:" in err
 
 
 class TestTree:
@@ -234,12 +235,39 @@ class TestVerifyPaper:
         env = {**os.environ, "PYTHONPATH": str(Path(schubert.__file__).parents[1])}
         subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
 
+    def test_python_m_schubert_runs_the_command(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(schubert.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "schubert", "verify-paper"], env=env, capture_output=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == (
+            "fb75375dddb688fa6f1b1eb50606e871465529438e16a48fa05c4e2f2445b604"
+        )
+
 
 class TestUsageErrors:
-    def test_bad_permutation_text(self, capsys):
-        code, _, err = invoke(capsys, "diagram", "10")
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("diagram", "10"), "perm"),
+            (("march", "10", "--rows", "1"), "perm"),
+            (("tree", "10", "--t", "1"), "perm"),
+            (("groth", "10"), "perm"),
+            (("multiply", "10", "21"), "sigma"),
+            (("multiply", "21", "10"), "rho"),
+            (("product", "10", "21", "--n", "2", "--t", "1"), "sigma"),
+            (("product", "21", "10", "--n", "2", "--t", "1"), "alpha"),
+        ],
+        ids=["diagram", "march", "tree", "groth", "multiply-sigma", "multiply-rho",
+             "product-sigma", "product-alpha"],
+    )
+    def test_bad_permutation_text(self, capsys, argv, name):
+        code, out, err = invoke(capsys, *argv)
         assert code == 2
+        assert out == ""
         assert "error" in err
+        assert f"argument {name}:" in err
 
     def test_unknown_command(self, capsys):
         assert invoke(capsys, "polish")[0] == 2
