@@ -390,3 +390,73 @@ class TestPublicSurface:
         assert len(set(schubert.__all__)) == len(schubert.__all__)
         for name in schubert.__all__:
             assert getattr(schubert, name) is not None, name
+
+
+COMMANDS = ("diagram", "march", "tree", "groth", "multiply", "product", "verify-paper")
+# Positionals and required flags that make each command's argv complete.
+COMPLETE = {
+    "diagram": ["4317625"],
+    "march": ["4317625", "--rows", "2"],
+    "tree": ["21", "--t", "1"],
+    "groth": ["21"],
+    "multiply": ["21", "21"],
+    "product": ["21", "21", "--n", "2", "--t", "1"],
+    "verify-paper": [],
+}
+
+
+def parity_cases():
+    for name in COMMANDS:
+        argv = COMPLETE[name]
+        yield [name, "--help"]
+        if argv:  # every command but verify-paper takes a positional
+            yield [name]
+            yield [name, "10", *argv[1:]]
+        yield [name, *argv, "--bogus"]
+        yield [name, *argv, "extra"]
+
+
+def parse_with_every_command(capsys, argv):
+    """What a parser that has all seven subcommands prints and exits with."""
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        code = None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("argv", list(parity_cases()), ids=" ".join)
+    def test_run_parses_as_the_full_parser(self, capsys, argv):
+        expected = parse_with_every_command(capsys, argv)
+        assert expected[0] in (0, 2)
+        assert invoke(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]], ids=repr)
+    def test_top_level_lists_every_command(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == parse_with_every_command(capsys, argv)
+        assert "{" + ",".join(COMMANDS) + "}" in out + err
+
+    def test_unrecognized_option_names_every_command_in_its_usage(self, capsys):
+        code, out, err = invoke(capsys, "multiply", "21", "21", "--bogus")
+        assert (code, out) == (2, "")
+        usage, message = err.split("schubert: error: ")
+        assert usage.startswith("usage: schubert [-h]")
+        assert "{" + ",".join(COMMANDS) + "} ..." in usage
+        assert message == "unrecognized arguments: --bogus\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["multiply", "321", "132"], ["multiply", "21", "21", "--bogus"], ["bogus"], []],
+        ids=repr,
+    )
+    def test_console_script_reads_sys_argv_as_run_does(self, capsys, monkeypatch, argv):
+        expected = invoke(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["schubert", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == expected
