@@ -95,43 +95,36 @@ def _mode_flag(p: argparse.ArgumentParser, help: str | None = None) -> None:
                    default="K", help=help)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schubert",
-        description="Diagram marching calculus for Schubert structure constants.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler: Callable, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("diagram", _cmd_diagram, "ASCII diagram, maximal corner, pivots")
+def _perm_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("perm", type=_perm)
 
-    p = command("march", _cmd_march, "(K-)march towards a set of pivot rows")
-    p.add_argument("perm", type=_perm)
+
+def _march_arguments(p: argparse.ArgumentParser) -> None:
+    _perm_argument(p)
     p.add_argument("--rows", type=_rows, required=True, help="comma-separated pivot rows")
     p.add_argument("--steps", action="store_true", help="show the march/add-box intermediates")
 
-    p = command("tree", _cmd_tree, "build a marching tree")
-    p.add_argument("perm", type=_perm)
+
+def _tree_arguments(p: argparse.ArgumentParser) -> None:
+    _perm_argument(p)
     p.add_argument("--t", type=_positive, required=True, help="truncation level")
     _mode_flag(p, "single marches only")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
-    p = command("groth", _cmd_groth, "Grothendieck polynomial (optionally truncated)")
-    p.add_argument("perm", type=_perm)
+
+def _groth_arguments(p: argparse.ArgumentParser) -> None:
+    _perm_argument(p)
     p.add_argument("--truncate", type=_non_negative, default=None, metavar="T")
 
-    p = command("multiply", _cmd_multiply, "expand a product of two Grothendieck classes")
+
+def _multiply_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("sigma", type=_perm)
     p.add_argument("rho", type=_perm)
     _mode_flag(p, "top degree layer only")
 
-    p = command("product", _cmd_product, "detect a truncation problem and expand by marching")
+
+def _product_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("sigma", type=_perm)
     p.add_argument("alpha", type=_perm)
     p.add_argument("--n", type=_positive, required=True)
@@ -139,8 +132,32 @@ def build_parser() -> argparse.ArgumentParser:
     _mode_flag(p)
     p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
-    command("verify-paper", _cmd_verify_paper, "re-run the worked example fixtures")
 
+def _no_arguments(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every command."""
+    return _parser(_COMMANDS)
+
+
+def _parser(names: Sequence[str]) -> argparse.ArgumentParser:
+    """A parser with the commands ``names`` only.  Its usage line lists
+    every command all the same; only a parser that lacks some sets that
+    list as the metavar, because argparse would also name a missing
+    command by the metavar instead of by ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="schubert",
+        description="Diagram marching calculus for Schubert structure constants.",
+    )
+    listing = {} if len(names) == len(_COMMANDS) else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listing)
+    for name in names:
+        help, arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        arguments(p)
     return parser
 
 
@@ -232,8 +249,28 @@ def _cmd_verify_paper(_: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# name -> (help, arguments, handler), in the order that help lists them.
+_COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
+    "diagram": ("ASCII diagram, maximal corner, pivots", _perm_argument, _cmd_diagram),
+    "march": ("(K-)march towards a set of pivot rows", _march_arguments, _cmd_march),
+    "tree": ("build a marching tree", _tree_arguments, _cmd_tree),
+    "groth": ("Grothendieck polynomial (optionally truncated)", _groth_arguments, _cmd_groth),
+    "multiply": (
+        "expand a product of two Grothendieck classes", _multiply_arguments, _cmd_multiply
+    ),
+    "product": (
+        "detect a truncation problem and expand by marching", _product_arguments, _cmd_product
+    ),
+    "verify-paper": ("re-run the worked example fixtures", _no_arguments, _cmd_verify_paper),
+}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A named command gets a parser with its own subparser only: building
+    # all seven costs a cold command more than the rest of its parsing.
+    parser = _parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -37,7 +37,12 @@ oracle for structure constants.  The remainder lives in one mutable
 dict and the leading term of its lowest degree is kept on a lazily
 pruned heap, so a strip touches only the terms of the subtracted basis
 element.  The leading exponent of a strip, read as a Lehmer code, is
-decoded straight to the canonical window of its permutation.
+decoded straight to the canonical window of its permutation, and the
+strips are kept and checked by window.  Each strip reads G from the memo
+as one counted lookup, a miss taking the same path as :func:`grothendieck`,
+so ``grothendieck.cache_info()`` counts an expansion as it counts that
+many calls.  The windows become :class:`Permutation` keys once, at the
+end, each carrying its length: the degree of its strip.
 """
 from __future__ import annotations
 
@@ -98,16 +103,22 @@ def grothendieck(p: Permutation) -> Polynomial:
     window = p.window
     found = _memo.get(window)
     if found is None:
-        # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = p.size().
-        if len(window) - 1 > poly.MAX_EXPONENT:
-            raise ExponentCeilingExceeded(
-                f"window {len(window)} gives exponents up to {len(window) - 1}; "
-                f"they stop at {poly.MAX_EXPONENT}"
-            )
-        _walk(window)
-        found = _memo[window]
+        found = _memoise(window)
     _lookups += 1
     return found
+
+
+def _memoise(window: _Window) -> Polynomial:
+    """G of a window that is not memoised, walked and memoised; the one
+    path of every memo miss."""
+    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
+    if len(window) - 1 > poly.MAX_EXPONENT:
+        raise ExponentCeilingExceeded(
+            f"window {len(window)} gives exponents up to {len(window) - 1}; "
+            f"they stop at {poly.MAX_EXPONENT}"
+        )
+    _walk(window)
+    return _memo[window]
 
 
 def _walk(root: _Window) -> None:
@@ -280,10 +291,21 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
     a new heap is built only when a degree is used up, by one scan of
     the remainder, and expansions with few strips key few terms.
 
+    Strips are kept and checked by canonical window, decoded from the
+    leading exponent, and G of a window is read from the memo as one
+    counted lookup per strip; a miss takes :func:`grothendieck`'s own
+    path (:func:`_memoise`).  The windows become :class:`Permutation` keys
+    once, at the end, in strip order; each is given its length, the
+    degree of its strip, so sorting or filtering the result by length
+    counts no inversions.
+
     More than :data:`EXPANSION_ITERATION_CEILING` strips raise
     :class:`ExpansionCeilingExceeded`.
     """
-    coefficients: ExpansionMap = {}
+    global _lookups
+    memo = _memo
+    strips: dict[_Window, int] = {}  # window -> coefficient, in strip order
+    lengths: list[int] = []  # the length of each strip's permutation, in strip order
     remaining = dict(f._terms)
     degree, heap = -1, []
     while remaining:
@@ -293,26 +315,39 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
             degree = min(e & DEGREE_MASK for e in remaining)
             heap = [-e for e in remaining if e & DEGREE_MASK == degree]
             heapq.heapify(heap)
-        if len(coefficients) >= EXPANSION_ITERATION_CEILING:
+        if len(strips) >= EXPANSION_ITERATION_CEILING:
             raise ExpansionCeilingExceeded(
                 f"basis expansion needs more than {EXPANSION_ITERATION_CEILING} strips"
             )
         exponent = -heap[0]
         coeff = remaining[exponent]
-        perm = Permutation._trusted(_lehmer_window(_unpack(exponent)))
-        if perm in coefficients:
-            raise RuntimeError(f"basis expansion revisited {perm}; ordering bug")
-        coefficients[perm] = coeff
-        for e, c in grothendieck(perm)._terms.items():
-            if e not in remaining:
-                remaining[e] = -coeff * c
+        window = _lehmer_window(_unpack(exponent))
+        if window in strips:
+            raise RuntimeError(
+                f"basis expansion revisited {Permutation._trusted(window)}; ordering bug"
+            )
+        strips[window] = coeff
+        # A Lehmer code sums to its permutation's length.
+        lengths.append(degree)
+        found = memo.get(window)
+        if found is None:
+            found = _memoise(window)
+        _lookups += 1
+        for e, c in found._terms.items():
+            c *= coeff
+            left = remaining.get(e)
+            if left is None:
+                remaining[e] = -c
                 if e & DEGREE_MASK == degree:
                     heapq.heappush(heap, -e)
-            elif remaining[e] == coeff * c:
+            elif left == c:
                 del remaining[e]
             else:
-                remaining[e] -= coeff * c
-    return coefficients
+                remaining[e] = left - c
+    return {
+        Permutation._trusted(window, length): coeff
+        for (window, coeff), length in zip(strips.items(), lengths)
+    }
 
 
 def structure_constants(sigma: Permutation, rho: Permutation) -> ExpansionMap:

@@ -48,11 +48,14 @@ class Permutation:
         return hash(self.window)
 
     @classmethod
-    def _trusted(cls, window: tuple[int, ...]) -> Permutation:
+    def _trusted(cls, window: tuple[int, ...], length: int | None = None) -> Permutation:
         """Wrap a window already known to be a canonical (trimmed) bijection,
-        skipping the checks of the validating constructor."""
+        skipping the checks of the validating constructor.  A caller that
+        knows the length passes it, and :meth:`length` returns it."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "window", window)
+        if length is not None:
+            object.__setattr__(perm, "_length", length)
         return perm
 
     # -- construction ------------------------------------------------
@@ -138,14 +141,21 @@ class Permutation:
         """Coxeter length: the number of inversions of the window.
 
         Each value counts the smaller values after it, found by bisecting
-        the sorted list of those values.
+        the sorted list of those values.  The count is made at most once
+        per instance and kept outside the dataclass fields, so it takes
+        no part in ``==``, ``hash`` or ``repr``.
         """
+        try:
+            return self._length
+        except AttributeError:
+            pass
         later: list[int] = []
         count = 0
         for v in reversed(self.window):
             at = bisect.bisect_left(later, v)
             count += at
             later.insert(at, v)
+        object.__setattr__(self, "_length", count)
         return count
 
     def descents(self) -> tuple[int, ...]:

@@ -177,7 +177,11 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if not terms.keys() - {0}:
+            # A constant, zero included, equals its integer, so it hashes as it.
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     # -- ring arithmetic -----------------------------------------------
 

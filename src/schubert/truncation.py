@@ -149,7 +149,8 @@ def _discrepancies(
     """The permutations on which the three routes disagree, ordered by
     length and then by text."""
     found = []
-    perms = set(tree) | set(product) | set(oracle)
+    # Oracle keys first: they come from a basis expansion and carry their lengths.
+    perms = set(oracle) | set(product) | set(tree)
     for perm in sorted(perms, key=lambda q: (q.length(), q.text())):
         values = (tree.get(perm, 0), product.get(perm, 0), oracle.get(perm, 0))
         if len(set(values)) != 1:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -404,3 +405,38 @@ class TestStructuralIdentities:
         # Every (x_g - 1) factor in the transition formula vanishes at 1.
         for p in symmetric_group(4):
             assert sum(c for _, c in grothendieck(p).terms()) == 1
+
+
+def inversions(window) -> int:
+    return sum(1 for i, j in itertools.combinations(range(len(window)), 2) if window[i] > window[j])
+
+
+class TestExpansionIdentity:
+    """The keys an expansion builds behave as parsed permutations, and an
+    expansion reads the memo as it always has."""
+
+    @pytest.mark.parametrize(
+        "sigma, rho, terms, hits, misses",
+        [("326541", "7312654", 1209, 1828, 1910), ("2647315", "314265", 559, 904, 1161)],
+    )
+    def test_terms_and_cache_counts_from_a_cleared_memo(self, sigma, rho, terms, hits, misses):
+        grothendieck.cache_clear()
+        expansion = structure_constants(Permutation.parse(sigma), Permutation.parse(rho))
+        info = grothendieck.cache_info()
+        assert (len(expansion), info.hits, info.misses) == (terms, hits, misses)
+        assert_keys_behave_as_parsed(expansion)
+
+    def test_keys_of_every_s4_product(self):
+        perms = list(symmetric_group(4))
+        for sigma, rho in itertools.product(perms, perms):
+            assert_keys_behave_as_parsed(structure_constants(sigma, rho))
+
+
+def assert_keys_behave_as_parsed(expansion) -> None:
+    for key in expansion:
+        parsed = Permutation.parse(key.text())
+        assert key == parsed and parsed == key
+        assert hash(key) == hash(parsed)
+        assert repr(key) == repr(parsed)
+        assert pickle.loads(pickle.dumps(key)) == key
+        assert key.length() == inversions(key.window) == parsed.length()

@@ -93,6 +93,23 @@ class TestCanonicalization:
             X1.swap_variables(0, 1)
 
 
+class TestIntegerContract:
+    """A constant polynomial, zero included, equals its integer and so
+    must hash as it, or sets and dicts tell the two apart."""
+
+    @pytest.mark.parametrize("c", range(-3, 4))
+    def test_constant_is_interchangeable_with_its_integer(self, c):
+        f = Polynomial.constant(c)
+        assert f == c and c == f
+        assert hash(f) == hash(c)
+        assert len({f, c}) == 1 and len({c, f}) == 1
+        assert f in {c} and c in {f}
+        assert {c: "int"}.get(f) == "int" and {f: "poly"}.get(c) == "poly"
+
+    def test_non_constants_are_not_integers(self):
+        assert X1 != 1 and X1 + 1 != 1
+        assert len({X1 + 1, 1}) == 2
+
 class TestArithmetic:
     def test_hand_expansion(self):
         f = X1 * (X1 + X2 - X1 * X2)
