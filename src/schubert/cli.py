@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .diagram import (
     MarchError,
@@ -133,16 +133,12 @@ def _product_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-ceiling", type=_non_negative, default=None)
 
 
-def _no_arguments(p: argparse.ArgumentParser) -> None:
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every command."""
     return _parser(_COMMANDS)
 
 
-def _parser(names: Sequence[str]) -> argparse.ArgumentParser:
+def _parser(names: Collection[str]) -> argparse.ArgumentParser:
     """A parser with the commands ``names`` only.  Its usage line lists
     every command all the same; only a parser that lacks some sets that
     list as the metavar, because argparse would also name a missing
@@ -261,7 +257,7 @@ _COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
     "product": (
         "detect a truncation problem and expand by marching", _product_arguments, _cmd_product
     ),
-    "verify-paper": ("re-run the worked example fixtures", _no_arguments, _cmd_verify_paper),
+    "verify-paper": ("re-run the worked example fixtures", lambda p: None, _cmd_verify_paper),
 }
 
 

@@ -304,8 +304,8 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
     """
     global _lookups
     memo = _memo
-    strips: dict[_Window, int] = {}  # window -> coefficient, in strip order
-    lengths: list[int] = []  # the length of each strip's permutation, in strip order
+    # window -> (coefficient, length of the permutation), in strip order
+    strips: dict[_Window, tuple[int, int]] = {}
     remaining = dict(f._terms)
     degree, heap = -1, []
     while remaining:
@@ -326,9 +326,8 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
             raise RuntimeError(
                 f"basis expansion revisited {Permutation._trusted(window)}; ordering bug"
             )
-        strips[window] = coeff
         # A Lehmer code sums to its permutation's length.
-        lengths.append(degree)
+        strips[window] = coeff, degree
         found = memo.get(window)
         if found is None:
             found = _memoise(window)
@@ -346,7 +345,7 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
                 remaining[e] = left - c
     return {
         Permutation._trusted(window, length): coeff
-        for (window, coeff), length in zip(strips.items(), lengths)
+        for window, (coeff, length) in strips.items()
     }
 
 
