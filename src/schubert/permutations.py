@@ -147,10 +147,9 @@ class Permutation:
         per instance and kept outside the dataclass fields, so it takes
         no part in ``==``, ``hash`` or ``repr``.
         """
-        try:
-            return self._length
-        except AttributeError:
-            pass
+        known = self.__dict__.get("_length")
+        if known is not None:
+            return known
         later: list[int] = []
         count = 0
         for v in reversed(self.window):
