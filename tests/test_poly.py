@@ -110,6 +110,7 @@ class TestIntegerContract:
         assert X1 != 1 and X1 + 1 != 1
         assert len({X1 + 1, 1}) == 2
 
+
 class TestArithmetic:
     def test_hand_expansion(self):
         f = X1 * (X1 + X2 - X1 * X2)
