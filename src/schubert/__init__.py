@@ -32,7 +32,7 @@ from .grothendieck import (
     schubert,
     structure_constants,
 )
-from .permutations import LehmerCode, Permutation, symmetric_group
+from .permutations import Permutation, symmetric_group
 from .poly import CeilingExceeded, ExponentCeilingExceeded, Polynomial, parse_polynomial
 from .trees import (
     DEFAULT_NODE_CEILING,
@@ -69,7 +69,6 @@ __all__ = [
     "ExpansionMap",
     "ExponentCeilingExceeded",
     "LeafSummary",
-    "LehmerCode",
     "MarchError",
     "MarchTree",
     "NodeCeilingExceeded",

@@ -19,33 +19,28 @@ from __future__ import annotations
 import bisect
 import itertools
 import re
-from dataclasses import dataclass
 from operator import add
 from typing import Iterator, Sequence
-
-LehmerCode = tuple[int, ...]
 
 _TEXT_RE = re.compile(r"\d+(,\d+)*")
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """An element of S_infinity in canonical (trimmed) one-line notation."""
+    """An element of S_infinity in canonical (trimmed) one-line notation,
+    immutable by contract as :class:`~schubert.poly.Polynomial` is."""
 
-    window: tuple[int, ...] = ()
+    __slots__ = ("window", "_length")
 
-    def __post_init__(self) -> None:
-        window = tuple(self.window)
-        if any(v < 1 for v in window):
-            raise ValueError(f"zero or negative entry in one-line notation: {window}")
+    def __init__(self, window: Sequence[int] = ()) -> None:
+        window = tuple(window)
+        if {*map(type, window)} - {int}:  # floats and bools would pass the bijection check
+            raise ValueError(f"non-integer entry in one-line notation: {window}")
         if sorted(window) != list(range(1, len(window) + 1)):
+            if min(window) < 1:
+                raise ValueError(f"zero or negative entry in one-line notation: {window}")
             raise ValueError(f"not a bijection of 1..{len(window)}: {window}")
-        object.__setattr__(self, "window", _trim(list(window)))
-
-    def __hash__(self) -> int:
-        # Hash the window itself; the generated hash would build the
-        # tuple (window,) on every lookup.
-        return hash(self.window)
+        self.window = _trim(list(window))
+        self._length = None
 
     @classmethod
     def _trusted(cls, window: tuple[int, ...], length: int | None = None) -> Permutation:
@@ -53,10 +48,21 @@ class Permutation:
         skipping the checks of the validating constructor.  A caller that
         knows the length passes it, and :meth:`length` returns it."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "window", window)
-        if length is not None:
-            object.__setattr__(perm, "_length", length)
+        perm.window = window
+        perm._length = length
         return perm
+
+    def __eq__(self, other: object) -> bool:
+        return self.window == other.window if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.window)
+
+    def __repr__(self) -> str:
+        return f"Permutation(window={self.window!r})"
+
+    def __reduce__(self) -> tuple:
+        return Permutation, (self.window,)
 
     # -- construction ------------------------------------------------
 
@@ -144,10 +150,9 @@ class Permutation:
 
         Each value counts the smaller values after it, found by bisecting
         the sorted list of those values.  The count is made at most once
-        per instance and kept outside the dataclass fields, so it takes
-        no part in ``==``, ``hash`` or ``repr``.
+        per instance and takes no part in ``==``, ``hash`` or ``repr``.
         """
-        known = self.__dict__.get("_length")
+        known = self._length
         if known is not None:
             return known
         later: list[int] = []
@@ -156,7 +161,7 @@ class Permutation:
             at = bisect.bisect_left(later, v)
             count += at
             later.insert(at, v)
-        object.__setattr__(self, "_length", count)
+        self._length = count
         return count
 
     def descents(self) -> tuple[int, ...]:
@@ -168,7 +173,7 @@ class Permutation:
         """Largest i with p(i) > p(i+1), or None for the identity."""
         return _last_descent(self.window) or None
 
-    def lehmer_code(self) -> LehmerCode:
+    def lehmer_code(self) -> tuple[int, ...]:
         """Entries c_i = #{j > i : p(j) < p(i)}, trailing zeros trimmed."""
         w = self.window
         code = [sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))]

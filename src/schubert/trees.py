@@ -25,10 +25,9 @@ interpreter's recursion limit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .diagram import Mode, _check_mode, _window_marches, march_children
 from .permutations import Permutation, _last_descent
@@ -41,8 +40,7 @@ class NodeCeilingExceeded(CeilingExceeded):
     """Tree construction hit the configured node-count ceiling."""
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """A vertex of ``MarchTree.root``: its label (None for the null leaf),
     the march index set that produced it (empty at the root), and its
     ordered children."""
@@ -52,7 +50,6 @@ class TreeNode:
     children: tuple[TreeNode, ...]
 
 
-@dataclass(eq=False)
 class MarchTree:
     """A marching tree at truncation level t in a mode, made by
     :func:`build_tree`: lists over its distinct vertices, children before
@@ -61,12 +58,12 @@ class MarchTree:
     objects, built on first read, with one shared tuple of child nodes per
     distinct label."""
 
-    out: list[list[tuple[tuple[int, ...], int]]]  # per vertex: (march set, child) pairs
-    labels: list[Permutation | None]  # per vertex: None for the null leaf
-    texts: list[str]  # per vertex: its label's text, "∅" for the null leaf
-    sizes: list[int]  # per vertex: the nodes of its subtree
-    t: int
-    mode: Mode
+    def __init__(self, out: list, labels: list, texts: list, sizes: list, t: int, mode: Mode):
+        self.out: list[list[tuple[tuple[int, ...], int]]] = out  # per vertex: (march set, child)
+        self.labels: list[Permutation | None] = labels  # per vertex: None for the null leaf
+        self.texts: list[str] = texts  # per vertex: its label's text, "∅" for the null leaf
+        self.sizes: list[int] = sizes  # per vertex: the nodes of its subtree
+        self.t, self.mode = t, mode
 
     @cached_property
     def root(self) -> TreeNode:
@@ -84,12 +81,11 @@ class MarchTree:
             stack.extend(reversed(node.children))
 
 
-@dataclass
-class LeafSummary:
+class LeafSummary(NamedTuple):
     """Multiplicities of labeled leaves plus the count of null leaves."""
 
-    counts: dict[Permutation, int] = field(default_factory=dict)
-    null_count: int = 0
+    counts: dict[Permutation, int]
+    null_count: int
 
     def total(self) -> int:
         return sum(self.counts.values()) + self.null_count

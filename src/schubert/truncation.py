@@ -16,7 +16,7 @@ expansions run only when the factors differ.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .grothendieck import (
     ExpansionMap,
@@ -42,8 +42,7 @@ class OracleCeilingExceeded(CeilingExceeded):
     """The problem is too large for the polynomial oracle at this ceiling."""
 
 
-@dataclass(frozen=True)
-class TruncationProblem:
+class TruncationProblem(NamedTuple):
     sigma: Permutation
     alpha: Permutation
     n: int
@@ -66,15 +65,14 @@ class TruncationProblem:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     problem: TruncationProblem
     mode: Mode
     tree_expansion: ExpansionMap
     product_expansion: ExpansionMap
     oracle_expansion: ExpansionMap
     match: bool
-    discrepancies: list[dict] = field(default_factory=list)
+    discrepancies: list[dict]
 
     def to_json_obj(self) -> dict:
         return {

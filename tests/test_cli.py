@@ -391,6 +391,17 @@ class TestPublicSurface:
         for name in schubert.__all__:
             assert getattr(schubert, name) is not None, name
 
+    def test_a_command_loads_neither_dataclasses_nor_inspect(self):
+        # A fresh process: this one has loaded both through pytest.
+        script = (
+            "import sys; import schubert.cli; schubert.cli.run(['multiply', '321', '132']); "
+            "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(schubert.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[-1] == "[]"
+
 
 COMMANDS = ("diagram", "march", "tree", "groth", "multiply", "product", "verify-paper")
 # Positionals and required flags that make each command's argv complete.

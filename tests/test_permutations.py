@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -80,6 +82,13 @@ class TestParseFormat:
     def test_rejects_bad_text(self, bad):
         with pytest.raises(ValueError):
             Permutation.parse(bad)
+
+    @pytest.mark.parametrize(
+        "bad", [(0,), (-1, 1), (1, 1), (2, 4, 1), (2.0, 1.0), (2, True), (True,), ("1",)]
+    )
+    def test_rejects_bad_windows(self, bad):
+        with pytest.raises(ValueError):
+            Permutation(bad)
 
     def test_round_trip_on_s5(self):
         for p in symmetric_group(5):
@@ -286,3 +295,37 @@ class TestStructuralOps:
     def test_symmetric_group_size(self):
         assert len(list(symmetric_group(3))) == 6
         assert len(set(symmetric_group(4))) == 24
+
+
+class TestValueClass:
+    """What a value class owes its callers: pickling, copying, ==, hash and repr."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_at_every_protocol(self, protocol):
+        for text in ("1", "21", "4317625", "123469857,10"):
+            p = Permutation.parse(text)
+            back = pickle.loads(pickle.dumps(p, protocol))
+            assert back == p and hash(back) == hash(p) and back.window == p.window
+            assert back.length() == p.length()
+
+    def test_deepcopy_and_copy(self):
+        p = Permutation.parse("4317625")
+        for twin in (copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and hash(twin) == hash(p) and twin.text() == "4317625"
+
+    def test_equality_and_hash_agree_with_parse(self):
+        for p in symmetric_group(4):
+            q = Permutation.parse(p.text())
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+            assert hash(p) == hash(p.window)
+        assert Permutation.parse("21") != Permutation.parse("312")
+        assert Permutation.parse("21") != (2, 1) and (2, 1) != Permutation.parse("21")
+
+    def test_repr_names_the_window(self):
+        assert repr(Permutation.parse("4317625")) == "Permutation(window=(4, 3, 1, 7, 6, 2, 5))"
+        assert repr(ID) == "Permutation(window=())"
+
+    def test_the_kept_length_takes_no_part_in_equality(self):
+        fresh, counted = Permutation.parse("321"), Permutation.parse("321")
+        assert counted.length() == 3
+        assert fresh == counted and hash(fresh) == hash(counted) and repr(fresh) == repr(counted)

@@ -400,13 +400,14 @@ class TestUnfolding:
 
     def test_exports_build_no_tree_node_and_root_builds_them_once(self, monkeypatch):
         built = []
-        init = TreeNode.__init__
+        new = TreeNode.__new__
 
-        def counting_init(node, *args):
+        def counting_new(cls, *args):
+            node = new(cls, *args)
             built.append(node)
-            init(node, *args)
+            return node
 
-        monkeypatch.setattr(TreeNode, "__init__", counting_init)
+        monkeypatch.setattr(TreeNode, "__new__", counting_new)
         root = Permutation.parse("43218765")
         with pytest.raises(NodeCeilingExceeded, match="more than 1898 nodes"):
             build_tree(root, 3, "K", node_ceiling=1898)

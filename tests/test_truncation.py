@@ -1,7 +1,7 @@
-import dataclasses
 import importlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -92,6 +92,13 @@ class TestDetect:
     def test_window_enforced(self):
         with pytest.raises(ValueError):
             detect(Permutation.parse("2143"), ID, 3, 2)
+
+    def test_a_problem_round_trips_through_pickle(self):
+        problem = problem_of(EXAMPLE_4)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(problem, protocol))
+            assert back == problem and hash(back) == hash(problem)
+            assert back.to_json_obj() == problem.to_json_obj()
 
 
 class TestTruncationProduct:
@@ -192,7 +199,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_a_wrong_rho_is_reported_as_a_discrepancy(self, mode):
-        problem = dataclasses.replace(problem_of(EXAMPLE_4), rho=Permutation.parse("213"))
+        problem = problem_of(EXAMPLE_4)._replace(rho=Permutation.parse("213"))
         report = verify(problem, mode)
         assert not report.match
 
@@ -226,7 +233,7 @@ class TestVerify:
         assert verify(problem, mode).match
         assert len(calls) == 1
         calls.clear()
-        wrong = dataclasses.replace(problem, rho=Permutation.parse("213"))
+        wrong = problem._replace(rho=Permutation.parse("213"))
         assert not verify(wrong, mode).match
         assert len(calls) == 2
 
