@@ -320,12 +320,4 @@ class TestValueClass:
             assert hash(p) == hash(p.window)
         assert Permutation.parse("21") != Permutation.parse("312")
         assert Permutation.parse("21") != (2, 1) and (2, 1) != Permutation.parse("21")
-
-    def test_repr_names_the_window(self):
         assert repr(Permutation.parse("4317625")) == "Permutation(window=(4, 3, 1, 7, 6, 2, 5))"
-        assert repr(ID) == "Permutation(window=())"
-
-    def test_the_kept_length_takes_no_part_in_equality(self):
-        fresh, counted = Permutation.parse("321"), Permutation.parse("321")
-        assert counted.length() == 3
-        assert fresh == counted and hash(fresh) == hash(counted) and repr(fresh) == repr(counted)
