@@ -31,8 +31,8 @@ from .diagram import (
 from .grothendieck import (
     expansion_to_json,
     grothendieck,
+    in_mode,
     structure_constants,
-    top_layer,
 )
 from .permutations import Permutation
 from .poly import CeilingExceeded
@@ -200,10 +200,7 @@ def _cmd_groth(args: argparse.Namespace) -> int:
 
 def _cmd_multiply(args: argparse.Namespace) -> int:
     sigma, rho = args.sigma, args.rho
-    expansion = structure_constants(sigma, rho)
-    if args.mode == "cohomology":
-        expansion = top_layer(expansion, sigma, rho)
-    print(expansion_to_json(expansion))
+    print(expansion_to_json(in_mode(structure_constants(sigma, rho), sigma, rho, args.mode)))
     return EXIT_OK
 
 

@@ -38,10 +38,10 @@ dict and the leading term of its lowest degree is kept on a lazily
 pruned heap, so a strip touches only the terms of the subtracted basis
 element.  The leading exponent of a strip, read as a Lehmer code, is
 decoded straight to the canonical window of its permutation, and the
-strips are kept and checked by window.  Each strip reads G from the memo
-as one counted lookup, a miss taking the same path as :func:`grothendieck`,
-so ``grothendieck.cache_info()`` counts an expansion as it counts that
-many calls.  The windows become :class:`Permutation` keys once, at the
+strips are kept and checked by window.  Each strip reads G through
+:func:`_read`, the reader :func:`grothendieck` calls, so
+``grothendieck.cache_info()`` counts an expansion as it counts that many
+calls.  The windows become :class:`Permutation` keys once, at the
 end, each carrying its length: the degree of its strip.
 """
 from __future__ import annotations
@@ -51,7 +51,7 @@ import json
 from typing import NamedTuple
 
 from . import poly
-from .diagram import _Window, _window_marches
+from .diagram import Mode, _Window, _window_marches
 from .permutations import Permutation, _lehmer_window
 from .poly import (
     DEGREE_MASK,
@@ -99,26 +99,25 @@ def grothendieck(p: Permutation) -> Polynomial:
     memoised polynomials are only read.  ``grothendieck.cache_info()``
     and ``grothendieck.cache_clear()`` work as for ``functools.cache``.
     """
+    return _read(p.window)
+
+
+def _read(window: _Window) -> Polynomial:
+    """G of a window from the memo, walked and memoised on a miss, as one
+    counted lookup; the one read of the memo from outside the walk."""
     global _lookups
-    window = p.window
     found = _memo.get(window)
     if found is None:
-        found = _memoise(window)
+        # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
+        if len(window) - 1 > poly.MAX_EXPONENT:
+            raise ExponentCeilingExceeded(
+                f"window {len(window)} gives exponents up to {len(window) - 1}; "
+                f"they stop at {poly.MAX_EXPONENT}"
+            )
+        _walk(window)
+        found = _memo[window]
     _lookups += 1
     return found
-
-
-def _memoise(window: _Window) -> Polynomial:
-    """G of a window that is not memoised, walked and memoised; the one
-    path of every memo miss."""
-    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
-    if len(window) - 1 > poly.MAX_EXPONENT:
-        raise ExponentCeilingExceeded(
-            f"window {len(window)} gives exponents up to {len(window) - 1}; "
-            f"they stop at {poly.MAX_EXPONENT}"
-        )
-    _walk(window)
-    return _memo[window]
 
 
 def _walk(root: _Window) -> None:
@@ -292,18 +291,15 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
     the remainder, and expansions with few strips key few terms.
 
     Strips are kept and checked by canonical window, decoded from the
-    leading exponent, and G of a window is read from the memo as one
-    counted lookup per strip; a miss takes :func:`grothendieck`'s own
-    path (:func:`_memoise`).  The windows become :class:`Permutation` keys
-    once, at the end, in strip order; each is given its length, the
-    degree of its strip, so sorting or filtering the result by length
-    counts no inversions.
+    leading exponent, and G of each strip's window is read through
+    :func:`_read`, as :func:`grothendieck` reads it.  The windows become
+    :class:`Permutation` keys once, at the end, in strip order; each is
+    given its length, the degree of its strip, so sorting or filtering
+    the result by length counts no inversions.
 
     More than :data:`EXPANSION_ITERATION_CEILING` strips raise
     :class:`ExpansionCeilingExceeded`.
     """
-    global _lookups
-    memo = _memo
     # window -> (coefficient, length of the permutation), in strip order
     strips: dict[_Window, tuple[int, int]] = {}
     remaining = dict(f._terms)
@@ -328,11 +324,7 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
             )
         # A Lehmer code sums to its permutation's length.
         strips[window] = coeff, degree
-        found = memo.get(window)
-        if found is None:
-            found = _memoise(window)
-        _lookups += 1
-        for e, c in found._terms.items():
+        for e, c in _read(window)._terms.items():
             c *= coeff
             left = remaining.get(e)
             if left is None:
@@ -355,9 +347,14 @@ def structure_constants(sigma: Permutation, rho: Permutation) -> ExpansionMap:
     return expand_in_basis(grothendieck(sigma) * grothendieck(rho))
 
 
-def top_layer(expansion: ExpansionMap, sigma: Permutation, rho: Permutation) -> ExpansionMap:
-    """The terms of length len(sigma) + len(rho) of an expansion of
-    G_sigma * G_rho: the expansion of S_sigma * S_rho, in cohomology."""
+def in_mode(
+    expansion: ExpansionMap, sigma: Permutation, rho: Permutation, mode: Mode
+) -> ExpansionMap:
+    """An expansion of G_sigma * G_rho as the mode reads it: itself in K;
+    in cohomology its terms of length len(sigma) + len(rho), the
+    expansion of S_sigma * S_rho."""
+    if mode != "cohomology":
+        return expansion
     top = sigma.length() + rho.length()
     return {perm: c for perm, c in expansion.items() if perm.length() == top}
 

@@ -22,7 +22,7 @@ import re
 from operator import add
 from typing import Iterator, Sequence
 
-_TEXT_RE = re.compile(r"\d+(,\d+)*")
+_TEXT_RE = re.compile(r"\d+(,\d+)*", re.ASCII)
 
 
 class Permutation:
@@ -68,7 +68,7 @@ class Permutation:
 
     @classmethod
     def identity(cls) -> Permutation:
-        return cls(())
+        return cls._trusted((), 0)
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
@@ -141,7 +141,7 @@ class Permutation:
         inv = [0] * len(self.window)
         for i, v in enumerate(self.window, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return self._trusted(_trim(inv))
 
     # -- statistics ------------------------------------------------------
 
@@ -209,16 +209,16 @@ class Permutation:
         """Block direct sum in S_2n: self on 1..n, other shifted by n."""
         if self.size() > n or other.size() > n:
             raise ValueError(f"star requires both windows within S_{n}")
-        values = tuple(self(i) for i in range(1, n + 1))
-        values += tuple(n + other(i) for i in range(1, n + 1))
-        return Permutation(values)
+        values = [self(i) for i in range(1, n + 1)]
+        values += [n + other(i) for i in range(1, n + 1)]
+        return self._trusted(_trim(values))
 
     def stabilize(self, n: int) -> Permutation:
         """Shift by n: fixed on 1..n, then n + p(i-n) beyond."""
         if n < 0:
             raise ValueError("stabilization shift must be non-negative")
-        values = tuple(range(1, n + 1)) + tuple(n + v for v in self.window)
-        return Permutation(values)
+        values = [*range(1, n + 1), *(n + v for v in self.window)]
+        return self._trusted(_trim(values))
 
 
 def _trim(values: list[int]) -> tuple[int, ...]:
@@ -258,4 +258,4 @@ def _last_descent(window: tuple[int, ...]) -> int:
 def symmetric_group(n: int) -> Iterator[Permutation]:
     """All elements of S_n (canonical windows may be shorter than n)."""
     for values in itertools.permutations(range(1, n + 1)):
-        yield Permutation(values)
+        yield Permutation._trusted(_trim(list(values)))

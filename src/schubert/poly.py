@@ -188,6 +188,8 @@ class Polynomial:
     def __add__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         result = dict(self._terms)
         for e, c in other._terms.items():
             result[e] = result.get(e, 0) + c
@@ -202,14 +204,16 @@ class Polynomial:
         return self * -1
 
     def __sub__(self, other: Polynomial | int) -> Polynomial:
-        return self + other * -1
+        return self + other * -1 if isinstance(other, (int, Polynomial)) else NotImplemented
 
     def __rsub__(self, other: int) -> Polynomial:
-        return self * -1 + other
+        return self * -1 + other if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
             return _unchecked({e: other * c for e, c in self._terms.items() if other})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         left, right = self._terms, other._terms
         _check_product(left, right)
         if len(left) > len(right):
@@ -328,7 +332,7 @@ class _FactorText(dict):
 
 # Variables are 1-based, and a coefficient's "*" needs a factor after it.
 _FACTOR = r"x[1-9]\d*(?:\^\d+)?"
-_TERM_RE = re.compile(rf"^(?:(\d+)(?:\*(?=x))?)?({_FACTOR}(?:\*{_FACTOR})*)?$")
+_TERM_RE = re.compile(rf"^(?:(\d+)(?:\*(?=x))?)?({_FACTOR}(?:\*{_FACTOR})*)?$", re.ASCII)
 
 
 def parse_polynomial(text: str) -> Polynomial:

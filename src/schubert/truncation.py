@@ -23,8 +23,8 @@ from .grothendieck import (
     expand_in_basis,
     expansion_to_json_obj,
     grothendieck,
+    in_mode,
     structure_constants,
-    top_layer,
 )
 from .permutations import Permutation
 from .poly import CeilingExceeded
@@ -136,11 +136,6 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
     return leaf_counts(gamma, t, "K").signed(gamma.length())
 
 
-def _in_mode(expansion: ExpansionMap, problem: TruncationProblem, mode: Mode) -> ExpansionMap:
-    """The expansion itself in K; its top degree layer in cohomology."""
-    return top_layer(expansion, problem.sigma, problem.rho) if mode == "cohomology" else expansion
-
-
 def _discrepancies(
     tree: ExpansionMap, product: ExpansionMap, oracle: ExpansionMap
 ) -> list[dict]:
@@ -182,13 +177,14 @@ def verify(
         )
     tree_expansion = truncation_product(problem, mode)
     truncated = grothendieck(problem.alpha.stabilize(problem.n)).truncate(problem.t)
-    oracle_expansion = _in_mode(structure_constants(problem.sigma, problem.rho), problem, mode)
-    if truncated == grothendieck(problem.rho):
+    sigma, rho = problem.sigma, problem.rho
+    oracle_expansion = in_mode(structure_constants(sigma, rho), sigma, rho, mode)
+    if truncated == grothendieck(rho):
         # A copy, so that editing one report field leaves the other alone.
         product_expansion = dict(oracle_expansion)
     else:
-        product = grothendieck(problem.sigma) * truncated
-        product_expansion = _in_mode(expand_in_basis(product), problem, mode)
+        product = grothendieck(sigma) * truncated
+        product_expansion = in_mode(expand_in_basis(product), sigma, rho, mode)
 
     discrepancies = []
     if not tree_expansion == product_expansion == oracle_expansion:

@@ -258,9 +258,12 @@ class TestUsageErrors:
             (("multiply", "21", "10"), "rho"),
             (("product", "10", "21", "--n", "2", "--t", "1"), "sigma"),
             (("product", "21", "10", "--n", "2", "--t", "1"), "alpha"),
+            (("diagram", "\uff12\uff11"), "perm"),
+            (("multiply", "21", "\u0662\u0661"), "rho"),
         ],
         ids=["diagram", "march", "tree", "groth", "multiply-sigma", "multiply-rho",
-             "product-sigma", "product-alpha"],
+             "product-sigma", "product-alpha", "diagram-fullwidth-digits",
+             "multiply-arabic-indic-digits"],
     )
     def test_bad_permutation_text(self, capsys, argv, name):
         code, out, err = invoke(capsys, *argv)

@@ -360,6 +360,20 @@ class TestStructuralIdentities:
         with pytest.raises(ExponentCeilingExceeded):
             grothendieck(Permutation.parse("15432"))
 
+    def test_a_window_past_the_ceiling_leaves_the_memo_and_its_counts(self, monkeypatch):
+        # A call and an expansion that need a window past the ceiling raise
+        # before they walk, memoise or count anything.
+        monkeypatch.setattr(poly_module, "MAX_EXPONENT", 3)
+        grothendieck.cache_clear()
+        grothendieck(Permutation.parse("4321"))
+        memo, info = dict(groth_module._memo), grothendieck.cache_info()
+        with pytest.raises(ExponentCeilingExceeded):
+            grothendieck(Permutation.parse("15432"))
+        assert (grothendieck.cache_info(), groth_module._memo) == (info, memo)
+        with pytest.raises(ExponentCeilingExceeded):
+            expand_in_basis(Polynomial.variable(4))  # its first strip is G of 12354
+        assert (grothendieck.cache_info(), groth_module._memo) == (info, memo)
+
     def test_leading_term_law_on_s5(self):
         for p in symmetric_group(5):
             assert tuple_leading_term(grothendieck(p)) == (p.lehmer_code(), 1)

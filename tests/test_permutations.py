@@ -78,7 +78,12 @@ class TestParseFormat:
         assert ID.text() == "1"
         assert Permutation.parse(ID.text()) == ID
 
-    @pytest.mark.parametrize("bad", ["", "0", "10", "33", "1,1", "2,4", "a", "1,,2", ",1"])
+    # Fullwidth and Arabic-Indic digits are digits to Unicode, not to the format.
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "0", "10", "33", "1,1", "2,4", "a", "1,,2", ",1",
+         "\uff12\uff11", "\u0662\u0661", "1,\uff12"],
+    )
     def test_rejects_bad_text(self, bad):
         with pytest.raises(ValueError):
             Permutation.parse(bad)
@@ -295,6 +300,28 @@ class TestStructuralOps:
     def test_symmetric_group_size(self):
         assert len(list(symmetric_group(3))) == 6
         assert len(set(symmetric_group(4))) == 24
+
+    def test_built_elements_match_the_validating_constructor(self):
+        # identity, star, stabilize, inverse and symmetric_group skip the
+        # bijection check; each result must be the element, with the same
+        # canonical window, that the validating constructor makes.
+        assert_validated(ID, ())
+        for n in (3, 4):
+            for sigma, alpha in itertools.product(symmetric_group(3), repeat=2):
+                values = [sigma(i) for i in range(1, n + 1)]
+                values += [n + alpha(i) for i in range(1, n + 1)]
+                assert_validated(sigma.star(alpha, n), values)
+        for p, values in zip(symmetric_group(5), itertools.permutations(range(1, 6))):
+            assert_validated(p, values)
+            for k in range(4):
+                assert_validated(p.stabilize(k), [*range(1, k + 1), *(k + v for v in values)])
+            assert_validated(p.inverse(), [values.index(i) + 1 for i in range(1, 6)])
+
+
+def assert_validated(p: Permutation, values) -> None:
+    expected = Permutation(tuple(values))
+    assert p == expected and hash(p) == hash(expected)
+    assert p.window == expected.window and type(p.window) is tuple
 
 
 class TestValueClass:

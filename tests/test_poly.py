@@ -1,5 +1,5 @@
 import itertools
-from operator import add
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, seed, strategies as st
@@ -148,6 +148,15 @@ class TestArithmetic:
         for result in results:
             assert_canonical(result)
 
+    @pytest.mark.parametrize("other", [2.5, "a", None, (1,)])
+    def test_a_foreign_operand_is_a_type_error(self, other):
+        # Only ints are coerced; anything else is Python's TypeError.
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError):
+                op(X1, other)
+            with pytest.raises(TypeError):
+                op(other, X1)
+
     def test_integer_coercion(self):
         assert X1 + 1 == Polynomial({(): 1, (1,): 1})
         assert 2 * X1 == Polynomial({(1,): 2})
@@ -213,7 +222,9 @@ class TestText:
         assert parse_polynomial("1 + 2*x1^2") == ONE + 2 * X1 * X1
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "x", "1 +", "x1^", "y2", "x0", "x0^5*x1", "x1 + x0", "2*", "x1 - 3*"]:
+        # The last four spell their digits in fullwidth or Arabic-Indic forms.
+        for bad in ["", "x", "1 +", "x1^", "y2", "x0", "x0^5*x1", "x1 + x0", "2*", "x1 - 3*",
+                    "\uff12*x1", "x\uff11", "x1^\u0662", "\u0661 + x1"]:
             with pytest.raises(ValueError):
                 parse_polynomial(bad)
 
