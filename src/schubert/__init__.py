@@ -24,7 +24,6 @@ from .diagram import (
 from .grothendieck import (
     ExpansionCeilingExceeded,
     ExpansionMap,
-    NonExactDivision,
     expand_in_basis,
     expansion_to_json,
     grothendieck,
@@ -72,7 +71,6 @@ __all__ = [
     "MarchError",
     "MarchTree",
     "NodeCeilingExceeded",
-    "NonExactDivision",
     "OracleCeilingExceeded",
     "Permutation",
     "Polynomial",

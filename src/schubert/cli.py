@@ -6,12 +6,13 @@ failed, 2 usage or parse error, 3 precondition failure, 4 any
 oracle window ceiling, the basis-expansion strip ceiling, or the
 packed-exponent ceiling of a polynomial (a variable's exponent above
 255 or a total degree above 65,535, e.g. ``groth`` on a window longer
-than 256).  Results go to stdout, diagnostics to stderr.  ``tree`` and
-``product`` take the node ceiling from ``--node-ceiling``, else from the
-``SCHUBERT_NODE_CEILING`` environment variable, else 10^6.  ``tree``
-counts the nodes of the unfolded tree, null leaves included, against it
-before it builds any; ``product`` counts the distinct labels of the
-marching DAG it walks instead.
+than 256).  Results go to stdout, diagnostics to stderr.  A reader that
+closes stdout early, as ``| head`` does, took all it wanted: exit 0.
+``tree`` and ``product`` take the node ceiling from ``--node-ceiling``,
+else from the ``SCHUBERT_NODE_CEILING`` environment variable, else
+10^6.  ``tree`` counts the nodes of the unfolded tree, null leaves
+included, against it before it builds any; ``product`` counts the
+distinct labels of the marching DAG it walks instead.
 """
 from __future__ import annotations
 
@@ -62,14 +63,20 @@ def _perm(text: str) -> Permutation:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _integer(text: str) -> int:
+    """An argparse type for an optional "-" and ASCII digits, stripped as
+    permutation texts are; ``int`` alone also takes other digits and "_"."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _at_least(low: int) -> Callable[[str], int]:
     """An argparse type for integers no smaller than low."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -83,10 +90,7 @@ _non_negative = _at_least(0)
 
 def _rows(text: str) -> list[int]:
     """An argparse type for comma-separated row lists."""
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed row list: {text!r}") from None
+    return [_integer(part) for part in text.split(",")]
 
 
 def _mode_flag(p: argparse.ArgumentParser, help: str | None = None) -> None:
@@ -286,7 +290,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the interpreter's last flush now writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

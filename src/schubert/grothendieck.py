@@ -27,8 +27,10 @@ Two independent constructions of the Grothendieck polynomial are kept:
 
 * :func:`grothendieck_dd` applies isobaric divided differences
   pi_i f = d_i((1 - x_{i+1}) f) downward from the staircase monomial of
-  the longest element.  The two must agree everywhere; the test suite
-  sweeps S_5.
+  the longest element.  d_i is taken term by term in closed form, so
+  nothing is divided, and no memo is kept: each call climbs from p to
+  the longest element by first ascents and applies pi_i back down.
+  The two must agree everywhere; the test suite sweeps S_6.
 
 Expansion of an arbitrary integer polynomial in the Grothendieck basis
 repeatedly strips the leading term (the Lehmer-code monomial of some
@@ -71,10 +73,6 @@ EXPANSION_ITERATION_CEILING = 100_000
 
 class ExpansionCeilingExceeded(CeilingExceeded):
     """A basis expansion needs more strips than EXPANSION_ITERATION_CEILING."""
-
-
-class NonExactDivision(ArithmeticError):
-    """A divided difference failed to divide exactly; an implementation bug."""
 
 
 class _CacheInfo(NamedTuple):
@@ -200,42 +198,33 @@ def schubert(p: Permutation) -> Polynomial:
 
 
 def divided_difference(f: Polynomial, i: int) -> Polynomial:
-    """d_i f = (f - s_i f) / (x_i - x_{i+1}), exactly."""
-    return _divide_by_root_difference(f - f.swap_variables(i, i + 1), i)
+    """d_i f = (f - s_i f) / (x_i - x_{i+1}), with nothing divided: for
+    x = x_i, y = x_{i+1} and a > b, d_i(x^a y^b) = (x y)^b h_{a-b-1}(x, y)
+    is x^(a-1) y^b + x^(a-2) y^(b+1) + ... + x^b y^(a-1), a packed step
+    apart; d_i(x^b y^a) is its negative and d_i(x^a y^a) = 0."""
+    if i < 1:
+        raise ValueError("variables are 1-based")
+    si, sj = _variable_shift(i), _variable_shift(i + 1)
+    x, y = 1 << si, 1 << sj
+    out: dict[int, int] = {}
+    get = out.get
+    for e, c in f._terms.items():
+        a, b = e >> si & FIELD_MASK, e >> sj & FIELD_MASK
+        if a > b:
+            e, step, k = e - x - 1, y - x, a - b
+        elif a < b:
+            e, step, k, c = e - y - 1, x - y, b - a, -c
+        else:
+            continue
+        for _ in range(k):
+            out[e] = get(e, 0) + c
+            e += step
+    return _unchecked({e: c for e, c in out.items() if c})
 
 
 def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
     """pi_i f = d_i((1 - x_{i+1}) f)."""
     return divided_difference(f - Polynomial.variable(i + 1) * f, i)
-
-
-def _divide_by_root_difference(f: Polynomial, i: int) -> Polynomial:
-    """Synthetic division by (x_i - x_{i+1}) with a zero-remainder check."""
-    if f.is_zero():
-        return f
-    # Split f by the exponent of x_i: f = sum_k c_k(x) * x_i^k.
-    shift = _variable_shift(i)
-    layers: dict[int, dict[int, int]] = {}
-    for e, c in f._terms.items():
-        k = e >> shift & FIELD_MASK
-        layers.setdefault(k, {})[e - (k << shift) - k] = c
-    top = max(layers)
-    coeffs = {k: _unchecked(terms) for k, terms in layers.items()}
-    y = Polynomial.variable(i + 1)
-    quotient = Polynomial.zero()
-    carry = Polynomial.zero()
-    for k in range(top, 0, -1):
-        carry = coeffs.get(k, Polynomial.zero()) + y * carry
-        x_i_power = Polynomial.monomial((0,) * (i - 1) + (k - 1,))  # x_i^(k-1)
-        quotient = quotient + carry * x_i_power
-    remainder = coeffs.get(0, Polynomial.zero()) + y * carry
-    if not remainder.is_zero():
-        raise NonExactDivision(f"remainder {remainder} dividing by x{i} - x{i + 1}")
-    return quotient
-
-
-# Full window in S_n -> its G; the window's length fixes n.
-_dd_memo: dict[_Window, Polynomial] = {}
 
 
 def grothendieck_dd(p: Permutation, n: int) -> Polynomial:
@@ -248,23 +237,16 @@ def grothendieck_dd(p: Permutation, n: int) -> Polynomial:
     """
     if p.size() > n:
         raise ValueError(f"window of {p} exceeds S_{n}")
-    window = tuple(p(i) for i in range(1, n + 1))
-    longest = tuple(range(n, 0, -1))
-    # Swap the first ascent up to a memoised window or to the longest
-    # element, then apply pi_i back down that chain.
+    window = [p(i) for i in range(1, n + 1)]
+    # Swap first ascents up to the longest element, then apply pi_i back down.
     chain = []
-    while window not in _dd_memo:
-        if window == longest:
-            _dd_memo[window] = Polynomial.monomial(range(n - 1, 0, -1))
-            break
+    for _ in range(n * (n - 1) // 2 - p.length()):
         i = next(i for i in range(1, n) if window[i - 1] < window[i])
-        chain.append((window, i))
-        longer = list(window)
-        longer[i - 1], longer[i] = longer[i], longer[i - 1]
-        window = tuple(longer)
-    f = _dd_memo[window]
-    for shorter, i in reversed(chain):
-        f = _dd_memo[shorter] = isobaric_divided_difference(f, i)
+        chain.append(i)
+        window[i - 1], window[i] = window[i], window[i - 1]
+    f = Polynomial.monomial(range(n - 1, 0, -1))
+    for i in reversed(chain):
+        f = isobaric_divided_difference(f, i)
     return f
 
 

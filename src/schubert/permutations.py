@@ -257,5 +257,6 @@ def _last_descent(window: tuple[int, ...]) -> int:
 
 def symmetric_group(n: int) -> Iterator[Permutation]:
     """All elements of S_n (canonical windows may be shorter than n)."""
-    for values in itertools.permutations(range(1, n + 1)):
-        yield Permutation._trusted(_trim(list(values)))
+    if n < 0:
+        raise ValueError("the degree of a symmetric group must be non-negative")
+    return (Permutation._trusted(_trim([*w])) for w in itertools.permutations(range(1, n + 1)))

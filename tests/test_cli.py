@@ -121,6 +121,20 @@ class TestTree:
         assert code == 0
         assert "--1,2-->" not in out
 
+    def test_a_reader_that_closes_the_pipe_early_ends_it_quietly(self):
+        # About 870 KB of JSON: far more than a pipe holds, so the writer
+        # meets the closed pipe.
+        env = {**os.environ, "PYTHONPATH": str(Path(schubert.__file__).parents[1])}
+        argv = ["tree", "54213987,10,6", "--t", "4", "--format", "json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "schubert", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (0, b"")
+
 
 class TestGroth:
     def test_polynomial_text(self, capsys):
@@ -289,6 +303,26 @@ class TestUsageErrors:
             code, _, err = invoke(capsys, "product", "321", "132", *flags)
             assert code == 2, flags
             assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("tree", "321465", "--t", "\uff12"), "--t"),
+            (("groth", "321", "--truncate", "1_0"), "--truncate"),
+            (("march", "4317625", "--rows", "\u0662"), "--rows"),
+        ],
+        ids=["fullwidth-level", "underscored-truncation", "arabic-indic-row"],
+    )
+    def test_integers_are_ascii_digits(self, capsys, argv, name):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {name}:" in err
+
+    def test_node_ceiling_env_is_ascii_digits(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "\uff11\uff10")
+        code, out, err = invoke(capsys, "tree", "321465", "--t", "2")
+        assert (code, out) == (2, "")
+        assert "SCHUBERT_NODE_CEILING" in err
 
     def test_level_beyond_2n_stays_a_precondition_failure(self, capsys):
         assert invoke(capsys, "product", "321", "132", "--n", "3", "--t", "9")[0] == 3

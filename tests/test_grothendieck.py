@@ -24,8 +24,6 @@ from schubert import (
 )
 from schubert.diagram import _window_marches
 from schubert.grothendieck import (
-    NonExactDivision,
-    _divide_by_root_difference,
     divided_difference,
     expansion_to_json,
     isobaric_divided_difference,
@@ -184,6 +182,8 @@ class TestDividedDifferences:
     def test_divided_difference_basic(self):
         assert divided_difference(X1, 1) == Polynomial.constant(1)
         assert divided_difference(X1 * X1, 1) == X1 + X2
+        with pytest.raises(ValueError):
+            divided_difference(X1, 0)
 
     def test_isobaric_on_a_single_variable(self):
         # pi_1 x1 = d_1(x1 - x1*x2) = 1
@@ -191,19 +191,32 @@ class TestDividedDifferences:
         # pi_1 x1^2 = d_1((1 - x2) x1^2), the 132 Grothendieck polynomial
         assert isobaric_divided_difference(X1 * X1, 1) == X1 + X2 - X1 * X2
 
-    def test_packed_division_matches_the_tuple_split_on_s5(self):
-        # _divide_by_root_difference splits packed exponents by the power of
-        # x_i; the quotient times (x_i - x_{i+1}) must give back f.
+    def test_divided_difference_times_the_root_on_s5(self):
+        # d_i f times (x_i - x_{i+1}) must give back f - s_i f.
         for p in symmetric_group(5):
             f = grothendieck(p)
             for i in range(1, 5):
-                g = f - f.swap_variables(i, i + 1)
                 root = Polynomial.variable(i) - Polynomial.variable(i + 1)
-                assert _divide_by_root_difference(g, i) * root == g
+                assert divided_difference(f, i) * root == f - f.swap_variables(i, i + 1)
 
-    def test_non_exact_division_detected(self):
-        with pytest.raises(NonExactDivision):
-            _divide_by_root_difference(X1, 1)
+    def test_divided_difference_times_the_root_on_random_polynomials(self):
+        # Multiplication by x_i - x_{i+1} is injective, so the identity pins
+        # d_i exactly; a term x_i^a x_{i+1}^b may have a = b, a < b or a > b.
+        rng = random.Random(19)
+        for i in range(1, 6):
+            root = Polynomial.variable(i) - Polynomial.variable(i + 1)
+            relations, negative = set(), False
+            for _ in range(40):
+                terms = {}
+                for _ in range(rng.randint(0, 8)):
+                    exponent = tuple(rng.randint(0, 5) for _ in range(7))
+                    terms[exponent] = rng.choice([-7, -3, -2, -1, 1, 2, 3, 7])
+                    a, b = exponent[i - 1], exponent[i]
+                    relations.add((a > b) - (a < b))
+                    negative |= terms[exponent] < 0
+                f = Polynomial(terms)
+                assert divided_difference(f, i) * root == f - f.swap_variables(i, i + 1)
+            assert relations == {-1, 0, 1} and negative
 
 
 class TestSchubert:

@@ -301,6 +301,11 @@ class TestStructuralOps:
         assert len(list(symmetric_group(3))) == 6
         assert len(set(symmetric_group(4))) == 24
 
+    def test_symmetric_group_rejects_a_negative_degree(self):
+        assert list(symmetric_group(0)) == [Permutation.identity()]
+        with pytest.raises(ValueError):
+            symmetric_group(-1)
+
     def test_built_elements_match_the_validating_constructor(self):
         # identity, star, stabilize, inverse and symmetric_group skip the
         # bijection check; each result must be the element, with the same
