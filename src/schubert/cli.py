@@ -29,12 +29,7 @@ from .diagram import (
     pivots,
     render,
 )
-from .grothendieck import (
-    expansion_to_json,
-    grothendieck,
-    in_mode,
-    structure_constants,
-)
+from .grothendieck import expansion_to_json, grothendieck, structure_constants
 from .permutations import Permutation
 from .poly import CeilingExceeded
 from .trees import (
@@ -203,8 +198,7 @@ def _cmd_groth(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiply(args: argparse.Namespace) -> int:
-    sigma, rho = args.sigma, args.rho
-    print(expansion_to_json(in_mode(structure_constants(sigma, rho), sigma, rho, args.mode)))
+    print(expansion_to_json(structure_constants(args.sigma, args.rho, args.mode)))
     return EXIT_OK
 
 

@@ -9,16 +9,19 @@ Two independent constructions of the Grothendieck polynomial are kept:
 
   with base case G_id = 1, where g is the last descent of p and
   q = p t_{g<->m} removes the maximal corner (the K-march children of
-  :mod:`schubert.diagram`).  The windows the formula needs form a DAG,
-  which one explicit-stack walk over the marching kernel of
-  :mod:`schubert.diagram` climbs, so no window is too long for the
-  interpreter's recursion limit.  One memo maps each window to its
-  polynomial, and the walk skips memoised windows.  Each window is
-  summed once, as it leaves the stack after the windows it reads, into
-  one fresh dict of packed exponents (see :mod:`schubert.poly`), not
-  through polynomial arithmetic: raising x_g adds
-  ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
-  int.  The sum cancels no term, so nothing is filtered.  Every
+  :mod:`schubert.diagram`).  Its lowest-degree part is the transition
+  of Lascoux and Schützenberger, S_p = x_g S_q + sum_i S_{q t_{i<->g}}
+  over single pivot rows (the cohomology children), by which
+  :func:`schubert` runs the same walk in cohomology mode.  The windows
+  the formula needs form a DAG, which one explicit-stack walk over the
+  marching kernel of :mod:`schubert.diagram` climbs, so no window is
+  too long for the interpreter's recursion limit.  One memo per mode
+  maps each window to its polynomial, and the walk skips memoised
+  windows.  Each window is summed once, as it leaves the stack after
+  the windows it reads, into one fresh dict of packed exponents (see
+  :mod:`schubert.poly`), not through polynomial arithmetic: raising x_g
+  adds ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the
+  packed int.  The sum cancels no term, so nothing is filtered.  Every
   monomial of G_w for w in S_n divides the staircase
   x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
   most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
@@ -32,19 +35,21 @@ Two independent constructions of the Grothendieck polynomial are kept:
   the longest element by first ascents and applies pi_i back down.
   The two must agree everywhere; the test suite sweeps S_6.
 
-Expansion of an arbitrary integer polynomial in the Grothendieck basis
-repeatedly strips the leading term (the Lehmer-code monomial of some
-permutation, see :func:`expand_in_basis`), which is the brute-force
-oracle for structure constants.  The remainder lives in one mutable
-dict and the leading term of its lowest degree is kept on a lazily
-pruned heap, so a strip touches only the terms of the subtracted basis
-element.  The leading exponent of a strip, read as a Lehmer code, is
-decoded straight to the canonical window of its permutation, and the
-strips are kept and checked by window.  Each strip reads G through
+Expansion of an arbitrary integer polynomial in the Grothendieck basis,
+or in the Schubert basis in cohomology mode, repeatedly strips the
+leading term (the Lehmer-code monomial of some permutation, see
+:func:`expand_in_basis`), which is the brute-force oracle for structure
+constants.  The remainder lives in one mutable dict and the leading
+term of its lowest degree is kept on a lazily pruned heap, so a strip
+touches only the terms of the subtracted basis element.  The leading
+exponent of a strip, read as a Lehmer code, is decoded straight to the
+canonical window of its permutation, and the strips are kept and
+checked by window.  Each strip reads its basis element through
 :func:`_read`, the reader :func:`grothendieck` calls, so
-``grothendieck.cache_info()`` counts an expansion as it counts that many
-calls.  The windows become :class:`Permutation` keys once, at the
-end, each carrying its length: the degree of its strip.
+``grothendieck.cache_info()`` counts a K expansion as it counts that
+many calls; it is a view of the K memo only.  The windows become
+:class:`Permutation` keys once, at the end, each carrying its length:
+the degree of its strip.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ import json
 from typing import NamedTuple
 
 from . import poly
-from .diagram import Mode, _Window, _window_marches
+from .diagram import Mode, _check_mode, _Window, _window_marches
 from .permutations import Permutation, _lehmer_window
 from .poly import (
     DEGREE_MASK,
@@ -83,11 +88,11 @@ class _CacheInfo(NamedTuple):
 
 
 _ONE = Polynomial.constant(1)
-# Window -> G; the identity is the base case.  Every other entry is one
-# miss of the walk, and every read of a window, by a caller or by a node
-# of the walk, is one lookup.
-_memo: dict[_Window, Polynomial] = {(): _ONE}
-_lookups = 0
+# Mode -> window -> G (K) or S (cohomology); the identity is the base case.
+# Every other entry is one miss of the walk, and every read of a window,
+# by a caller or by a node of the walk, is one lookup.
+_memos: dict[Mode, dict[_Window, Polynomial]] = {"K": {(): _ONE}, "cohomology": {(): _ONE}}
+_lookups = dict.fromkeys(_memos, 0)
 
 
 def grothendieck(p: Permutation) -> Polynomial:
@@ -95,16 +100,16 @@ def grothendieck(p: Permutation) -> Polynomial:
 
     Memoised per window: a repeated call returns the same object, and the
     memoised polynomials are only read.  ``grothendieck.cache_info()``
-    and ``grothendieck.cache_clear()`` work as for ``functools.cache``.
+    and ``grothendieck.cache_clear()`` work as for ``functools.cache``;
+    the clear also empties the cohomology memo of :func:`schubert`.
     """
-    return _read(p.window)
+    return _read(p.window, "K")
 
 
-def _read(window: _Window) -> Polynomial:
-    """G of a window from the memo, walked and memoised on a miss, as one
-    counted lookup; the one read of the memo from outside the walk."""
-    global _lookups
-    found = _memo.get(window)
+def _read(window: _Window, mode: Mode) -> Polynomial:
+    """G (K) or S (cohomology) of a window, walked and memoised on a miss,
+    as one counted lookup; the one read of the memos from outside the walk."""
+    found = _memos[mode].get(window)
     if found is None:
         # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
         if len(window) - 1 > poly.MAX_EXPONENT:
@@ -112,14 +117,14 @@ def _read(window: _Window) -> Polynomial:
                 f"window {len(window)} gives exponents up to {len(window) - 1}; "
                 f"they stop at {poly.MAX_EXPONENT}"
             )
-        _walk(window)
-        found = _memo[window]
-    _lookups += 1
+        _walk(window, mode)
+        found = _memos[mode][window]
+    _lookups[mode] += 1
     return found
 
 
-def _walk(root: _Window) -> None:
-    """Memoise G of root and of every window it needs that is not memoised.
+def _walk(root: _Window, mode: Mode) -> None:
+    """Memoise G (or S) of root and of every window it needs not memoised.
 
     An explicit stack marches each window and pushes the first of its q
     and children not yet memoised; a window leaves the stack when all of
@@ -128,35 +133,41 @@ def _walk(root: _Window) -> None:
     windows on the stack, ancestors of the one marched, are never among
     its needs and each window is marched once.  Each summed window reads
     its q and its children: 1 + len(children) lookups."""
-    global _lookups
-    marches = _window_marches(root, "K")
+    memo = _memos[mode]
+    marches = _window_marches(root, mode)
     stack = [(root, marches, iter((marches[1], *marches[2].values())))]
     while stack:
         window, (g, q, children), pending = stack[-1]
         for needed in pending:
-            if needed not in _memo:  # not the identity, which is memoised: it marches
-                marches = _window_marches(needed, "K")
+            if needed not in memo:  # not the identity, which is memoised: it marches
+                marches = _window_marches(needed, mode)
                 stack.append((needed, marches, iter((marches[1], *marches[2].values()))))
                 break
         else:
             stack.pop()
-            _memo[window] = _transition_sum(g, q, children)
-            _lookups += 1 + len(children)
+            memo[window] = _transition_sum(g, q, children, mode)
+            _lookups[mode] += 1 + len(children)
 
 
-def _transition_sum(g: int, q: _Window, children: dict) -> Polynomial:
-    """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I}, from the memo.
+def _transition_sum(g: int, q: _Window, children: dict, mode: Mode) -> Polynomial:
+    """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I} in K, or its lowest
+    degree part x_g S_q + sum_i S_{child_i} in cohomology, from the memo.
 
     No term cancels: length(q) = length(p) - 1 and length(child_I) =
     length(p) - 1 + |I|, so if every coefficient of degree D in G_w has
     the sign (-1)^(D - length(w)), as it has for G_id = 1, every
     contribution to a degree-D term of G_p has the sign
-    (-1)^(D - length(p)), and G_p keeps the law.
+    (-1)^(D - length(p)), and G_p keeps the law; S_p has no sign.
     """
-    memo = _memo
+    memo = _memos[mode]
     x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
     out = {e + x_g: c for e, c in memo[q]._terms.items()}
     get = out.get
+    if mode == "cohomology":
+        for child in children.values():
+            for e, c in memo[child]._terms.items():
+                out[e] = get(e, 0) + c
+        return _unchecked(out)
     for rows, child in children.items():
         terms = memo[child]._terms
         if len(rows) % 2:
@@ -173,15 +184,16 @@ def _transition_sum(g: int, q: _Window, children: dict) -> Polynomial:
 
 
 def _cache_info() -> _CacheInfo:
-    misses = len(_memo) - 1
-    return _CacheInfo(_lookups - misses, misses, None, len(_memo))
+    memo = _memos["K"]
+    misses = len(memo) - 1
+    return _CacheInfo(_lookups["K"] - misses, misses, None, len(memo))
 
 
 def _cache_clear() -> None:
-    global _lookups
-    _memo.clear()
-    _memo[()] = _ONE
-    _lookups = 0
+    for mode, memo in _memos.items():
+        memo.clear()
+        memo[()] = _ONE
+        _lookups[mode] = 0
 
 
 grothendieck.cache_info = _cache_info
@@ -189,9 +201,10 @@ grothendieck.cache_clear = _cache_clear
 
 
 def schubert(p: Permutation) -> Polynomial:
-    """The Schubert polynomial: lowest-degree part of the Grothendieck
-    polynomial, homogeneous of degree length(p)."""
-    return grothendieck(p).lowest_degree_part()
+    """The Schubert polynomial, homogeneous of degree length(p): the
+    lowest-degree part of the Grothendieck polynomial, summed by the
+    cohomology transition into its own memo."""
+    return _read(p.window, "cohomology")
 
 
 # -- the divided-difference construction ---------------------------------
@@ -250,38 +263,41 @@ def grothendieck_dd(p: Permutation, n: int) -> Polynomial:
     return f
 
 
-# -- expansion in the Grothendieck basis ---------------------------------
+# -- expansion in the Grothendieck or Schubert basis ---------------------
 
 
-def expand_in_basis(f: Polynomial) -> ExpansionMap:
-    """The unique finite map with f = sum of c_pi * G_pi.
+def expand_in_basis(f: Polynomial, mode: Mode = "K") -> ExpansionMap:
+    """The unique finite map with f = sum of c_pi * G_pi, or of c_pi * S_pi
+    in cohomology mode.
 
     Strips the leading term: among the terms of minimal degree, the one
     whose exponent is largest when compared from the highest variable
     down.  That is the unique monomial matching the Lehmer code of a
-    permutation pi, which G_pi carries with coefficient 1, so each strip
-    settles one basis element for good.  With higher variables in higher
-    bits it is the largest packed int of its degree.  The remainder is
-    one private dict, updated in place term by term of ``coeff * G_pi``,
-    and its leading term is the top of a min-heap of the negated packed
-    exponents of the remainder's lowest degree; entries whose exponent
-    has left the dict are dropped when they reach the top.  A
-    strip costs about ``len(G_pi)`` dict and heap operations, whatever
-    the size of the remainder.  The terms of G_pi have degree at least
-    ``len(pi)``, the current lowest degree, so the degree never falls:
-    a new heap is built only when a degree is used up, by one scan of
-    the remainder, and expansions with few strips key few terms.
+    permutation pi, which G_pi and S_pi carry with coefficient 1, so each
+    strip settles one basis element for good.  With higher variables in
+    higher bits it is the largest packed int of its degree.  The
+    remainder is one private dict, updated in place term by term of
+    ``coeff * G_pi``, and its leading term is the top of a min-heap of
+    the negated packed exponents of the remainder's lowest degree;
+    entries whose exponent has left the dict are dropped when they reach
+    the top.  A strip costs about ``len(G_pi)`` dict and heap operations,
+    whatever the size of the remainder.  The terms of G_pi have degree at
+    least ``len(pi)``, the current lowest degree, and those of S_pi have
+    exactly that degree, so the degree never falls: a new heap is built
+    only when a degree is used up, by one scan of the remainder, and
+    expansions with few strips key few terms.
 
     Strips are kept and checked by canonical window, decoded from the
-    leading exponent, and G of each strip's window is read through
-    :func:`_read`, as :func:`grothendieck` reads it.  The windows become
-    :class:`Permutation` keys once, at the end, in strip order; each is
-    given its length, the degree of its strip, so sorting or filtering
-    the result by length counts no inversions.
+    leading exponent, and each strip's basis element is read through
+    :func:`_read`, as :func:`grothendieck` and :func:`schubert` read it.
+    The windows become :class:`Permutation` keys once, at the end, in
+    strip order; each is given its length, the degree of its strip, so
+    sorting or filtering the result by length counts no inversions.
 
     More than :data:`EXPANSION_ITERATION_CEILING` strips raise
-    :class:`ExpansionCeilingExceeded`.
+    :class:`ExpansionCeilingExceeded`, and an unknown mode ``ValueError``.
     """
+    _check_mode(mode)
     # window -> (coefficient, length of the permutation), in strip order
     strips: dict[_Window, tuple[int, int]] = {}
     remaining = dict(f._terms)
@@ -306,7 +322,7 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
             )
         # A Lehmer code sums to its permutation's length.
         strips[window] = coeff, degree
-        for e, c in _read(window)._terms.items():
+        for e, c in _read(window, mode)._terms.items():
             c *= coeff
             left = remaining.get(e)
             if left is None:
@@ -323,22 +339,12 @@ def expand_in_basis(f: Polynomial) -> ExpansionMap:
     }
 
 
-def structure_constants(sigma: Permutation, rho: Permutation) -> ExpansionMap:
-    """Coefficients of G_sigma * G_rho in the Grothendieck basis; the
+def structure_constants(sigma: Permutation, rho: Permutation, mode: Mode = "K") -> ExpansionMap:
+    """Coefficients of G_sigma * G_rho in the Grothendieck basis, or of
+    S_sigma * S_rho in the Schubert basis in cohomology mode; the
     ground-truth oracle for the marching formula."""
-    return expand_in_basis(grothendieck(sigma) * grothendieck(rho))
-
-
-def in_mode(
-    expansion: ExpansionMap, sigma: Permutation, rho: Permutation, mode: Mode
-) -> ExpansionMap:
-    """An expansion of G_sigma * G_rho as the mode reads it: itself in K;
-    in cohomology its terms of length len(sigma) + len(rho), the
-    expansion of S_sigma * S_rho."""
-    if mode != "cohomology":
-        return expansion
-    top = sigma.length() + rho.length()
-    return {perm: c for perm, c in expansion.items() if perm.length() == top}
+    _check_mode(mode)
+    return expand_in_basis(_read(sigma.window, mode) * _read(rho.window, mode), mode)
 
 
 def expansion_to_json_obj(expansion: ExpansionMap) -> dict[str, int]:

@@ -9,9 +9,9 @@ product sigma *_n alpha.
 
 :func:`verify` checks three routes term by term: the signed tree
 expansion, the basis expansion of G_sigma * r_t(G_{id * alpha}), and
-the direct product oracle for (sigma, rho).  Product = oracle is decided
-by comparing the factors r_t(G_{id * alpha}) and G_rho, so both
-expansions run only when the factors differ.
+the direct product oracle for (sigma, rho), with S for G in cohomology.
+Product = oracle is decided by comparing the factors r_t(G_{id * alpha})
+and G_rho, so both expansions run only when the factors differ.
 """
 from __future__ import annotations
 
@@ -20,10 +20,9 @@ from typing import NamedTuple
 
 from .grothendieck import (
     ExpansionMap,
+    _read,
     expand_in_basis,
     expansion_to_json_obj,
-    grothendieck,
-    in_mode,
     structure_constants,
 )
 from .permutations import Permutation
@@ -167,8 +166,8 @@ def verify(
     products, and hence their expansions, are equal exactly when
     r_t(G_{id * alpha}) = G_rho, which the truncation identity asserts.
     G_sigma * r_t(G_{id * alpha}) is multiplied out and expanded only
-    when the factors differ.  In cohomology mode the polynomial routes
-    are restricted to the top degree layer length(sigma) + length(rho).
+    when the factors differ.  In cohomology mode both polynomial routes
+    read Schubert polynomials and expand in the Schubert basis.
     """
     star = problem.star_root()
     if star.size() > oracle_window_ceiling:
@@ -176,15 +175,15 @@ def verify(
             f"window {star.size()} exceeds the oracle ceiling {oracle_window_ceiling}"
         )
     tree_expansion = truncation_product(problem, mode)
-    truncated = grothendieck(problem.alpha.stabilize(problem.n)).truncate(problem.t)
+    truncated = _read(problem.alpha.stabilize(problem.n).window, mode).truncate(problem.t)
     sigma, rho = problem.sigma, problem.rho
-    oracle_expansion = in_mode(structure_constants(sigma, rho), sigma, rho, mode)
-    if truncated == grothendieck(rho):
+    oracle_expansion = structure_constants(sigma, rho, mode)
+    if truncated == _read(rho.window, mode):
         # A copy, so that editing one report field leaves the other alone.
         product_expansion = dict(oracle_expansion)
     else:
-        product = grothendieck(sigma) * truncated
-        product_expansion = in_mode(expand_in_basis(product), sigma, rho, mode)
+        product = _read(sigma.window, mode) * truncated
+        product_expansion = expand_in_basis(product, mode)
 
     discrepancies = []
     if not tree_expansion == product_expansion == oracle_expansion:

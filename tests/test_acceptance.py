@@ -15,6 +15,7 @@ from schubert import (
     detect,
     grothendieck,
     grothendieck_dd,
+    schubert,
     k_march,
     k_march_steps,
     march,
@@ -211,3 +212,14 @@ def test_criterion_10_export_at_s5_scale():
             assert encoded.count('"label": ') == nodes
             assert dot.count(" -> ") == nodes - 1
             assert text.count("\n") == nodes - 1
+
+
+def test_criterion_11_schubert_polynomial_at_window_10():
+    # From cleared memos, by the cohomology transition walk alone, not as
+    # the lowest-degree part of G.
+    p = Permutation.parse("5,4,3,1,2,10,9,8,7,6")
+    grothendieck.cache_clear()
+    with criterion(11, "Schubert polynomial of a window-10 permutation", 3.0):
+        s = schubert(p)
+        assert len(s) == 16_494
+        assert all(sum(e) == p.length() and c > 0 for e, c in s.terms())

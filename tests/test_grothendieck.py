@@ -38,6 +38,7 @@ groth_module = importlib.import_module("schubert.grothendieck")
 ID = Permutation.identity()
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
+ID_CLASS = Polynomial.constant(1)
 
 
 def tuple_leading_term(f: Polynomial):
@@ -114,7 +115,7 @@ def transition_needs(window):
 def check_transition_walk(p, monkeypatch):
     """G_p from the memo as it stands, counting the windows the kernel
     marches; returns the windows the walk summed."""
-    known, marched = set(groth_module._memo), []
+    known, marched = set(groth_module._memos["K"]), []
 
     def kernel(window, mode, t=0):
         marched.append(window)
@@ -123,7 +124,7 @@ def check_transition_walk(p, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(groth_module, "_window_marches", kernel)
         grothendieck(p)
-    summed = list(groth_module._memo)[len(known):]  # in the order the walk summed them
+    summed = list(groth_module._memos["K"])[len(known):]  # in the order the walk summed them
     reachable, frontier = set(), [p.window]
     while frontier:
         window = frontier.pop()
@@ -228,6 +229,35 @@ class TestSchubert:
     def test_leading_monomial_is_the_code_on_s4(self):
         for p in symmetric_group(4):
             assert tuple_leading_term(schubert(p)) == (p.lehmer_code(), 1)
+
+    def test_lowest_degree_part_of_grothendieck_on_s7(self):
+        # The cohomology transition is the lowest-degree part of the K one.
+        for p in symmetric_group(7):
+            assert schubert(p) == grothendieck(p).lowest_degree_part(), p
+
+    def test_cohomology_reads_its_own_memo(self):
+        # cache_info() is a view of the K memo; cache_clear() empties both.
+        grothendieck.cache_clear()
+        for p in symmetric_group(4):
+            grothendieck(p)
+        info = grothendieck.cache_info()
+        u, v = Permutation.parse("2413"), Permutation.parse("1432")
+        assert schubert(u) is schubert(u)
+        assert expand_in_basis(schubert(u) * schubert(v), "cohomology")
+        assert structure_constants(u, v, "cohomology")
+        assert grothendieck.cache_info() == info
+        assert len(groth_module._memos["cohomology"]) > 1
+        grothendieck.cache_clear()
+        assert groth_module._memos == {"K": {(): ID_CLASS}, "cohomology": {(): ID_CLASS}}
+        assert grothendieck.cache_info() == (0, 0, None, 1)
+
+    @pytest.mark.parametrize("mode", ["H", "k", None])
+    def test_an_unknown_mode_is_a_value_error(self, mode):
+        p = Permutation.parse("132")
+        with pytest.raises(ValueError, match="unknown mode"):
+            structure_constants(p, p, mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            expand_in_basis(grothendieck(p), mode)
 
 
 class TestExpandInBasis:
@@ -342,6 +372,15 @@ class TestStructureConstants:
         result = structure_constants(Permutation.parse("21"), Permutation.parse("132"))
         assert result == parse_expansion({"231": 1, "312": 1, "321": -1})
 
+    def test_cohomology_is_the_top_layer_of_k_on_s4(self):
+        # S_sigma * S_rho is the lowest-degree part of G_sigma * G_rho.
+        perms = list(symmetric_group(4))
+        for sigma, rho in itertools.product(perms, perms):
+            top = sigma.length() + rho.length()
+            k = structure_constants(sigma, rho)
+            layer = {perm: c for perm, c in k.items() if perm.length() == top}
+            assert structure_constants(sigma, rho, "cohomology") == layer, (sigma, rho)
+
     def test_json_key_order(self):
         result = structure_constants(Permutation.parse("321"), Permutation.parse("132"))
         assert expansion_to_json(result) == '{"3412": 1, "4213": 1, "4312": -1}'
@@ -379,13 +418,13 @@ class TestStructuralIdentities:
         monkeypatch.setattr(poly_module, "MAX_EXPONENT", 3)
         grothendieck.cache_clear()
         grothendieck(Permutation.parse("4321"))
-        memo, info = dict(groth_module._memo), grothendieck.cache_info()
+        memo, info = dict(groth_module._memos["K"]), grothendieck.cache_info()
         with pytest.raises(ExponentCeilingExceeded):
             grothendieck(Permutation.parse("15432"))
-        assert (grothendieck.cache_info(), groth_module._memo) == (info, memo)
+        assert (grothendieck.cache_info(), groth_module._memos["K"]) == (info, memo)
         with pytest.raises(ExponentCeilingExceeded):
             expand_in_basis(Polynomial.variable(4))  # its first strip is G of 12354
-        assert (grothendieck.cache_info(), groth_module._memo) == (info, memo)
+        assert (grothendieck.cache_info(), groth_module._memos["K"]) == (info, memo)
 
     def test_leading_term_law_on_s5(self):
         for p in symmetric_group(5):

@@ -12,6 +12,8 @@ from schubert import (
     Polynomial,
     detect,
     grothendieck,
+    leaf_counts,
+    schubert,
     structure_constants,
     symmetric_group,
     truncate_grothendieck_via_tree,
@@ -52,11 +54,17 @@ def assert_three_way(problem):
     by the factors: r_t(G_{id * alpha}) = G_rho, the truncation identity."""
     truncated = grothendieck(problem.alpha.stabilize(problem.n)).truncate(problem.t)
     assert truncated == grothendieck(problem.rho), problem
-    for mode in ("K", "cohomology"):
-        report = verify(problem, mode)
+    reports = {mode: verify(problem, mode) for mode in ("K", "cohomology")}
+    for mode, report in reports.items():
         assert report.match, (problem, mode)
         assert report.product_expansion == report.oracle_expansion
         assert report.product_expansion is not report.oracle_expansion
+    # Cohomology is the top layer of K (Kogan): S_sigma * S_rho is the
+    # lowest-degree part of G_sigma * G_rho.
+    top = problem.sigma.length() + problem.rho.length()
+    k_oracle = reports["K"].oracle_expansion
+    top_layer = {perm: c for perm, c in k_oracle.items() if perm.length() == top}
+    assert reports["cohomology"].oracle_expansion == top_layer, problem
 
 
 def resum(expansion: dict[Permutation, int]) -> Polynomial:
@@ -227,7 +235,9 @@ class TestVerify:
             monkeypatch.setattr(
                 module,
                 "expand_in_basis",
-                lambda f, expand=module.expand_in_basis: calls.append(f) or expand(f),
+                lambda f, mode="K", expand=module.expand_in_basis: (
+                    calls.append(f) or expand(f, mode)
+                ),
             )
         problem = problem_of(EXAMPLE_4)
         assert verify(problem, mode).match
@@ -261,6 +271,24 @@ class TestSweeps:
         assert len(problems) == 5540
         for problem in random.Random(2004).sample(problems, 300):
             assert_three_way(problem)
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_tree_is_the_truncated_product_on_every_s4_triple(self, mode):
+        """tree(sigma *_4 alpha at t) expands P_sigma * r_t(P_{1^4 x alpha}),
+        P = G in K and S in cohomology, for every sigma and alpha in S_4
+        and every level t from sigma's last descent to 8; that includes
+        the triples detect skips, whose alpha tree has several leaves."""
+        read = grothendieck if mode == "K" else schubert
+        triples = skipped = 0
+        for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
+            base = sigma.length() + alpha.length()
+            for t in range(max(1, sigma.last_descent() or 0), 9):
+                triples += 1
+                skipped += detect(sigma, alpha, 4, t) is None
+                tree = leaf_counts(sigma.star(alpha, 4), t, mode).signed(base)
+                product = read(sigma) * read(alpha.stabilize(4)).truncate(t)
+                assert tree == expand_in_basis(product, mode), (sigma, alpha, t)
+        assert (triples, skipped) == (3840, 244)
 
     def test_cohomology_is_the_top_layer_of_k_mode_on_s3(self):
         for problem in truncation_problems(3, symmetric_group(3)):
