@@ -47,9 +47,9 @@ canonical window of its permutation, and the strips are kept and
 checked by window.  Each strip reads its basis element through
 :func:`_read`, the reader :func:`grothendieck` calls, so
 ``grothendieck.cache_info()`` counts a K expansion as it counts that
-many calls; it is a view of the K memo only.  The windows become
-:class:`Permutation` keys once, at the end, each carrying its length:
-the degree of its strip.
+many calls, and ``schubert.cache_info()`` a cohomology one.  The
+windows become :class:`Permutation` keys once, at the end, each
+carrying its length: the degree of its strip.
 """
 from __future__ import annotations
 
@@ -183,10 +183,10 @@ def _transition_sum(g: int, q: _Window, children: dict, mode: Mode) -> Polynomia
     return _unchecked(out)
 
 
-def _cache_info() -> _CacheInfo:
-    memo = _memos["K"]
+def _cache_info(mode: Mode) -> _CacheInfo:
+    memo = _memos[mode]
     misses = len(memo) - 1
-    return _CacheInfo(_lookups["K"] - misses, misses, None, len(memo))
+    return _CacheInfo(_lookups[mode] - misses, misses, None, len(memo))
 
 
 def _cache_clear() -> None:
@@ -196,15 +196,18 @@ def _cache_clear() -> None:
         _lookups[mode] = 0
 
 
-grothendieck.cache_info = _cache_info
-grothendieck.cache_clear = _cache_clear
-
-
 def schubert(p: Permutation) -> Polynomial:
     """The Schubert polynomial, homogeneous of degree length(p): the
     lowest-degree part of the Grothendieck polynomial, summed by the
-    cohomology transition into its own memo."""
+    cohomology transition into its own memo.  ``schubert.cache_info()``
+    views that memo as ``grothendieck.cache_info()`` views the K one;
+    either ``cache_clear()`` empties both."""
     return _read(p.window, "cohomology")
+
+
+grothendieck.cache_info = lambda: _cache_info("K")
+schubert.cache_info = lambda: _cache_info("cohomology")
+grothendieck.cache_clear = schubert.cache_clear = _cache_clear
 
 
 # -- the divided-difference construction ---------------------------------

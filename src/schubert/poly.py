@@ -17,10 +17,10 @@ most :data:`MAX_EXPONENT` (255) and every total degree at most
 constructor checks each term, ``*`` checks its operands' largest fields
 (one pass over each operand, not over the term pairs), and anything
 beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
-appear only at the public boundary: the constructor, :meth:`terms`,
-:meth:`coefficient` and :func:`parse_polynomial` take or return trimmed
-tuples (no trailing zero).  :meth:`render` makes no tuples: it sorts one
-int key per term and writes each term from its exponent bytes.
+appear only at the public boundary: the constructor, :meth:`terms` and
+:func:`parse_polynomial` take or return trimmed tuples (no trailing
+zero).  :meth:`render` makes no tuples: it sorts one int key per term
+and writes each term from its exponent bytes.
 
 The canonical term order (iteration and printing) is total degree
 ascending, then exponents descending lexicographically, which renders
@@ -119,8 +119,10 @@ class Polynomial:
         clean: dict[int, int] = {}
         if terms:
             for exponent, coeff in terms.items():
+                if not isinstance(coeff, int):
+                    raise ValueError(f"coefficient {coeff!r} is not an int")
                 e = _pack(exponent)
-                clean[e] = clean.get(e, 0) + int(coeff)
+                clean[e] = clean.get(e, 0) + coeff
         self._terms = {e: c for e, c in clean.items() if c}
 
     # -- construction --------------------------------------------------
@@ -156,15 +158,6 @@ class Polynomial:
         items.sort(key=itemgetter(0))
         for _, e, c in items:
             yield e, c
-
-    def coefficient(self, exponent: Iterable[int]) -> int:
-        try:
-            return self._terms.get(_pack(exponent), 0)
-        except (ValueError, ExponentCeilingExceeded):
-            return 0  # no stored term has such an exponent
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -231,13 +224,6 @@ class Polynomial:
 
     # -- queries ----------------------------------------------------------
 
-    def lowest_degree_part(self) -> Polynomial:
-        """The homogeneous part of minimal total degree."""
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no degree")
-        d = min(e & DEGREE_MASK for e in self._terms)
-        return _unchecked({e: c for e, c in self._terms.items() if e & DEGREE_MASK == d})
-
     def truncate(self, t: int) -> Polynomial:
         """Set every variable beyond x_t to zero; a ring homomorphism."""
         if t < 0:
@@ -248,17 +234,6 @@ class Polynomial:
             return self  # no variable beyond x_t
         limit = 1 << shift
         return _unchecked({e: c for e, c in self._terms.items() if e < limit})
-
-    def swap_variables(self, i: int, j: int) -> Polynomial:
-        """Substitute x_i <-> x_j (1-based)."""
-        if i < 1 or j < 1:
-            raise ValueError("variables are 1-based")
-        si, sj = _variable_shift(i), _variable_shift(j)
-        result: dict[int, int] = {}
-        for e, c in self._terms.items():
-            a, b = e >> si & FIELD_MASK, e >> sj & FIELD_MASK
-            result[e + ((b - a) << si) + ((a - b) << sj)] = c
-        return _unchecked(result)
 
     # -- text format ---------------------------------------------------
 

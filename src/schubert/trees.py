@@ -87,9 +87,6 @@ class LeafSummary(NamedTuple):
     counts: dict[Permutation, int]
     null_count: int
 
-    def total(self) -> int:
-        return sum(self.counts.values()) + self.null_count
-
     def signed(self, base_length: int) -> dict[Permutation, int]:
         """Coefficients (-1)^(base_length - length(leaf)) * multiplicity.
 

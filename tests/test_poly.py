@@ -72,7 +72,7 @@ def assert_canonical(f):
 class TestCanonicalization:
     def test_zero_coefficients_dropped(self):
         assert Polynomial({(1,): 0}) == Polynomial.zero()
-        assert (X1 - X1).is_zero()
+        assert X1 - X1 == 0
 
     def test_trailing_zero_exponents_trimmed(self):
         assert Polynomial({(1, 0, 0): 2}) == Polynomial({(1,): 2})
@@ -89,15 +89,14 @@ class TestCanonicalization:
         # Variables are 1-based: x_0 is rejected the same way.
         with pytest.raises(ValueError, match="1-based"):
             Polynomial.variable(0)
-        with pytest.raises(ValueError, match="1-based"):
-            X1.swap_variables(0, 1)
 
 
 class TestIntegerContract:
     """A constant polynomial, zero included, equals its integer and so
-    must hash as it, or sets and dicts tell the two apart."""
+    must hash as it, or sets and dicts tell the two apart.  A bool is an
+    int, so ``p == True`` compares through :meth:`Polynomial.constant`."""
 
-    @pytest.mark.parametrize("c", range(-3, 4))
+    @pytest.mark.parametrize("c", [*range(-3, 4), True, False])
     def test_constant_is_interchangeable_with_its_integer(self, c):
         f = Polynomial.constant(c)
         assert f == c and c == f
@@ -109,6 +108,21 @@ class TestIntegerContract:
     def test_non_constants_are_not_integers(self):
         assert X1 != 1 and X1 + 1 != 1
         assert len({X1 + 1, 1}) == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Polynomial({(1,): 1.5}),
+            lambda: Polynomial.constant(0.5),
+            lambda: Polynomial({(1,): "3"}),
+            lambda: Polynomial.monomial((2,), 2.9),
+        ],
+        ids=["float", "constant", "str", "monomial"],
+    )
+    def test_a_non_integer_coefficient_is_a_value_error(self, build):
+        # Coefficients are exact: nothing is truncated or parsed into an int.
+        with pytest.raises(ValueError, match="not an int"):
+            build()
 
 
 class TestArithmetic:
@@ -143,8 +157,6 @@ class TestArithmetic:
     def test_results_stay_canonical(self, f, g, k, t):
         results = [f + g, f - g, f * g, f * k, k * f, f * 0, f + k, f - k, k - f, -f]
         results.append(f.truncate(t))
-        if not f.is_zero():
-            results.append(f.lowest_degree_part())
         for result in results:
             assert_canonical(result)
 
@@ -178,7 +190,7 @@ class TestTruncate:
         # No mask of 16 + 8 (t + 1) bits can be built for such a level.
         f = X1 + X2 - X1 * X2
         assert f.truncate(10**20) == f
-        assert Polynomial.zero().truncate(10**20).is_zero()
+        assert Polynomial.zero().truncate(10**20) == 0
 
     @given(small_polys, small_polys, st.integers(min_value=0, max_value=4))
     def test_ring_homomorphism(self, f, g, t):
@@ -188,19 +200,6 @@ class TestTruncate:
     @given(small_polys, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
     def test_composition(self, f, s, t):
         assert f.truncate(s).truncate(t) == f.truncate(min(s, t))
-
-
-class TestLowestDegreePart:
-    def test_examples(self):
-        f = X1 + X2 - X1 * X2
-        assert f.lowest_degree_part() == X1 + X2
-        g = X1 * X2
-        assert g.lowest_degree_part() == g
-        assert Polynomial.constant(5).lowest_degree_part() == Polynomial.constant(5)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Polynomial.zero().lowest_degree_part()
 
 
 class TestText:
@@ -251,7 +250,6 @@ class TestPackedExponents:
         assert packed & DEGREE_MASK == sum(exponent)
         f = Polynomial({exponent: 3})
         assert list(f.terms()) == [(trimmed, 3)]
-        assert f.coefficient(exponent) == 3
 
     def test_exponent_at_the_ceiling_stays_exact(self):
         top = Polynomial({(0,) * 29 + (MAX_EXPONENT,): 1})
@@ -274,7 +272,6 @@ class TestPackedExponents:
             Polynomial({(0, 128): 1}) * Polynomial({(1, MAX_EXPONENT - 127): 1})
         with pytest.raises(ExponentCeilingExceeded):
             parse_polynomial(f"x3^{MAX_EXPONENT + 1}")
-        assert Polynomial.variable(1).coefficient((MAX_EXPONENT + 1,)) == 0
 
     def test_degree_at_the_ceiling_stays_exact(self):
         full = (MAX_EXPONENT,) * (MAX_DEGREE // MAX_EXPONENT)
@@ -324,21 +321,6 @@ def tuple_truncate(f, t):
     return {e: c for e, c in f.items() if len(e) <= t}
 
 
-def tuple_lowest_degree_part(f):
-    d = min(sum(e) for e in f)
-    return {e: c for e, c in f.items() if sum(e) == d}
-
-
-def tuple_swap_variables(f, i, j):
-    n = max(i, j)
-    result = {}
-    for e, c in f.items():
-        padded = list(e) + [0] * (n - len(e))
-        padded[i - 1], padded[j - 1] = padded[j - 1], padded[i - 1]
-        result[tuple_trim(padded)] = c
-    return result
-
-
 def tuple_render(f):
     if not f:
         return "0"
@@ -361,10 +343,6 @@ def assert_kernels_agree(f, g):
     assert dict((f + g).terms()) == tuple_add(tf, tg)
     for t in range(6):
         assert dict(f.truncate(t).terms()) == tuple_truncate(tf, t)
-    for i, j in [(1, 2), (2, 3), (1, 4), (3, 7)]:
-        assert dict(f.swap_variables(i, j).terms()) == tuple_swap_variables(tf, i, j)
-    if tf:
-        assert dict(f.lowest_degree_part().terms()) == tuple_lowest_degree_part(tf)
     assert f.render() == tuple_render(tf)
     assert dict(parse_polynomial(tuple_render(tf)).terms()) == tf
 

@@ -159,7 +159,7 @@ class TestFigure2:
         summary = leaf_summary_of(self.tree.root)
         assert summary.counts == FIGURE_2_COUNTS
         assert summary.null_count == FIGURE_2["null_leaves"]
-        assert summary.total() == len(FIGURE_2["second_level"])
+        assert sum(summary.counts.values()) + summary.null_count == len(FIGURE_2["second_level"])
 
     def test_signed_expansion(self):
         assert leaf_summary_of(self.tree.root).signed(FIGURE_2["length"]) == FIGURE_2_LEAVES
