@@ -19,8 +19,8 @@ constructor checks each term, ``*`` checks its operands' largest fields
 beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
 appear only at the public boundary: the constructor, :meth:`terms` and
 :func:`parse_polynomial` take or return trimmed tuples (no trailing
-zero).  :meth:`render` makes no tuples: it sorts one int key per term
-and writes each term from its exponent bytes.
+zero).  :meth:`terms` and :meth:`render` both read :func:`_canonical`,
+one sorted int key per term; :meth:`render` makes no tuples.
 
 The canonical term order (iteration and printing) is total degree
 ascending, then exponents descending lexicographically, which renders
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
@@ -59,6 +59,8 @@ def _pack(exponent: Iterable[int]) -> int:
     e = tuple(exponent)
     if not e:
         return 0
+    if {*map(type, e)} - {int}:  # bools and floats would pack as their values
+        raise ValueError(f"exponent entry in {e} is not an int")
     if min(e) < 0:
         raise ValueError(f"negative exponent in {e}")
     if max(e) > MAX_EXPONENT:
@@ -73,6 +75,25 @@ def _unpack(e: int) -> Exponent:
     """The trimmed exponent tuple of a packed int."""
     v = e >> DEGREE_BITS
     return tuple(v.to_bytes((v.bit_length() + 7) >> 3, "little"))
+
+
+def _canonical(terms: dict[int, int]) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The exponents' width in bytes, and the terms in canonical order, each
+    as its exponent bytes (x1 first, zero-padded to the width) read as a
+    big-endian int, and its coefficient.  The sort key sets the complemented
+    degree above those bytes; within a degree no trimmed exponent is a
+    prefix of another, so descending keys are the canonical order."""
+    width = ((max(terms, default=0) >> DEGREE_BITS).bit_length() + 7) >> 3
+    bits = EXPONENT_BITS * width
+    size = width + DEGREE_BITS // EXPONENT_BITS
+    low = (1 << bits) - 1
+    from_bytes = int.from_bytes
+    keyed = {
+        (MAX_DEGREE - (e & DEGREE_MASK)) << bits
+        | from_bytes(e.to_bytes(size, "little"), "big") & low: c
+        for e, c in terms.items()
+    }
+    return width, ((key & low, keyed[key]) for key in sorted(keyed, reverse=True))
 
 
 def _variable_shift(i: int) -> int:
@@ -150,14 +171,9 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Exponent, int]]:
         """Terms in canonical order, with trimmed exponent tuples."""
-        items = [(e & DEGREE_MASK, _unpack(e), c) for e, c in self._terms.items()]
-        # Within a degree no trimmed exponent is a prefix of another, so
-        # descending tuples are descending lexicographic exponents; the
-        # second sort is stable.
-        items.sort(key=itemgetter(1), reverse=True)
-        items.sort(key=itemgetter(0))
-        for _, e, c in items:
-            yield e, c
+        width, ordered = _canonical(self._terms)
+        for exponent, c in ordered:
+            yield tuple(exponent.to_bytes(width, "big").rstrip(b"\0")), c
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -245,33 +261,18 @@ class Polynomial:
 
     def render(self) -> str:
         """Terms in canonical order, e.g. ``x1 + x2 - x1*x2``."""
-        terms = self._terms
-        if not terms:
+        if not self._terms:
             return "0"
-        # One int key per term: the complemented degree above the exponent
-        # bytes reversed, x1 first, zero-padded to one width.  Within a
-        # degree no trimmed exponent is a prefix of another, so the keys
-        # in descending order are the canonical order.
-        width = ((max(terms) >> DEGREE_BITS).bit_length() + 7) >> 3
-        bits = EXPONENT_BITS * width
-        low = (1 << bits) - 1
-        size = width + DEGREE_BITS // EXPONENT_BITS
-        from_bytes = int.from_bytes
-        keyed = {
-            (MAX_DEGREE - (e & DEGREE_MASK)) << bits
-            | from_bytes(e.to_bytes(size, "little"), "big") & low: c
-            for e, c in terms.items()
-        }
+        width, ordered = _canonical(self._terms)
         # A term's factors are those of its first half of the variables
         # and those of the rest; each half's text is made once per value.
         head = width // 2
-        tail_bits = bits - EXPONENT_BITS * head
+        tail_bits = EXPONENT_BITS * (width - head)
         tail_mask = (1 << tail_bits) - 1
         heads, tails = _FactorText(1, head), _FactorText(head + 1, width - head)
         parts: list[str] = []
-        for key in sorted(keyed, reverse=True):
-            c = keyed[key]
-            first, rest = heads[(key & low) >> tail_bits], tails[key & tail_mask]
+        for exponent, c in ordered:
+            first, rest = heads[exponent >> tail_bits], tails[exponent & tail_mask]
             factors = f"{first}*{rest}" if first and rest else first or rest
             magnitude = c if c > 0 else -c
             if not factors:
@@ -318,6 +319,8 @@ def parse_polynomial(text: str) -> Polynomial:
     if text == "0":
         return Polynomial.zero()
     tokens = text.replace("- ", "-").replace("+ ", "+").split()
+    if any(token[0] not in "+-" for token in tokens[1:]):
+        raise ValueError(f"polynomial terms without a sign between them: {text!r}")
     terms: dict[Exponent, int] = {}
     for token in tokens:
         sign = 1

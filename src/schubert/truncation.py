@@ -48,9 +48,6 @@ class TruncationProblem(NamedTuple):
     t: int
     rho: Permutation
 
-    def base_length(self) -> int:
-        return self.sigma.length() + self.alpha.length()
-
     def star_root(self) -> Permutation:
         return self.sigma.star(self.alpha, self.n)
 
@@ -123,8 +120,8 @@ def truncation_product(
     In cohomology mode every sign is +1 and only permutations of length
     sigma + rho appear.
     """
-    summary = leaf_counts(problem.star_root(), problem.t, mode, node_ceiling)
-    return summary.signed(problem.base_length())
+    star = problem.star_root()
+    return leaf_counts(star, problem.t, mode, node_ceiling).signed(star.length())
 
 
 def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:

@@ -90,6 +90,14 @@ class TestCanonicalization:
         with pytest.raises(ValueError, match="1-based"):
             Polynomial.variable(0)
 
+    @pytest.mark.parametrize(
+        "exponent", [(True, 2), (1.5,), ("1",), (2.0,)], ids=["bool", "float", "str", "whole-float"]
+    )
+    def test_a_non_integer_exponent_entry_is_a_value_error(self, exponent):
+        # As for a permutation's entries: True is not taken for 1, nor 2.0 for 2.
+        with pytest.raises(ValueError, match="not an int"):
+            Polynomial({exponent: 1})
+
 
 class TestIntegerContract:
     """A constant polynomial, zero included, equals its integer and so
@@ -213,6 +221,9 @@ class TestText:
     def test_degree_then_lex_descending_order(self):
         f = Polynomial({(0, 2): 1, (1, 1): 1, (2,): 1, (1,): 1})
         assert f.render() == "x1 + x1^2 + x1*x2 + x2^2"
+        assert list(f.terms()) == [((1,), 1), ((2,), 1), ((1, 1), 1), ((0, 2), 1)]
+        g = X1 + X2 - X1 * X2 + 5
+        assert list(g.terms()) == [((), 5), ((1,), 1), ((0, 1), 1), ((1, 1), -1)]
 
     def test_parse_examples(self):
         assert parse_polynomial("x1 + x2 - x1*x2") == X1 + X2 - X1 * X2
@@ -222,7 +233,9 @@ class TestText:
 
     def test_parse_rejects_garbage(self):
         # The last four spell their digits in fullwidth or Arabic-Indic forms.
+        # "x1 x2" and the rest after it leave out the sign that render() writes between terms.
         for bad in ["", "x", "1 +", "x1^", "y2", "x0", "x0^5*x1", "x1 + x0", "2*", "x1 - 3*",
+                    "x1 x2", "1 2", "x1 2*x2",
                     "\uff12*x1", "x\uff11", "x1^\u0662", "\u0661 + x1"]:
             with pytest.raises(ValueError):
                 parse_polynomial(bad)
@@ -230,6 +243,28 @@ class TestText:
     @given(small_polys)
     def test_round_trip(self, f):
         assert parse_polynomial(f.render()) == f
+
+
+def assert_canonical_order(f):
+    """terms() runs by total degree ascending, then by exponent tuple
+    descending, and str() is render()."""
+    exponents = [e for e, _ in f.terms()]
+    for a, b in zip(exponents, exponents[1:]):
+        assert sum(a) < sum(b) or (sum(a) == sum(b) and a > b), (a, b)
+    assert str(f) == f.render()
+
+
+class TestCanonicalOrder:
+    @seed(20270)
+    @given(wide_polys)
+    @example(Polynomial.zero())
+    @example(Polynomial({(): 1, X10_X12: -1, (0,) * 11 + (1,): 1, (2,): 3}))
+    def test_wide_polynomials(self, f):
+        assert_canonical_order(f)
+
+    def test_grothendieck_polynomials_of_s5(self):
+        for p in symmetric_group(5):
+            assert_canonical_order(grothendieck(p))
 
 
 # -- packed exponents ------------------------------------------------------
