@@ -350,17 +350,14 @@ def structure_constants(sigma: Permutation, rho: Permutation, mode: Mode = "K") 
     return expand_in_basis(_read(sigma.window, mode) * _read(rho.window, mode), mode)
 
 
-def expansion_to_json_obj(expansion: ExpansionMap) -> dict[str, int]:
-    """Text -> coefficient, ordered by length and then by text."""
-    # Texts are distinct, so the sort never compares coefficients.
-    keyed = sorted((perm.length(), perm.text(), c) for perm, c in expansion.items())
-    return {text: c for _, text, c in keyed}
-
-
 def parse_expansion(pairs: dict[str, int]) -> ExpansionMap:
-    """The inverse of :func:`expansion_to_json_obj`: texts -> Permutations."""
+    """Texts -> Permutations: the inverse of ``json.loads`` of
+    :func:`expansion_to_json`."""
     return {Permutation.parse(text): c for text, c in pairs.items()}
 
 
 def expansion_to_json(expansion: ExpansionMap) -> str:
-    return json.dumps(expansion_to_json_obj(expansion))
+    """A JSON object text -> coefficient, ordered by length and then by text."""
+    # Texts are distinct, so the sort never compares coefficients.
+    keyed = sorted((perm.length(), perm.text(), c) for perm, c in expansion.items())
+    return json.dumps({text: c for _, text, c in keyed})

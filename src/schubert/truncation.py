@@ -15,14 +15,12 @@ and G_rho, so both expansions run only when the factors differ.
 """
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .grothendieck import (
     ExpansionMap,
     _read,
     expand_in_basis,
-    expansion_to_json_obj,
     structure_constants,
 )
 from .permutations import Permutation
@@ -51,15 +49,6 @@ class TruncationProblem(NamedTuple):
     def star_root(self) -> Permutation:
         return self.sigma.star(self.alpha, self.n)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "sigma": self.sigma.text(),
-            "alpha": self.alpha.text(),
-            "n": self.n,
-            "t": self.t,
-            "rho": self.rho.text(),
-        }
-
 
 class VerificationReport(NamedTuple):
     problem: TruncationProblem
@@ -69,20 +58,6 @@ class VerificationReport(NamedTuple):
     oracle_expansion: ExpansionMap
     match: bool
     discrepancies: list[dict]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "problem": self.problem.to_json_obj(),
-            "mode": self.mode,
-            "tree_expansion": expansion_to_json_obj(self.tree_expansion),
-            "product_expansion": expansion_to_json_obj(self.product_expansion),
-            "oracle_expansion": expansion_to_json_obj(self.oracle_expansion),
-            "match": self.match,
-            "discrepancies": self.discrepancies,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
 
 def detect(

@@ -118,11 +118,6 @@ class TestTree:
         assert code == 4
         assert "resource" in err
 
-    def test_node_ceiling_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "3")
-        code, _, _ = invoke(capsys, "tree", "34127658", "--t", "4")
-        assert code == 4
-
     def test_cohomology_mode(self, capsys):
         code, out, _ = invoke(capsys, "tree", "321465", "--t", "2", "--cohomology")
         assert code == 0
@@ -317,32 +312,23 @@ class TestUsageErrors:
             (("tree", "321465", "--t", "\uff12"), "--t"),
             (("groth", "321", "--truncate", "1_0"), "--truncate"),
             (("march", "4317625", "--rows", "\u0662"), "--rows"),
+            (("tree", "321465", "--t", "2", "--node-ceiling", "\uff11\uff10"), "--node-ceiling"),
         ],
-        ids=["fullwidth-level", "underscored-truncation", "arabic-indic-row"],
+        ids=["fullwidth-level", "underscored-truncation", "arabic-indic-row", "fullwidth-ceiling"],
     )
     def test_integers_are_ascii_digits(self, capsys, argv, name):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"argument {name}:" in err
 
-    def test_node_ceiling_env_is_ascii_digits(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "\uff11\uff10")
-        code, out, err = invoke(capsys, "tree", "321465", "--t", "2")
-        assert (code, out) == (2, "")
-        assert "SCHUBERT_NODE_CEILING" in err
-
     def test_level_beyond_2n_stays_a_precondition_failure(self, capsys):
         assert invoke(capsys, "product", "321", "132", "--n", "3", "--t", "9")[0] == 3
 
-    def test_negative_node_ceiling_is_a_usage_error(self, capsys, monkeypatch):
+    def test_negative_node_ceiling_is_a_usage_error(self, capsys):
         assert invoke(capsys, "tree", "321465", "--t", "2", "--node-ceiling", "-5")[0] == 2
         assert invoke(
             capsys, "product", "321", "132", "--n", "3", "--t", "2", "--node-ceiling", "-5"
         )[0] == 2
-        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "-5")
-        code, _, err = invoke(capsys, "tree", "321465", "--t", "2")
-        assert code == 2
-        assert "SCHUBERT_NODE_CEILING" in err
 
     def test_groth_of_the_longest_element_of_s40_is_its_staircase(self, capsys):
         longest = ",".join(str(k) for k in range(40, 0, -1))
@@ -399,14 +385,18 @@ class TestCeilingFamily:
         monkeypatch.setattr(cli, "grothendieck", grothendieck)
         assert invoke(capsys, "groth", "132") == (4, "", "resource limit: more than 3 widgets\n")
 
-    def test_only_commands_with_a_node_ceiling_read_its_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "-5")
-        assert invoke(capsys, "multiply", "321", "132") == (
-            0, '{"3412": 1, "4213": 1, "4312": -1}\n', ""
-        )
-        assert invoke(capsys, "product", "321", "132", "--n", "3", "--t", "2") == (
-            2, "", "error: SCHUBERT_NODE_CEILING: must be at least 0, got -5\n"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [("tree", "321465", "--t", "2"), ("product", "321", "132", "--n", "3", "--t", "2")],
+        ids=" ".join,
+    )
+    def test_the_node_ceiling_is_read_from_no_environment_variable(
+        self, capsys, monkeypatch, argv
+    ):
+        expected = invoke(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setenv("SCHUBERT_NODE_CEILING", "0")
+        assert invoke(capsys, *argv) == expected
 
 
 class TestReadme:

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import pickle
 import random
 
@@ -401,6 +402,16 @@ class TestStructureConstants:
     def test_json_key_order(self):
         result = structure_constants(Permutation.parse("321"), Permutation.parse("132"))
         assert expansion_to_json(result) == '{"3412": 1, "4213": 1, "4312": -1}'
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_json_is_the_expansion_keyed_by_length_then_text_on_s4(self, mode):
+        perms = list(symmetric_group(4))
+        for sigma, rho in itertools.product(perms, perms):
+            expansion = structure_constants(sigma, rho, mode)
+            pairs = json.loads(expansion_to_json(expansion), object_pairs_hook=list)
+            keys = [(Permutation.parse(text).length(), text) for text, _ in pairs]
+            assert keys == sorted(keys), (sigma, rho)
+            assert {Permutation.parse(text): c for text, c in pairs} == expansion, (sigma, rho)
 
 
 class TestStructuralIdentities:

@@ -1,6 +1,5 @@
 import importlib
 import itertools
-import json
 import pickle
 import random
 
@@ -10,6 +9,7 @@ from schubert import (
     OracleCeilingExceeded,
     Permutation,
     Polynomial,
+    VerificationReport,
     detect,
     grothendieck,
     leaf_counts,
@@ -106,7 +106,6 @@ class TestDetect:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(problem, protocol))
             assert back == problem and hash(back) == hash(problem)
-            assert back.to_json_obj() == problem.to_json_obj()
 
 
 class TestTruncationProduct:
@@ -189,9 +188,7 @@ class TestVerify:
     def test_report_json_fields(self):
         problem = problem_of(EXAMPLE_4)
         report = verify(problem, "K")
-        obj = report.to_json_obj()
-        assert json.loads(report.to_json()) == obj
-        assert set(obj) == {
+        assert VerificationReport._fields == (
             "problem",
             "mode",
             "tree_expansion",
@@ -199,11 +196,13 @@ class TestVerify:
             "oracle_expansion",
             "match",
             "discrepancies",
-        }
-        assert obj["problem"] == {"sigma": "321", "alpha": "132", "n": 3, "t": 2, "rho": "132"}
-        assert obj["tree_expansion"] == {"3412": 1, "4213": 1, "4312": -1}
-        assert obj["product_expansion"] == obj["oracle_expansion"] == obj["tree_expansion"]
-        assert obj["match"] is True and obj["discrepancies"] == []
+        )
+        p = Permutation.parse
+        assert report.problem == problem == (p("321"), p("132"), 3, 2, p("132"))
+        assert report.mode == "K"
+        assert report.tree_expansion == parse_expansion({"3412": 1, "4213": 1, "4312": -1})
+        assert report.product_expansion == report.oracle_expansion == report.tree_expansion
+        assert report.match is True and report.discrepancies == []
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_a_wrong_rho_is_reported_as_a_discrepancy(self, mode):
