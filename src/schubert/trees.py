@@ -98,19 +98,16 @@ class LeafSummary(NamedTuple):
         }
 
 
-def _check_level_and_mode(t: int, mode: Mode) -> None:
-    if t < 1:
-        raise ValueError("truncation level must be positive")
-    _check_mode(mode)
-
-
 def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:
     """{window: None for a leaf, else its children {rows: child window} in
     tree order, {} with no pivots (a null leaf)} for beta's window and every
     label under it, each after its children.  An explicit stack marches
     each label once: the labels on it are ancestors of the one marched,
-    which in a DAG are none of its children.  Raises
-    :class:`NodeCeilingExceeded` past ``ceiling`` labels."""
+    which in a DAG are none of its children.  A bad level or mode raises
+    ValueError before :class:`NodeCeilingExceeded`, raised past ``ceiling``."""
+    if t < 1:
+        raise ValueError("truncation level must be positive")
+    _check_mode(mode)
     if ceiling < 1:
         raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
     # The root marches through the public march_children, which bench/tracer.py
@@ -152,7 +149,6 @@ def build_tree(
     marching DAG of :func:`leaf_counts`, unfolded with its subtree sizes.
     Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null
     leaves included), counted over the DAG before any node is built."""
-    _check_level_and_mode(t, mode)
     dag = _tree_dag(beta, t, mode, node_ceiling, "nodes")
     index = {None: 0}
     out, labels, texts, sizes = [[]], [None], ["∅"], [1]
@@ -182,7 +178,6 @@ def leaf_counts(
     lists every label before its children.  Raises
     :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
     """
-    _check_level_and_mode(t, mode)
     dag = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
     paths = {beta.window: 1}
     counts: dict[Permutation, int] = {}

@@ -7,11 +7,12 @@ The marching formula then reads the expansion of the product of the
 sigma and rho classes off the leaves of the tree rooted at the star
 product sigma *_n alpha.
 
-:func:`verify` checks three routes term by term: the signed tree
-expansion, the basis expansion of G_sigma * r_t(G_{id * alpha}), and
-the direct product oracle for (sigma, rho), with S for G in cohomology.
-Product = oracle is decided by comparing the factors r_t(G_{id * alpha})
-and G_rho, so both expansions run only when the factors differ.
+:func:`verify` returns three routes: the signed tree expansion, the basis
+expansion of G_sigma * r_t(G_{id * alpha}), and the direct product oracle
+for (sigma, rho), with S for G in cohomology.  Its report stores only
+them, and reads ``match`` and ``discrepancies`` off them.  Product =
+oracle is decided by comparing the factors r_t(G_{id * alpha}) and G_rho,
+so both expansions run only when the factors differ.
 """
 from __future__ import annotations
 
@@ -56,8 +57,28 @@ class VerificationReport(NamedTuple):
     tree_expansion: ExpansionMap
     product_expansion: ExpansionMap
     oracle_expansion: ExpansionMap
-    match: bool
-    discrepancies: list[dict]
+
+    @property
+    def match(self) -> bool:
+        return not self.discrepancies
+
+    @property
+    def discrepancies(self) -> list[dict]:
+        """The permutations on which the three routes disagree, ordered by
+        length and then by text."""
+        tree, product, oracle = self.tree_expansion, self.product_expansion, self.oracle_expansion
+        if tree == product == oracle:
+            return []
+        found = []
+        # Oracle keys first: they come from a basis expansion and carry their lengths.
+        perms = set(oracle) | set(product) | set(tree)
+        for perm in sorted(perms, key=lambda q: (q.length(), q.text())):
+            values = (tree.get(perm, 0), product.get(perm, 0), oracle.get(perm, 0))
+            if len(set(values)) != 1:
+                found.append(
+                    {"perm": perm.text(), "tree": values[0], "product": values[1], "oracle": values[2]}
+                )
+        return found
 
 
 def detect(
@@ -107,23 +128,6 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
     return leaf_counts(gamma, t, "K").signed(gamma.length())
 
 
-def _discrepancies(
-    tree: ExpansionMap, product: ExpansionMap, oracle: ExpansionMap
-) -> list[dict]:
-    """The permutations on which the three routes disagree, ordered by
-    length and then by text."""
-    found = []
-    # Oracle keys first: they come from a basis expansion and carry their lengths.
-    perms = set(oracle) | set(product) | set(tree)
-    for perm in sorted(perms, key=lambda q: (q.length(), q.text())):
-        values = (tree.get(perm, 0), product.get(perm, 0), oracle.get(perm, 0))
-        if len(set(values)) != 1:
-            found.append(
-                {"perm": perm.text(), "tree": values[0], "product": values[1], "oracle": values[2]}
-            )
-    return found
-
-
 def verify(
     problem: TruncationProblem,
     mode: Mode = "K",
@@ -131,11 +135,13 @@ def verify(
 ) -> VerificationReport:
     """Three-way check of the marching formula against the polynomial oracle.
 
-    Compares the tree expansion with the basis expansion of
-    G_sigma * r_t(G_{id * alpha}) and with the direct (sigma, rho)
-    product, term by term.  Product = oracle is decided by comparing the
-    factors: G_sigma is nonzero and Z[x] is a domain, so the two
-    products, and hence their expansions, are equal exactly when
+    The report holds the tree expansion and the basis expansions of
+    G_sigma * r_t(G_{id * alpha}) and of the direct (sigma, rho) product;
+    ``match`` and ``discrepancies`` compare them term by term.  The tree
+    route uses ``DEFAULT_NODE_CEILING``, whatever ceiling :func:`detect`
+    was given.  Product = oracle is decided by comparing the factors:
+    G_sigma is nonzero and Z[x] is a domain, so the two products, and
+    hence their expansions, are equal exactly when
     r_t(G_{id * alpha}) = G_rho, which the truncation identity asserts.
     G_sigma * r_t(G_{id * alpha}) is multiplied out and expanded only
     when the factors differ.  In cohomology mode both polynomial routes
@@ -156,16 +162,4 @@ def verify(
     else:
         product = _read(sigma.window, mode) * truncated
         product_expansion = expand_in_basis(product, mode)
-
-    discrepancies = []
-    if not tree_expansion == product_expansion == oracle_expansion:
-        discrepancies = _discrepancies(tree_expansion, product_expansion, oracle_expansion)
-    return VerificationReport(
-        problem=problem,
-        mode=mode,
-        tree_expansion=tree_expansion,
-        product_expansion=product_expansion,
-        oracle_expansion=oracle_expansion,
-        match=not discrepancies,
-        discrepancies=discrepancies,
-    )
+    return VerificationReport(problem, mode, tree_expansion, product_expansion, oracle_expansion)

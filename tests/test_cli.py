@@ -12,7 +12,13 @@ import pytest
 import schubert
 from schubert import cli
 from schubert.cli import run
-from schubert.worked_examples import EXAMPLE_5
+from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_5
+
+
+def box(cell):
+    """A (row, column) pair as the CLI prints a box."""
+    return "({},{})".format(*cell)
+
 
 EXAMPLE_1_DIAGRAM = "\n".join(
     [
@@ -23,8 +29,8 @@ EXAMPLE_1_DIAGRAM = "\n".join(
         "· □ · · □ ● ·",
         "· ● · · · · ·",
         "· · · · ● · ·",
-        "corner: (5,5)",
-        "pivots: (1,4) (2,3) (3,1)",
+        f"corner: {box(EXAMPLE_1['corner'])}",
+        f"pivots: {' '.join(map(box, EXAMPLE_1['pivots']))}",
     ]
 )
 
@@ -60,18 +66,18 @@ class TestDiagram:
 
 class TestMarch:
     def test_single_row(self, capsys):
-        code, out, _ = invoke(capsys, "march", "4317625", "--rows", "2")
-        assert (code, out) == (0, "4517326\n")
+        code, out, _ = invoke(capsys, "march", EXAMPLE_1["perm"], "--rows", "2")
+        assert (code, out) == (0, EXAMPLE_1["marches"][2] + "\n")
 
     def test_steps(self, capsys):
-        code, out, _ = invoke(capsys, "march", "4317625", "--rows", "1,3", "--steps")
+        rows = ",".join(map(str, EXAMPLE_2["rows"]))
+        code, out, _ = invoke(capsys, "march", EXAMPLE_2["perm"], "--rows", rows, "--steps")
         assert code == 0
-        assert out == (
-            "start 4317625\n"
-            "march 1 -> 5317426\n"
-            "add box (5,4) -> 5317624\n"
-            "march 3 -> 5347126\n"
-        )
+        lines = [f"start {EXAMPLE_2['perm']}"]
+        for kind, detail, perm in EXAMPLE_2["steps"]:
+            step = f"march {detail}" if kind == "march" else f"add box {box(detail)}"
+            lines.append(f"{step} -> {perm}")
+        assert out == "\n".join(lines) + "\n"
 
     def test_non_pivot_row_is_a_precondition_failure(self, capsys):
         code, _, err = invoke(capsys, "march", "4317625", "--rows", "4")

@@ -116,6 +116,8 @@ class TestIntegerContract:
     def test_non_constants_are_not_integers(self):
         assert X1 != 1 and X1 + 1 != 1
         assert len({X1 + 1, 1}) == 2
+        # A bool coefficient counts as its int, 0 or 1, as a bool constant does.
+        assert Polynomial({(1,): True}) == X1 != True
 
     @pytest.mark.parametrize(
         "build",

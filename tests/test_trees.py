@@ -225,10 +225,13 @@ class TestBasics:
             build_tree(Permutation.parse("34127658"), 4, "K", node_ceiling=5)
 
     def test_mode_and_level_validation(self):
-        with pytest.raises(ValueError):
-            build_tree(ID, 0, "K")
-        with pytest.raises(ValueError):
-            build_tree(ID, 1, "quantum")
+        # Both walks reject a bad level or mode before the node ceiling.
+        for walk in (build_tree, leaf_counts):
+            for ceiling in (DEFAULT_NODE_CEILING, 0):
+                with pytest.raises(ValueError, match="truncation level must be positive"):
+                    walk(ID, 0, "K", ceiling)
+                with pytest.raises(ValueError, match="unknown mode 'quantum'"):
+                    walk(ID, 1, "quantum", ceiling)
 
 
 class TestPruning:
@@ -515,12 +518,6 @@ class TestLeafCounts:
         tree = build_tree(pivotless, 1, mode)
         assert tree.root.children == (TreeNode(None, (), ()),)
         assert to_text(tree) == "321\n  ----> ∅"
-
-    def test_mode_and_level_validation(self):
-        with pytest.raises(ValueError):
-            leaf_counts(ID, 0, "K")
-        with pytest.raises(ValueError):
-            leaf_counts(ID, 1, "quantum")
 
 
 def tree_marches(window, mode, t):

@@ -194,8 +194,6 @@ class TestVerify:
             "tree_expansion",
             "product_expansion",
             "oracle_expansion",
-            "match",
-            "discrepancies",
         )
         p = Permutation.parse
         assert report.problem == problem == (p("321"), p("132"), 3, 2, p("132"))
@@ -203,6 +201,18 @@ class TestVerify:
         assert report.tree_expansion == parse_expansion({"3412": 1, "4213": 1, "4312": -1})
         assert report.product_expansion == report.oracle_expansion == report.tree_expansion
         assert report.match is True and report.discrepancies == []
+
+    def test_the_verdict_is_read_from_the_routes(self):
+        # A report cannot disagree with its own routes: emptying the tree
+        # route leaves every oracle term as a discrepancy with tree 0.
+        report = verify(problem_of(EXAMPLE_4), "K")._replace(tree_expansion={})
+        assert report.match is False
+        oracle = expected(EXAMPLE_4)
+        assert report.oracle_expansion == oracle
+        assert report.discrepancies == [
+            {"perm": perm.text(), "tree": 0, "product": oracle[perm], "oracle": oracle[perm]}
+            for perm in sorted(oracle, key=lambda q: (q.length(), q.text()))
+        ]
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_a_wrong_rho_is_reported_as_a_discrepancy(self, mode):
