@@ -225,13 +225,17 @@ class TestBasics:
             build_tree(Permutation.parse("34127658"), 4, "K", node_ceiling=5)
 
     def test_mode_and_level_validation(self):
-        # Both walks reject a bad level or mode before the node ceiling.
-        for walk in (build_tree, leaf_counts):
-            for ceiling in (DEFAULT_NODE_CEILING, 0):
-                with pytest.raises(ValueError, match="truncation level must be positive"):
-                    walk(ID, 0, "K", ceiling)
-                with pytest.raises(ValueError, match="unknown mode 'quantum'"):
-                    walk(ID, 1, "quantum", ceiling)
+        assert_rejects_bad_level_and_mode(build_tree)
+
+
+
+def assert_rejects_bad_level_and_mode(walk):
+    """walk rejects a bad level or mode before its node ceiling."""
+    for ceiling in (DEFAULT_NODE_CEILING, 0):
+        with pytest.raises(ValueError, match="truncation level must be positive"):
+            walk(ID, 0, "K", ceiling)
+        with pytest.raises(ValueError, match="unknown mode 'quantum'"):
+            walk(ID, 1, "quantum", ceiling)
 
 
 class TestPruning:
@@ -518,6 +522,9 @@ class TestLeafCounts:
         tree = build_tree(pivotless, 1, mode)
         assert tree.root.children == (TreeNode(None, (), ()),)
         assert to_text(tree) == "321\n  ----> ∅"
+
+    def test_mode_and_level_validation(self):
+        assert_rejects_bad_level_and_mode(leaf_counts)
 
 
 def tree_marches(window, mode, t):
