@@ -21,7 +21,6 @@ import sys
 from typing import Callable, Collection, Sequence
 
 from .diagram import (
-    MarchError,
     k_march,
     k_march_steps,
     maximal_corner,
@@ -131,11 +130,6 @@ def _product_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-ceiling", type=_non_negative, default=DEFAULT_NODE_CEILING)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser with every command."""
-    return _parser(_COMMANDS)
-
-
 def _parser(names: Collection[str]) -> argparse.ArgumentParser:
     """A parser with the commands ``names`` only.  Its usage line lists
     every command all the same; only a parser that lacks some sets that
@@ -168,8 +162,9 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 def _cmd_march(args: argparse.Namespace) -> int:
     p, rows = args.perm, args.rows
     if args.steps:
+        steps = k_march_steps(p, rows)  # a bad row raises before anything is printed
         print(f"start {p}")
-        for kind, detail, result in k_march_steps(p, rows):
+        for kind, detail, result in steps:
             if kind == "march":
                 print(f"march {detail} -> {result}")
             else:
@@ -257,7 +252,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     # A named command gets a parser with its own subparser only: the other
     # six would cost a cold command about 1.2 ms that it never uses.
-    parser = _parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
+    parser = _parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -267,7 +262,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CeilingExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MarchError, ValueError) as exc:
+    except ValueError as exc:  # MarchError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

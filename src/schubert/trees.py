@@ -82,18 +82,20 @@ class MarchTree:
 
 
 class LeafSummary(NamedTuple):
-    """Multiplicities of labeled leaves plus the count of null leaves."""
+    """Multiplicities of labeled leaves, the count of null leaves, and their root."""
 
     counts: dict[Permutation, int]
     null_count: int
+    root: Permutation
 
-    def signed(self, base_length: int) -> dict[Permutation, int]:
-        """Coefficients (-1)^(base_length - length(leaf)) * multiplicity.
+    def signed(self) -> dict[Permutation, int]:
+        """Coefficients (-1)^(length(root) - length(leaf)) * multiplicity.
 
         Null leaves contribute nothing.
         """
+        base = self.root.length()
         return {
-            perm: (-1) ** ((base_length - perm.length()) % 2) * count
+            perm: (-1) ** ((base - perm.length()) % 2) * count
             for perm, count in self.counts.items()
         }
 
@@ -174,9 +176,9 @@ def leaf_counts(
 ) -> LeafSummary:
     """The leaf summary of ``build_tree(beta, t, mode)`` without building it.
 
-    Path multiplicities flow from the root in reverse post-order, which
-    lists every label before its children.  Raises
-    :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
+    Its ``root`` is beta.  Path multiplicities flow from the root in
+    reverse post-order, which lists every label before its children.
+    Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
     """
     dag = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
     paths = {beta.window: 1}
@@ -191,7 +193,7 @@ def leaf_counts(
         else:
             for child in marches.values():
                 paths[child] = paths.get(child, 0) + count
-    return LeafSummary(counts, nulls)
+    return LeafSummary(counts, nulls, beta)
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:

@@ -111,13 +111,13 @@ def truncation_product(
     mode: Mode = "K",
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> ExpansionMap:
-    """Signed leaf expansion of the tree rooted at sigma *_n alpha.
+    """Signed leaf expansion of the tree rooted at sigma *_n alpha: the
+    ``signed()`` leaf summary, which signs each leaf by that root's length.
 
     In cohomology mode every sign is +1 and only permutations of length
     sigma + rho appear.
     """
-    star = problem.star_root()
-    return leaf_counts(star, problem.t, mode, node_ceiling).signed(star.length())
+    return leaf_counts(problem.star_root(), problem.t, mode, node_ceiling).signed()
 
 
 def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
@@ -125,7 +125,7 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
 
     Summing coefficient * G_label reproduces the truncation exactly.
     """
-    return leaf_counts(gamma, t, "K").signed(gamma.length())
+    return leaf_counts(gamma, t, "K").signed()
 
 
 def verify(

@@ -155,7 +155,7 @@ def _figure_tree(fig: dict) -> MarchTree:
         and summary.null_count == fig["null_leaves"],
         "leaf summary",
     )
-    _check(summary.signed(root.length()) == leaves, "signed leaves")
+    _check(summary.signed() == leaves, "signed leaves")
     return build_tree(root, fig["t"], "K")
 
 

@@ -112,7 +112,8 @@ def test_criterion_4_figure_2_fixture():
         summary = leaf_summary_of(tree.root)
         assert summary.counts == counts
         assert summary.null_count == FIGURE_2["null_leaves"]
-        assert summary.signed(FIGURE_2["length"]) == leaves
+        assert summary.root.length() == FIGURE_2["length"]
+        assert summary.signed() == leaves
 
 
 def test_criterion_5_example_5_fixture():

@@ -12,7 +12,7 @@ import pytest
 import schubert
 from schubert import cli
 from schubert.cli import run
-from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_5
+from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_4, EXAMPLE_5
 
 
 def box(cell):
@@ -35,10 +35,17 @@ EXAMPLE_1_DIAGRAM = "\n".join(
 )
 
 
-def example_5_expansion(mode):
-    """EXAMPLE_5's expansion in ``mode``, keyed as the CLI prints permutations."""
-    expansion = EXAMPLE_5["expansions"][mode]
-    return {schubert.Permutation.parse(perm).text(): c for perm, c in expansion.items()}
+def expansion_of(example, mode):
+    """An example's expansion in ``mode`` as the CLI prints it: keyed by
+    trimmed texts, ordered by length and then by text."""
+    expansion = {schubert.Permutation.parse(p): c for p, c in example["expansions"][mode].items()}
+    return {p.text(): expansion[p] for p in sorted(expansion, key=lambda p: (p.length(), p.text()))}
+
+
+def product_argv(example):
+    """The ``product`` command line of an example's truncation problem."""
+    n, t = str(example["n"]), str(example["t"])
+    return ["product", example["sigma"], example["alpha"], "--n", n, "--t", t]
 
 
 def invoke(capsys, *argv):
@@ -80,9 +87,10 @@ class TestMarch:
         assert out == "\n".join(lines) + "\n"
 
     def test_non_pivot_row_is_a_precondition_failure(self, capsys):
-        code, _, err = invoke(capsys, "march", "4317625", "--rows", "4")
-        assert code == 3
-        assert "pivot" in err
+        for steps in ([], ["--steps"]):  # --steps fails before it prints a step
+            code, out, err = invoke(capsys, "march", "4317625", "--rows", "4", *steps)
+            assert (code, out) == (3, ""), steps
+            assert "pivot" in err
 
     def test_identity_has_no_marches(self, capsys):
         assert invoke(capsys, "march", "1", "--rows", "1")[0] == 3
@@ -163,11 +171,9 @@ class TestGroth:
 
 class TestMultiply:
     def test_example_4(self, capsys):
-        code, out, _ = invoke(capsys, "multiply", "321", "132")
+        code, out, _ = invoke(capsys, "multiply", EXAMPLE_4["sigma"], EXAMPLE_4["rho"])
         assert code == 0
-        assert out == '{"3412": 1, "4213": 1, "4312": -1}\n'
-        parsed = json.loads(out)
-        assert parsed == {"3412": 1, "4213": 1, "4312": -1}
+        assert out == json.dumps(expansion_of(EXAMPLE_4, "K")) + "\n"
 
     def test_cohomology_restriction(self, capsys):
         code, out, _ = invoke(capsys, "multiply", "321", "132", "--cohomology")
@@ -177,22 +183,20 @@ class TestMultiply:
 
 class TestProduct:
     def test_example_4(self, capsys):
-        code, out, err = invoke(capsys, "product", "321", "132", "--n", "3", "--t", "2")
+        code, out, err = invoke(capsys, *product_argv(EXAMPLE_4))
         assert code == 0
-        assert json.loads(out) == {"3412": 1, "4213": 1, "4312": -1}
-        assert "rho = 132" in err
+        assert json.loads(out) == expansion_of(EXAMPLE_4, "K")
+        assert f"rho = {EXAMPLE_4['rho']}" in err
 
     def test_example_5_cohomology(self, capsys):
-        code, out, _ = invoke(
-            capsys, "product", "41352", "4321", "--n", "5", "--t", "7", "--cohomology"
-        )
+        code, out, _ = invoke(capsys, *product_argv(EXAMPLE_5), "--cohomology")
         assert code == 0
-        assert json.loads(out) == example_5_expansion("cohomology")
+        assert json.loads(out) == expansion_of(EXAMPLE_5, "cohomology")
 
     def test_example_5_k_mode(self, capsys):
-        code, out, _ = invoke(capsys, "product", "41352", "4321", "--n", "5", "--t", "7")
+        code, out, _ = invoke(capsys, *product_argv(EXAMPLE_5))
         assert code == 0
-        assert json.loads(out) == example_5_expansion("K")
+        assert json.loads(out) == expansion_of(EXAMPLE_5, "K")
 
     def test_node_ceiling(self, capsys):
         code, _, _ = invoke(
@@ -419,8 +423,10 @@ class TestReadme:
     def test_library_sketch_runs_as_written(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-        exec(compile(block, "README.md", "exec"), {})
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
         out = capsys.readouterr().out
+        assert f"# rho = {namespace['problem'].rho}\n" in block
         assert out.startswith("digraph march_tree {")
         assert "  n17 [" in out and "n18" not in out  # "nodes n0..n17 in preorder"
 
@@ -470,7 +476,7 @@ def parity_cases():
 def parse_with_every_command(capsys, argv):
     """What a parser that has all seven subcommands prints and exits with."""
     try:
-        cli.build_parser().parse_args(argv)
+        cli._parser(cli._COMMANDS).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
     else:

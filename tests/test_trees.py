@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from schubert import (
+    LeafSummary,
     MarchTree,
     NodeCeilingExceeded,
     Permutation,
@@ -162,7 +163,9 @@ class TestFigure2:
         assert sum(summary.counts.values()) + summary.null_count == len(FIGURE_2["second_level"])
 
     def test_signed_expansion(self):
-        assert leaf_summary_of(self.tree.root).signed(FIGURE_2["length"]) == FIGURE_2_LEAVES
+        summary = leaf_summary_of(self.tree.root)
+        assert summary.root.length() == FIGURE_2["length"]
+        assert summary.signed() == FIGURE_2_LEAVES
 
 
 class TestFigure1:
@@ -180,7 +183,7 @@ class TestFigure1:
         assert summary.counts == {perm: 1 for perm in parse_expansion(FIGURE_1["leaves"])}
 
     def test_example_3_signs(self):
-        expansion = leaf_summary_of(self.tree.root).signed(self.tree.root.label.length())
+        expansion = leaf_summary_of(self.tree.root).signed()
         assert sorted(expansion.values()) == sorted(EXAMPLE_3["expansions"]["K"].values())
 
     def test_complete_edge_structure(self):
@@ -201,7 +204,7 @@ class TestBasics:
         assert tree.root.children == () and tree.root.label == ID
         summary = leaf_summary_of(tree.root)
         assert summary.counts == {ID: 1} and summary.null_count == 0
-        assert summary.signed(0) == {ID: 1}
+        assert summary.root.length() == 0 and summary.signed() == {ID: 1}
 
     def test_leaf_descent_split(self):
         for beta in symmetric_group(4):
@@ -480,10 +483,19 @@ class TestLeafCounts:
             assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
 
     def test_figure_2_and_a_leaf_root(self):
-        summary = leaf_counts(Permutation.parse(FIGURE_2["perm"]), FIGURE_2["t"], "K")
+        root = Permutation.parse(FIGURE_2["perm"])
+        summary = leaf_counts(root, FIGURE_2["t"], "K")
         assert summary.counts == FIGURE_2_COUNTS
         assert summary.null_count == FIGURE_2["null_leaves"]
         assert summary_pair(leaf_counts(ID, 3, "K")) == ({ID: 1}, 0)
+        # The summary keeps its root and signs every leaf by that root's length.
+        assert LeafSummary._fields == ("counts", "null_count", "root")
+        assert summary.root is root and root.length() == FIGURE_2["length"]
+        assert leaf_summary(build_tree(root, FIGURE_2["t"], "K")).root == root
+        assert summary.signed() == FIGURE_2_LEAVES
+        sign = (-1) ** (root.length() - 1)  # 21 has length 1
+        resigned = summary._replace(root=Permutation.parse("21")).signed()
+        assert resigned == {perm: sign * c for perm, c in FIGURE_2_LEAVES.items()}
 
     def test_ceiling_counts_distinct_labels_not_nodes(self):
         root = Permutation.parse("43218765")

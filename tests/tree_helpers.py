@@ -16,7 +16,8 @@ def preorder(root: TreeNode) -> Iterator[TreeNode]:
 
 
 def leaf_summary_of(root: TreeNode) -> LeafSummary:
-    """The leaf multiplicities and null leaves under root, counted node by node."""
+    """The leaf multiplicities and null leaves under root, counted node by
+    node, with root's label as the summary's root."""
     counts = Counter(node.label for node in preorder(root) if not node.children)
     nulls = counts.pop(None, 0)
-    return LeafSummary(dict(counts), nulls)
+    return LeafSummary(dict(counts), nulls, root.label)
