@@ -44,7 +44,6 @@ from .trees import (
     to_dot,
     to_json,
     to_text,
-    unique_labeled_leaf,
 )
 from .truncation import (
     DEFAULT_ORACLE_WINDOW_CEILING,
@@ -105,6 +104,5 @@ __all__ = [
     "transition_pair",
     "truncate_grothendieck_via_tree",
     "truncation_product",
-    "unique_labeled_leaf",
     "verify",
 ]

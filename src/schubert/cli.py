@@ -1,17 +1,21 @@
 """Command-line surface: diagrams, marches, trees, polynomials, products.
 
 Exit codes: 0 success, 1 a worked-example fixture of ``verify-paper``
-failed, 2 usage or parse error, 3 precondition failure, 4 any
-:class:`schubert.poly.CeilingExceeded`: the tree node ceiling, the
-oracle window ceiling, the basis-expansion strip ceiling, or the
-packed-exponent ceiling of a polynomial (a variable's exponent above
-255 or a total degree above 65,535, e.g. ``groth`` on a window longer
-than 256).  Results go to stdout, diagnostics to stderr.  A reader that
-closes stdout early, as ``| head`` does, took all it wanted: exit 0.
-``tree`` and ``product`` take the node ceiling from ``--node-ceiling``,
-10^6 by default.  ``tree`` counts the nodes of the unfolded tree, null
-leaves included, against it before it builds any; ``product`` counts
-the distinct labels of the marching DAG it walks instead.
+failed, 2 usage or parse error, 3 precondition failure, 4 a resource
+limit: any :class:`schubert.poly.CeilingExceeded` (the tree node
+ceiling, the oracle window ceiling, the basis-expansion strip ceiling,
+or the packed-exponent ceiling of a polynomial: a variable's exponent
+above 255 or a total degree above 65,535, e.g. ``groth`` on a window
+longer than 256), or a ``MemoryError``, which prints ``resource limit:
+out of memory`` and nothing on stdout, as
+``TestCeilingFamily::test_running_out_of_memory_is_a_resource_limit`` in
+``tests/test_cli.py`` pins.  Results go to stdout, diagnostics to
+stderr.  A reader that closes stdout early, as ``| head`` does, took all
+it wanted: exit 0.  ``tree`` and ``product`` take the node ceiling from
+``--node-ceiling``, 10^6 by default.  ``tree`` counts the nodes of the
+unfolded tree, null leaves included, against it before it builds any;
+``product`` counts the distinct labels of the marching DAG it walks
+instead.
 """
 from __future__ import annotations
 
@@ -261,6 +265,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except CeilingExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:  # MarchError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

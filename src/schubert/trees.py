@@ -202,22 +202,6 @@ def leaf_summary(tree: MarchTree) -> LeafSummary:
     return leaf_counts(tree.labels[-1], tree.t, tree.mode, tree.sizes[-1])
 
 
-def unique_labeled_leaf(
-    alpha: Permutation,
-    t: int,
-    n: int,
-    node_ceiling: int = DEFAULT_NODE_CEILING,
-) -> Permutation | None:
-    """The single non-null leaf label of the K tree of the n-stabilization
-    of alpha, if there is exactly one such leaf counting multiplicity."""
-    if alpha.size() > n:
-        raise ValueError(f"window exceeds S_{n}")
-    summary = leaf_counts(alpha.stabilize(n), t, "K", node_ceiling)
-    if sum(summary.counts.values()) != 1:
-        return None
-    return next(iter(summary.counts))
-
-
 # -- serialization ---------------------------------------------------------
 
 

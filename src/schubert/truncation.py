@@ -26,12 +26,7 @@ from .grothendieck import (
 )
 from .permutations import Permutation
 from .poly import CeilingExceeded
-from .trees import (
-    DEFAULT_NODE_CEILING,
-    Mode,
-    leaf_counts,
-    unique_labeled_leaf,
-)
+from .trees import DEFAULT_NODE_CEILING, Mode, leaf_counts
 
 DEFAULT_ORACLE_WINDOW_CEILING = 8
 
@@ -90,8 +85,11 @@ def detect(
 ) -> TruncationProblem | None:
     """Recognize (sigma, alpha, n, t) as a truncation Schubert problem.
 
-    Returns None when sigma's last descent exceeds t or the stabilized
-    alpha tree does not have a single labeled leaf.
+    The paper's two conditions: sigma's last descent is at most t, and
+    the K tree of the n-stabilization of alpha at level t has a single
+    labeled leaf rho, counting multiplicity.  Returns None when either
+    fails.  A bad t or window raises ValueError first; the tree is walked
+    last, under ``node_ceiling`` distinct labels.
     """
     if not 1 <= t <= 2 * n:
         raise ValueError(f"t must lie in [1, {2 * n}], got {t}")
@@ -100,9 +98,10 @@ def detect(
     last = sigma.last_descent()
     if last is not None and last > t:
         return None
-    rho = unique_labeled_leaf(alpha, t, n, node_ceiling)
-    if rho is None:
+    counts = leaf_counts(alpha.stabilize(n), t, "K", node_ceiling).counts
+    if list(counts.values()) != [1]:
         return None
+    (rho,) = counts
     return TruncationProblem(sigma, alpha, n, t, rho)
 
 

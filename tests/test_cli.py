@@ -395,6 +395,13 @@ class TestCeilingFamily:
         monkeypatch.setattr(cli, "grothendieck", grothendieck)
         assert invoke(capsys, "groth", "132") == (4, "", "resource limit: more than 3 widgets\n")
 
+    def test_running_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch):
+        def grothendieck(_):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "grothendieck", grothendieck)
+        assert invoke(capsys, "groth", "132") == (4, "", "resource limit: out of memory\n")
+
     @pytest.mark.parametrize(
         "argv",
         [("tree", "321465", "--t", "2"), ("product", "321", "132", "--n", "3", "--t", "2")],

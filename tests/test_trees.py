@@ -22,7 +22,6 @@ from schubert import (
     to_dot,
     to_json,
     to_text,
-    unique_labeled_leaf,
 )
 from schubert.cli import run
 from schubert.diagram import _window_marches, march_children
@@ -272,21 +271,6 @@ class TestSingleLeafFamilies:
             for n in range(5):
                 summary = leaf_summary_of(build_tree(pi.stabilize(n), s, "K").root)
                 assert summary.counts == {pi: 1}
-
-    def test_unique_labeled_leaf_examples(self):
-        alpha, rho = Permutation.parse(EXAMPLE_3["alpha"]), Permutation.parse(EXAMPLE_3["rho"])
-        assert unique_labeled_leaf(alpha, EXAMPLE_3["t"], EXAMPLE_3["n"]) == rho
-        assert unique_labeled_leaf(ID, 2, 3) == ID
-        assert unique_labeled_leaf(Permutation.parse("132"), 2, 3) == Permutation.parse("132")
-
-    def test_unique_labeled_leaf_rejects_oversized_window(self):
-        with pytest.raises(ValueError):
-            unique_labeled_leaf(Permutation.parse("2143"), 2, 3)
-
-    def test_unique_labeled_leaf_none_when_multiple(self):
-        # 2143 is the minimal non-vexillary window; its stabilized K tree
-        # has three labeled leaves at level 2.
-        assert unique_labeled_leaf(Permutation.parse("2143"), 2, 4) is None
 
 
 class TestSerialization:

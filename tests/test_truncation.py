@@ -6,6 +6,7 @@ import random
 import pytest
 
 from schubert import (
+    NodeCeilingExceeded,
     OracleCeilingExceeded,
     Permutation,
     Polynomial,
@@ -85,11 +86,26 @@ class TestDetect:
         assert problem is not None
         assert problem.rho == Permutation.parse(EXAMPLE_4["rho"])
 
+    def test_identity_alpha_has_the_identity_as_its_leaf(self):
+        assert detect(ID, ID, 3, 2) == (ID, ID, 3, 2, ID)
+
     def test_sigma_descent_too_late(self):
         assert detect(Permutation.parse("4321"), Permutation.parse("2143"), 4, 1) is None
 
     def test_no_single_leaf(self):
+        # 2143 is the minimal non-vexillary window; its stabilized K tree
+        # has three labeled leaves at level 2.
         assert detect(ID, Permutation.parse("2143"), 4, 2) is None
+
+    def test_checks_run_in_order_before_the_tree_walk(self):
+        # Level, then windows, then sigma's descent, then the walk under its ceiling.
+        late, oversized = Permutation.parse("4321"), Permutation.parse("2143")
+        with pytest.raises(ValueError, match=r"t must lie in \[1, 6\], got 0"):
+            detect(ID, oversized, 3, 0)
+        # A walk under a ceiling of 0 would raise at once.
+        assert detect(late, oversized, 4, 1, node_ceiling=0) is None
+        with pytest.raises(NodeCeilingExceeded, match="^more than 0 distinct labels$"):
+            detect(ID, oversized, 4, 2, node_ceiling=0)
 
     def test_t_range_enforced(self):
         with pytest.raises(ValueError):
@@ -98,8 +114,10 @@ class TestDetect:
             detect(ID, ID, 3, 7)
 
     def test_window_enforced(self):
-        with pytest.raises(ValueError):
-            detect(Permutation.parse("2143"), ID, 3, 2)
+        oversized = Permutation.parse("2143")
+        for sigma, alpha in [(oversized, ID), (ID, oversized)]:
+            with pytest.raises(ValueError, match="^both windows must fit in S_3$"):
+                detect(sigma, alpha, 3, 2)
 
     def test_a_problem_round_trips_through_pickle(self):
         problem = problem_of(EXAMPLE_4)
