@@ -14,6 +14,7 @@ from schubert import (
     Permutation,
     Polynomial,
     build_tree,
+    detect,
     grothendieck,
     grothendieck_dd,
     leaf_counts,
@@ -271,6 +272,20 @@ class TestSingleLeafFamilies:
             for n in range(5):
                 summary = leaf_summary_of(build_tree(pi.stabilize(n), s, "K").root)
                 assert summary.counts == {pi: 1}
+
+    # The single-leaf condition is checked by detect; these two keep its
+    # alpha-side checks beside the other single-leaf families.
+    def test_unique_labeled_leaf_rejects_oversized_window(self):
+        # The window check comes before the walk, which a ceiling of 0 would stop.
+        with pytest.raises(ValueError, match="^both windows must fit in S_3$"):
+            detect(ID, Permutation.parse("2143"), 3, 2, node_ceiling=0)
+
+    def test_unique_labeled_leaf_none_when_multiple(self):
+        # 2143 is the minimal non-vexillary window; its stabilized K tree
+        # has three labeled leaves at level 2.
+        alpha = Permutation.parse("2143")
+        assert sum(leaf_counts(alpha.stabilize(4), 2, "K").counts.values()) == 3
+        assert detect(ID, alpha, 4, 2) is None
 
 
 class TestSerialization:
