@@ -31,7 +31,7 @@ from .diagram import (
     pivots,
     render,
 )
-from .grothendieck import expansion_to_json, grothendieck, structure_constants
+from .grothendieck import _read_once, expansion_to_json, structure_constants
 from .permutations import Permutation
 from .poly import CeilingExceeded
 from .trees import (
@@ -185,7 +185,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_groth(args: argparse.Namespace) -> int:
-    poly = grothendieck(args.perm)
+    # One root, then exit: the walk that frees each window after its last reader.
+    poly = _read_once(args.perm.window)
     if args.truncate is not None:
         poly = poly.truncate(args.truncate)
     print(poly.render())

@@ -27,6 +27,10 @@ Two independent constructions of the Grothendieck polynomial are kept:
   most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
   (256) keeps every field within its bound; a longer window raises
   :class:`schubert.poly.ExponentCeilingExceeded` before any work.
+  The ``groth`` command reads one root and exits, so it reads G through
+  :func:`_read_once` instead: the same post-order and the same sum,
+  into a private store that fills no memo and frees each window's G
+  after its last reader has summed.
 
 * :func:`grothendieck_dd` applies isobaric divided differences
   pi_i f = d_i((1 - x_{i+1}) f) downward from the staircase monomial of
@@ -55,7 +59,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import NamedTuple
+from typing import Container, Iterator, NamedTuple
 
 from . import poly
 from .diagram import Mode, _check_mode, _Window, _window_marches
@@ -111,47 +115,93 @@ def _read(window: _Window, mode: Mode) -> Polynomial:
     as one counted lookup; the one read of the memos from outside the walk."""
     found = _memos[mode].get(window)
     if found is None:
-        # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
-        if len(window) - 1 > poly.MAX_EXPONENT:
-            raise ExponentCeilingExceeded(
-                f"window {len(window)} gives exponents up to {len(window) - 1}; "
-                f"they stop at {poly.MAX_EXPONENT}"
-            )
+        _check_window(window)
         _walk(window, mode)
         found = _memos[mode][window]
     _lookups[mode] += 1
     return found
 
 
-def _walk(root: _Window, mode: Mode) -> None:
-    """Memoise G (or S) of root and of every window it needs not memoised.
+def _check_window(window: _Window) -> None:
+    """Raise ExponentCeilingExceeded unless G of window fits the packed fields."""
+    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
+    if len(window) - 1 > poly.MAX_EXPONENT:
+        raise ExponentCeilingExceeded(
+            f"window {len(window)} gives exponents up to {len(window) - 1}; "
+            f"they stop at {poly.MAX_EXPONENT}"
+        )
+
+
+def _postorder(
+    root: _Window, mode: Mode, done: Container[_Window]
+) -> Iterator[tuple[_Window, tuple]]:
+    """Root and every window it needs not in done, each with its marches,
+    each after the windows it reads; the caller puts each yielded window
+    in done before it asks for the next.
 
     An explicit stack marches each window and pushes the first of its q
-    and children not yet memoised; a window leaves the stack when all of
-    them are, and is summed then.  The windows form a DAG because the
-    transition formula terminates on every permutation (Lascoux), so the
-    windows on the stack, ancestors of the one marched, are never among
-    its needs and each window is marched once.  Each summed window reads
-    its q and its children: 1 + len(children) lookups."""
-    memo = _memos[mode]
+    and children not yet done; a window leaves the stack when all of them
+    are.  The windows form a DAG because the transition formula
+    terminates on every permutation (Lascoux), so the windows on the
+    stack, ancestors of the one marched, are never among its needs and
+    each window is marched once."""
     marches = _window_marches(root, mode)
     stack = [(root, marches, iter((marches[1], *marches[2].values())))]
     while stack:
-        window, (g, q, children), pending = stack[-1]
+        window, marches, pending = stack[-1]
         for needed in pending:
-            if needed not in memo:  # not the identity, which is memoised: it marches
+            if needed not in done:  # not the identity, which is done: it marches
                 marches = _window_marches(needed, mode)
                 stack.append((needed, marches, iter((marches[1], *marches[2].values()))))
                 break
         else:
             stack.pop()
-            memo[window] = _transition_sum(g, q, children, mode)
-            _lookups[mode] += 1 + len(children)
+            yield window, marches
 
 
-def _transition_sum(g: int, q: _Window, children: dict, mode: Mode) -> Polynomial:
+def _walk(root: _Window, mode: Mode) -> None:
+    """Memoise G (or S) of root and of every window it needs not memoised,
+    each summed as it leaves the stack of :func:`_postorder`.  Each summed
+    window reads its q and its children: 1 + len(children) lookups."""
+    memo = _memos[mode]
+    for window, (g, q, children) in _postorder(root, mode, memo):
+        memo[window] = _transition_sum(memo, g, q, children, mode)
+        _lookups[mode] += 1 + len(children)
+
+
+def _read_once(root: _Window) -> Polynomial:
+    """G of root, equal to :func:`grothendieck`'s, by a walk that neither
+    reads nor fills the memo, nor counts a lookup.
+
+    A first pass marches root's DAG once, in the post-order of
+    :func:`_postorder`, and counts each window's readers: the windows
+    whose transition reads it.  A second pass sums the windows in that
+    order into a private store seeded with the identity, and drops each
+    window's G once its last reader is summed, so only the G still to be
+    read are live at a time, not the G of the whole DAG."""
+    _check_window(root)
+    readers = {(): 0}
+    order = []
+    for window, marches in _postorder(root, "K", readers) if root else ():
+        readers[window] = 0
+        for needed in (marches[1], *marches[2].values()):
+            readers[needed] += 1
+        order.append((window, marches))
+    store = {(): _ONE}
+    for window, (g, q, children) in order:
+        store[window] = _transition_sum(store, g, q, children, "K")
+        for needed in (q, *children.values()):
+            readers[needed] -= 1
+            if not readers[needed]:
+                del store[needed]
+    return store[root]
+
+
+def _transition_sum(
+    store: dict[_Window, Polynomial], g: int, q: _Window, children: dict, mode: Mode
+) -> Polynomial:
     """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I} in K, or its lowest
-    degree part x_g S_q + sum_i S_{child_i} in cohomology, from the memo.
+    degree part x_g S_q + sum_i S_{child_i} in cohomology, read from store.
 
     No term cancels: length(q) = length(p) - 1 and length(child_I) =
     length(p) - 1 + |I|, so if every coefficient of degree D in G_w has
@@ -159,17 +209,16 @@ def _transition_sum(g: int, q: _Window, children: dict, mode: Mode) -> Polynomia
     contribution to a degree-D term of G_p has the sign
     (-1)^(D - length(p)), and G_p keeps the law; S_p has no sign.
     """
-    memo = _memos[mode]
     x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
-    out = {e + x_g: c for e, c in memo[q]._terms.items()}
+    out = {e + x_g: c for e, c in store[q]._terms.items()}
     get = out.get
     if mode == "cohomology":
         for child in children.values():
-            for e, c in memo[child]._terms.items():
+            for e, c in store[child]._terms.items():
                 out[e] = get(e, 0) + c
         return _unchecked(out)
     for rows, child in children.items():
-        terms = memo[child]._terms
+        terms = store[child]._terms
         if len(rows) % 2:
             for e, c in terms.items():
                 raised = e + x_g

@@ -389,17 +389,17 @@ class TestCeilingFamily:
         class WidgetCeilingExceeded(schubert.CeilingExceeded):
             pass
 
-        def grothendieck(_):
+        def read_once(_):
             raise WidgetCeilingExceeded("more than 3 widgets")
 
-        monkeypatch.setattr(cli, "grothendieck", grothendieck)
+        monkeypatch.setattr(cli, "_read_once", read_once)
         assert invoke(capsys, "groth", "132") == (4, "", "resource limit: more than 3 widgets\n")
 
     def test_running_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch):
-        def grothendieck(_):
+        def read_once(_):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "grothendieck", grothendieck)
+        monkeypatch.setattr(cli, "_read_once", read_once)
         assert invoke(capsys, "groth", "132") == (4, "", "resource limit: out of memory\n")
 
     @pytest.mark.parametrize(

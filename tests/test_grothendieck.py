@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,7 @@ from schubert import (
 )
 from schubert.diagram import _window_marches
 from schubert.grothendieck import (
+    _read_once,
     divided_difference,
     expansion_to_json,
     isobaric_divided_difference,
@@ -155,6 +157,51 @@ class TestTransitionWalk:
             for window in windows[::3]:
                 grothendieck(Permutation._trusted(window))
             check_transition_walk(p, monkeypatch)
+
+
+class TestOneShotRead:
+    """The walk behind the ``groth`` command: no memo, each window freed
+    after its last reader."""
+
+    def test_equals_grothendieck_on_s6(self):
+        for p in symmetric_group(6):
+            assert _read_once(p.window) == grothendieck(p), p
+
+    def test_leaves_the_memos_and_their_counts(self):
+        grothendieck.cache_clear()
+        for p in symmetric_group(4):
+            grothendieck(p)
+        schubert(Permutation.parse("4321"))
+        memos = {mode: dict(memo) for mode, memo in groth_module._memos.items()}
+        infos = grothendieck.cache_info(), schubert.cache_info()
+        for text in ("4321", "15432", "2143", "1"):
+            _read_once(Permutation.parse(text).window)
+        assert groth_module._memos == memos
+        assert (grothendieck.cache_info(), schubert.cache_info()) == infos
+
+    def test_a_window_past_the_exponent_ceiling_raises_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "MAX_EXPONENT", 3)
+        assert _read_once(Permutation.parse("4321").window) == parse_polynomial("x1^3*x2^2*x3")
+        monkeypatch.setattr(groth_module, "_window_marches", None)  # no march may run
+        with pytest.raises(ExponentCeilingExceeded, match="window 5 gives exponents up to 4"):
+            _read_once(Permutation.parse("15432").window)
+
+    def test_peaks_at_most_half_the_memo_walk(self):
+        p = Permutation.parse("1,9,8,7,6,5,4,3,2")
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                g = read()
+                return g, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        once, once_peak = peak(lambda: _read_once(p.window))
+        grothendieck.cache_clear()
+        memoised, memo_peak = peak(lambda: grothendieck(p))
+        assert once == memoised
+        assert once_peak <= memo_peak / 2, (once_peak, memo_peak)
 
 
 class TestDividedDifferences:
