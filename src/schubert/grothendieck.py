@@ -14,21 +14,22 @@ Two independent constructions of the Grothendieck polynomial are kept:
   over single pivot rows (the cohomology children), by which
   :func:`schubert` runs the same walk in cohomology mode.  The windows
   the formula needs form a DAG, which one explicit-stack walk over the
-  marching kernel of :mod:`schubert.diagram` climbs, so no window is
-  too long for the interpreter's recursion limit.  One memo per mode
-  maps each window to its polynomial, and the walk skips memoised
-  windows.  Each window is summed once, as it leaves the stack after
-  the windows it reads, into one fresh dict of packed exponents (see
-  :mod:`schubert.poly`), not through polynomial arithmetic: raising x_g
-  adds ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the
-  packed int.  The sum cancels no term, so nothing is filtered.  Every
+  marching kernel of :mod:`schubert.diagram` marches into one
+  post-order dict, so no window is too long for the interpreter's
+  recursion limit.  One memo per mode maps each window to its
+  polynomial, and the walk skips memoised windows.  The memo read sums
+  the dict in its order, each window after the windows it reads, into
+  one fresh dict of packed exponents (see :mod:`schubert.poly`), not
+  through polynomial arithmetic: raising x_g adds
+  ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
+  int.  The sum cancels no term, so nothing is filtered.  Every
   monomial of G_w for w in S_n divides the staircase
   x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
   most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
   (256) keeps every field within its bound; a longer window raises
   :class:`schubert.poly.ExponentCeilingExceeded` before any work.
   The ``groth`` command reads one root and exits, so it reads G through
-  :func:`_read_once` instead: the same post-order and the same sum,
+  :func:`_read_once` instead, which sums the same dict by the same rule
   into a private store that fills no memo and frees each window's G
   after its last reader has summed.
 
@@ -59,7 +60,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Container, Iterator, NamedTuple
+from collections import Counter
+from typing import Container, NamedTuple
 
 from . import poly
 from .diagram import Mode, _check_mode, _Window, _window_marches
@@ -111,84 +113,69 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _read(window: _Window, mode: Mode) -> Polynomial:
-    """G (K) or S (cohomology) of a window, walked and memoised on a miss,
-    as one counted lookup; the one read of the memos from outside the walk."""
-    found = _memos[mode].get(window)
+    """G (K) or S (cohomology) of a window as one counted lookup, the one
+    read of the memos; a miss sums :func:`_transition_dag` into the memo,
+    each window reading its q and children: 1 + len(children) lookups."""
+    memo = _memos[mode]
+    found = memo.get(window)
     if found is None:
-        _check_window(window)
-        _walk(window, mode)
-        found = _memos[mode][window]
+        for needing, (g, q, children) in _transition_dag(window, mode, memo).items():
+            memo[needing] = _transition_sum(memo, g, q, children, mode)
+            _lookups[mode] += 1 + len(children)
+        found = memo[window]
     _lookups[mode] += 1
     return found
 
 
-def _check_window(window: _Window) -> None:
-    """Raise ExponentCeilingExceeded unless G of window fits the packed fields."""
-    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(window).
-    if len(window) - 1 > poly.MAX_EXPONENT:
-        raise ExponentCeilingExceeded(
-            f"window {len(window)} gives exponents up to {len(window) - 1}; "
-            f"they stop at {poly.MAX_EXPONENT}"
-        )
-
-
-def _postorder(
-    root: _Window, mode: Mode, done: Container[_Window]
-) -> Iterator[tuple[_Window, tuple]]:
-    """Root and every window it needs not in done, each with its marches,
-    each after the windows it reads; the caller puts each yielded window
-    in done before it asks for the next.
+def _transition_dag(root: _Window, mode: Mode, done: Container[_Window]) -> dict:
+    """{window: its marches (g, q, children)} for root and every window it
+    needs not in done, each after the windows it reads; {} when root is
+    done.  Raises ExponentCeilingExceeded, before any march, unless G of
+    root fits the packed fields.
 
     An explicit stack marches each window and pushes the first of its q
-    and children not yet done; a window leaves the stack when all of them
-    are.  The windows form a DAG because the transition formula
+    and children not yet done or listed; a window is listed when all of
+    them are.  The windows form a DAG because the transition formula
     terminates on every permutation (Lascoux), so the windows on the
     stack, ancestors of the one marched, are never among its needs and
     each window is marched once."""
+    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(root).
+    if len(root) - 1 > poly.MAX_EXPONENT:
+        raise ExponentCeilingExceeded(
+            f"window {len(root)} gives exponents up to {len(root) - 1}; "
+            f"they stop at {poly.MAX_EXPONENT}"
+        )
+    dag: dict = {}
+    if root in done:
+        return dag
     marches = _window_marches(root, mode)
     stack = [(root, marches, iter((marches[1], *marches[2].values())))]
     while stack:
         window, marches, pending = stack[-1]
         for needed in pending:
-            if needed not in done:  # not the identity, which is done: it marches
+            if needed not in done and needed not in dag:  # not the identity (done): it marches
                 marches = _window_marches(needed, mode)
                 stack.append((needed, marches, iter((marches[1], *marches[2].values()))))
                 break
         else:
             stack.pop()
-            yield window, marches
-
-
-def _walk(root: _Window, mode: Mode) -> None:
-    """Memoise G (or S) of root and of every window it needs not memoised,
-    each summed as it leaves the stack of :func:`_postorder`.  Each summed
-    window reads its q and its children: 1 + len(children) lookups."""
-    memo = _memos[mode]
-    for window, (g, q, children) in _postorder(root, mode, memo):
-        memo[window] = _transition_sum(memo, g, q, children, mode)
-        _lookups[mode] += 1 + len(children)
+            dag[window] = marches
+    return dag
 
 
 def _read_once(root: _Window) -> Polynomial:
     """G of root, equal to :func:`grothendieck`'s, by a walk that neither
     reads nor fills the memo, nor counts a lookup.
 
-    A first pass marches root's DAG once, in the post-order of
-    :func:`_postorder`, and counts each window's readers: the windows
-    whose transition reads it.  A second pass sums the windows in that
-    order into a private store seeded with the identity, and drops each
-    window's G once its last reader is summed, so only the G still to be
-    read are live at a time, not the G of the whole DAG."""
-    _check_window(root)
-    readers = {(): 0}
-    order = []
-    for window, marches in _postorder(root, "K", readers) if root else ():
-        readers[window] = 0
-        for needed in (marches[1], *marches[2].values()):
-            readers[needed] += 1
-        order.append((window, marches))
+    It counts each window of root's :func:`_transition_dag` by its
+    readers, the windows whose transition reads it, and sums the DAG in
+    its order into a private store seeded with the identity, dropping
+    each window's G once its last reader is summed, so only the G still
+    to be read are live at a time, not the G of the whole DAG."""
+    dag = _transition_dag(root, "K", {()})
+    readers = Counter(w for _, q, children in dag.values() for w in (q, *children.values()))
     store = {(): _ONE}
-    for window, (g, q, children) in order:
+    for window, (g, q, children) in dag.items():
         store[window] = _transition_sum(store, g, q, children, "K")
         for needed in (q, *children.values()):
             readers[needed] -= 1

@@ -26,7 +26,9 @@ from schubert import (
 )
 from schubert.diagram import _window_marches
 from schubert.grothendieck import (
+    _read,
     _read_once,
+    _transition_dag,
     divided_difference,
     expansion_to_json,
     isobaric_divided_difference,
@@ -111,10 +113,21 @@ class TestTransitionConstruction:
         assert grothendieck.cache_info() == (12_671, 5_039, None, 5_040)
 
 
-def transition_needs(window):
-    """The windows the transition formula reads for G of window."""
-    marches = _window_marches(window, "K")
+def transition_needs(window, mode="K"):
+    """The windows the transition formula reads for G (or S) of window."""
+    marches = _window_marches(window, mode)
     return () if marches is None else (marches[1], *marches[2].values())
+
+
+def reachable_past(root, done, mode="K"):
+    """Root and the windows it reaches through transition_needs, none in done."""
+    reachable, frontier = set(), [root]
+    while frontier:
+        window = frontier.pop()
+        if window not in done and window not in reachable:
+            reachable.add(window)
+            frontier.extend(transition_needs(window, mode))
+    return reachable
 
 
 def check_transition_walk(p, monkeypatch):
@@ -130,12 +143,7 @@ def check_transition_walk(p, monkeypatch):
         patch.setattr(groth_module, "_window_marches", kernel)
         grothendieck(p)
     summed = list(groth_module._memos["K"])[len(known):]  # in the order the walk summed them
-    reachable, frontier = set(), [p.window]
-    while frontier:
-        window = frontier.pop()
-        if window not in known and window not in reachable:
-            reachable.add(window)
-            frontier.extend(transition_needs(window))
+    reachable = reachable_past(p.window, known)
     assert len(summed) == len(reachable) and set(summed) == reachable
     assert sorted(marched) == sorted(reachable)
     assert not known.intersection(marched)
@@ -146,8 +154,22 @@ def check_transition_walk(p, monkeypatch):
     return reachable
 
 
+def check_transition_dag(root, mode, done):
+    """The DAG of root past done: exactly the windows root reaches that are
+    not done, each listed after its needs with its own marches."""
+    dag = _transition_dag(root, mode, done)
+    assert set(dag) == reachable_past(root, done, mode)
+    position = {window: k for k, window in enumerate(dag)}
+    for window, marches in dag.items():
+        assert marches == _window_marches(window, mode)
+        for needed in transition_needs(window, mode):
+            assert needed in done or position[needed] < position[window]
+    return dag
+
+
 class TestTransitionWalk:
-    """The explicit-stack walk that sums the transition formula into the memo."""
+    """The explicit-stack walk that marches the transition formula's DAG,
+    and the memo read that sums it."""
 
     def test_every_s5_root_from_a_cleared_and_a_warmed_memo(self, monkeypatch):
         for p in symmetric_group(5):
@@ -157,6 +179,22 @@ class TestTransitionWalk:
             for window in windows[::3]:
                 grothendieck(Permutation._trusted(window))
             check_transition_walk(p, monkeypatch)
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_the_dag_of_every_s5_root_past_the_identity_and_a_warmed_memo(self, mode, monkeypatch):
+        memo = groth_module._memos[mode]
+        for p in symmetric_group(5):
+            dag = check_transition_dag(p.window, mode, {()})
+            grothendieck.cache_clear()
+            for window in list(dag)[::3]:
+                _read(window, mode)
+            warmed = dict(memo)
+            check_transition_dag(p.window, mode, memo)
+            assert memo == warmed  # the walk only reads done
+        _read(p.window, mode)
+        monkeypatch.setattr(groth_module, "_window_marches", None)  # a done root marches nothing
+        assert _transition_dag((), mode, {()}) == {}
+        assert _transition_dag(p.window, mode, memo) == {}
 
 
 class TestOneShotRead:
@@ -500,6 +538,17 @@ class TestStructuralIdentities:
         with pytest.raises(ExponentCeilingExceeded):
             expand_in_basis(Polynomial.variable(4))  # its first strip is G of 12354
         assert (grothendieck.cache_info(), groth_module._memos["K"]) == (info, memo)
+
+    def test_a_cohomology_window_past_the_ceiling_leaves_its_memo_and_counts(self, monkeypatch):
+        # schubert raises before it marches, memoises or counts anything.
+        monkeypatch.setattr(poly_module, "MAX_EXPONENT", 3)
+        grothendieck.cache_clear()
+        schubert(Permutation.parse("4321"))
+        memo, info = dict(groth_module._memos["cohomology"]), schubert.cache_info()
+        monkeypatch.setattr(groth_module, "_window_marches", None)  # no march may run
+        with pytest.raises(ExponentCeilingExceeded, match="window 5 gives exponents up to 4"):
+            schubert(Permutation.parse("15432"))
+        assert (schubert.cache_info(), groth_module._memos["cohomology"]) == (info, memo)
 
     def test_leading_term_law_on_s5(self):
         for p in symmetric_group(5):
