@@ -1,21 +1,22 @@
 """Command-line surface: diagrams, marches, trees, polynomials, products.
 
-Exit codes: 0 success, 1 a worked-example fixture of ``verify-paper``
-failed, 2 usage or parse error, 3 precondition failure, 4 a resource
-limit: any :class:`schubert.poly.CeilingExceeded` (the tree node
-ceiling, the oracle window ceiling, the basis-expansion strip ceiling,
-or the packed-exponent ceiling of a polynomial: a variable's exponent
-above 255 or a total degree above 65,535, e.g. ``groth`` on a window
-longer than 256), or a ``MemoryError``, which prints ``resource limit:
-out of memory`` and nothing on stdout, as
-``TestCeilingFamily::test_running_out_of_memory_is_a_resource_limit`` in
-``tests/test_cli.py`` pins.  Results go to stdout, diagnostics to
-stderr.  A reader that closes stdout early, as ``| head`` does, took all
-it wanted: exit 0.  ``tree`` and ``product`` take the node ceiling from
-``--node-ceiling``, 10^6 by default.  ``tree`` counts the nodes of the
-unfolded tree, null leaves included, against it before it builds any;
-``product`` counts the distinct labels of the marching DAG it walks
-instead.
+One table, ``_COMMANDS``, declares each command's help, its arguments as
+``(flag, add_argument options)`` specs, and its handler; the ``tree``
+formats are the keys of the exporter map that ``_cmd_tree`` dispatches
+through.  Exit codes: 0 success, 1 a worked-example fixture of
+``verify-paper`` failed, 2 usage or parse error, 3 precondition failure,
+4 a resource limit: any :class:`schubert.poly.CeilingExceeded` (the tree
+node ceiling, the oracle window ceiling, the basis-expansion strip
+ceiling, or the packed-exponent ceiling of a polynomial: a variable's
+exponent above 255 or a total degree above 65,535, e.g. ``groth`` on a
+window longer than 256), or a ``MemoryError``, which prints ``resource
+limit: out of memory`` and nothing on stdout.  Results go to stdout,
+diagnostics to stderr.  A reader that closes stdout early, as ``| head``
+does, took all it wanted: exit 0.  ``tree`` and ``product`` take the
+node ceiling from ``--node-ceiling``, 10^6 by default.  ``tree`` counts
+the nodes of the unfolded tree, null leaves included, against it before
+it builds any; ``product`` counts the distinct labels of the marching
+DAG it walks instead.
 """
 from __future__ import annotations
 
@@ -90,48 +91,18 @@ def _rows(text: str) -> list[int]:
     return [_integer(part) for part in text.split(",")]
 
 
-def _mode_flag(p: argparse.ArgumentParser, help: str | None = None) -> None:
+def _cohomology(help: str | None = None) -> tuple[str, dict]:
     """``--cohomology``, parsed straight into ``args.mode`` ("K" without it)."""
-    p.add_argument("--cohomology", dest="mode", action="store_const", const="cohomology",
-                   default="K", help=help)
+    return "--cohomology", {"dest": "mode", "action": "store_const", "const": "cohomology",
+                            "default": "K", "help": help}
 
 
-def _perm_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument("perm", type=_perm)
-
-
-def _march_arguments(p: argparse.ArgumentParser) -> None:
-    _perm_argument(p)
-    p.add_argument("--rows", type=_rows, required=True, help="comma-separated pivot rows")
-    p.add_argument("--steps", action="store_true", help="show the march/add-box intermediates")
-
-
-def _tree_arguments(p: argparse.ArgumentParser) -> None:
-    _perm_argument(p)
-    p.add_argument("--t", type=_positive, required=True, help="truncation level")
-    _mode_flag(p, "single marches only")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.add_argument("--node-ceiling", type=_non_negative, default=DEFAULT_NODE_CEILING)
-
-
-def _groth_arguments(p: argparse.ArgumentParser) -> None:
-    _perm_argument(p)
-    p.add_argument("--truncate", type=_non_negative, default=None, metavar="T")
-
-
-def _multiply_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("sigma", type=_perm)
-    p.add_argument("rho", type=_perm)
-    _mode_flag(p, "top degree layer only")
-
-
-def _product_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("sigma", type=_perm)
-    p.add_argument("alpha", type=_perm)
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--t", type=_positive, required=True)
-    _mode_flag(p)
-    p.add_argument("--node-ceiling", type=_non_negative, default=DEFAULT_NODE_CEILING)
+# The argument specs that two or more commands share: (flag, add_argument options).
+_PERM = ("perm", {"type": _perm})
+_SIGMA = ("sigma", {"type": _perm})
+_LEVEL = {"type": _positive, "required": True}
+_NODE_CEILING = ("--node-ceiling", {"type": _non_negative, "default": DEFAULT_NODE_CEILING})
+_EXPORTERS = {"text": to_text, "json": to_json, "dot": to_dot}  # tree --format's choices
 
 
 def _parser(names: Collection[str]) -> argparse.ArgumentParser:
@@ -149,7 +120,8 @@ def _parser(names: Collection[str]) -> argparse.ArgumentParser:
         help, arguments, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        arguments(p)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -180,7 +152,7 @@ def _cmd_march(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     tree = build_tree(args.perm, args.t, args.mode, args.node_ceiling)
-    print({"text": to_text, "json": to_json, "dot": to_dot}[args.format](tree))
+    print(_EXPORTERS[args.format](tree))
     return EXIT_OK
 
 
@@ -236,19 +208,39 @@ def _cmd_verify_paper(_: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# name -> (help, arguments, handler), in the order that help lists them.
-_COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
-    "diagram": ("ASCII diagram, maximal corner, pivots", _perm_argument, _cmd_diagram),
-    "march": ("(K-)march towards a set of pivot rows", _march_arguments, _cmd_march),
-    "tree": ("build a marching tree", _tree_arguments, _cmd_tree),
-    "groth": ("Grothendieck polynomial (optionally truncated)", _groth_arguments, _cmd_groth),
-    "multiply": (
-        "expand a product of two Grothendieck classes", _multiply_arguments, _cmd_multiply
-    ),
-    "product": (
-        "detect a truncation problem and expand by marching", _product_arguments, _cmd_product
-    ),
-    "verify-paper": ("re-run the worked example fixtures", lambda p: None, _cmd_verify_paper),
+# name -> (help, argument specs, handler), in the order that help lists them.
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Callable]] = {
+    "diagram": ("ASCII diagram, maximal corner, pivots", (_PERM,), _cmd_diagram),
+    "march": ("(K-)march towards a set of pivot rows", (
+        _PERM,
+        ("--rows", {"type": _rows, "required": True, "help": "comma-separated pivot rows"}),
+        ("--steps", {"action": "store_true", "help": "show the march/add-box intermediates"}),
+    ), _cmd_march),
+    "tree": ("build a marching tree", (
+        _PERM,
+        ("--t", {**_LEVEL, "help": "truncation level"}),
+        _cohomology("single marches only"),
+        ("--format", {"choices": tuple(_EXPORTERS), "default": "text"}),
+        _NODE_CEILING,
+    ), _cmd_tree),
+    "groth": ("Grothendieck polynomial (optionally truncated)", (
+        _PERM,
+        ("--truncate", {"type": _non_negative, "metavar": "T"}),
+    ), _cmd_groth),
+    "multiply": ("expand a product of two Grothendieck classes", (
+        _SIGMA,
+        ("rho", {"type": _perm}),
+        _cohomology("top degree layer only"),
+    ), _cmd_multiply),
+    "product": ("detect a truncation problem and expand by marching", (
+        _SIGMA,
+        ("alpha", {"type": _perm}),
+        ("--n", _LEVEL),
+        ("--t", _LEVEL),
+        _cohomology(),
+        _NODE_CEILING,
+    ), _cmd_product),
+    "verify-paper": ("re-run the worked example fixtures", (), _cmd_verify_paper),
 }
 
 

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import importlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -56,7 +58,7 @@ def invoke(capsys, *argv):
 
 class TestDiagram:
     def test_example_1_snapshot(self, capsys):
-        code, out, _ = invoke(capsys, "diagram", "4317625")
+        code, out, _ = invoke(capsys, "diagram", EXAMPLE_1["perm"])
         assert code == 0
         assert out == EXAMPLE_1_DIAGRAM + "\n"
 
@@ -469,6 +471,120 @@ COMPLETE = {
 }
 
 
+# Every optional flag of each command, with a well-formed value where it takes one.
+EVERY_OPTION = {
+    "diagram": [],
+    "march": ["--steps"],
+    "tree": ["--cohomology", "--format", "dot", "--node-ceiling", "7"],
+    "groth": ["--truncate", "2"],
+    "multiply": ["--cohomology"],
+    "product": ["--cohomology", "--node-ceiling", "7"],
+    "verify-paper": [],
+}
+# Argv that give each argument of a command, positionals included, a malformed value.
+MALFORMED = {
+    "diagram": [["10"]],
+    "march": [["10", "--rows", "2"], ["4317625", "--rows", "2;3"],
+              ["4317625", "--rows", "2", "--steps=1"]],
+    "tree": [["10", "--t", "1"], ["21", "--t", "0"], ["21", "--t", "1", "--cohomology=1"],
+             ["21", "--t", "1", "--format", "xml"], ["21", "--t", "1", "--node-ceiling", "-1"]],
+    "groth": [["10"], ["21", "--truncate", "-1"], ["21", "--truncate", "x"]],
+    "multiply": [["10", "21"], ["21", "10"], ["21", "21", "--cohomology=1"]],
+    "product": [["10", "21", "--n", "2", "--t", "1"], ["21", "10", "--n", "2", "--t", "1"],
+                ["21", "21", "--n", "0", "--t", "1"], ["21", "21", "--n", "2", "--t", "x"],
+                ["21", "21", "--n", "2", "--t", "1", "--cohomology=1"],
+                ["21", "21", "--n", "2", "--t", "1", "--node-ceiling", "-5"]],
+    "verify-paper": [["extra"], ["--bogus=1"]],
+}
+
+
+# The command line as it was declared before ``cli._COMMANDS`` held the argument
+# specs: one builder per command.  Kept as the oracle the table must parse as.
+def oracle_mode_flag(p, help=None):
+    p.add_argument("--cohomology", dest="mode", action="store_const", const="cohomology",
+                   default="K", help=help)
+
+
+def oracle_perm_argument(p):
+    p.add_argument("perm", type=cli._perm)
+
+
+def oracle_march_arguments(p):
+    oracle_perm_argument(p)
+    p.add_argument("--rows", type=cli._rows, required=True, help="comma-separated pivot rows")
+    p.add_argument("--steps", action="store_true", help="show the march/add-box intermediates")
+
+
+def oracle_tree_arguments(p):
+    oracle_perm_argument(p)
+    p.add_argument("--t", type=cli._positive, required=True, help="truncation level")
+    oracle_mode_flag(p, "single marches only")
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p.add_argument("--node-ceiling", type=cli._non_negative, default=cli.DEFAULT_NODE_CEILING)
+
+
+def oracle_groth_arguments(p):
+    oracle_perm_argument(p)
+    p.add_argument("--truncate", type=cli._non_negative, default=None, metavar="T")
+
+
+def oracle_multiply_arguments(p):
+    p.add_argument("sigma", type=cli._perm)
+    p.add_argument("rho", type=cli._perm)
+    oracle_mode_flag(p, "top degree layer only")
+
+
+def oracle_product_arguments(p):
+    p.add_argument("sigma", type=cli._perm)
+    p.add_argument("alpha", type=cli._perm)
+    p.add_argument("--n", type=cli._positive, required=True)
+    p.add_argument("--t", type=cli._positive, required=True)
+    oracle_mode_flag(p)
+    p.add_argument("--node-ceiling", type=cli._non_negative, default=cli.DEFAULT_NODE_CEILING)
+
+
+ORACLE_COMMANDS = {
+    "diagram": ("ASCII diagram, maximal corner, pivots", oracle_perm_argument),
+    "march": ("(K-)march towards a set of pivot rows", oracle_march_arguments),
+    "tree": ("build a marching tree", oracle_tree_arguments),
+    "groth": ("Grothendieck polynomial (optionally truncated)", oracle_groth_arguments),
+    "multiply": ("expand a product of two Grothendieck classes", oracle_multiply_arguments),
+    "product": ("detect a truncation problem and expand by marching", oracle_product_arguments),
+    "verify-paper": ("re-run the worked example fixtures", lambda p: None),
+}
+
+
+def oracle_parser(name):
+    """The oracle's counterpart of ``cli._parser([name])``."""
+    parser = argparse.ArgumentParser(
+        prog="schubert",
+        description="Diagram marching calculus for Schubert structure constants.",
+    )
+    listing = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    help, arguments = ORACLE_COMMANDS[name]
+    arguments(sub.add_parser(name, help=help))
+    return parser
+
+
+def command_parser(parser, name):
+    """The subparser of ``parser`` that parses command ``name``."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def outcome(capsys, parser, argv):
+    """The (exit code, stdout, stderr) of parsing argv; code None if it parses."""
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        code = None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def parity_cases():
     for name in COMMANDS:
         argv = COMPLETE[name]
@@ -482,14 +598,7 @@ def parity_cases():
 
 def parse_with_every_command(capsys, argv):
     """What a parser that has all seven subcommands prints and exits with."""
-    try:
-        cli._parser(cli._COMMANDS).parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-    else:
-        code = None
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return outcome(capsys, cli._parser(cli._COMMANDS), argv)
 
 
 class TestParserParity:
@@ -498,6 +607,22 @@ class TestParserParity:
         expected = parse_with_every_command(capsys, argv)
         assert expected[0] in (0, 2)
         assert invoke(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_each_command_parses_as_the_parent_declared_it(self, capsys, name):
+        ours, oracle = cli._parser([name]), oracle_parser(name)
+        pairs = [(ours, oracle), (command_parser(ours, name), command_parser(oracle, name))]
+        for parser, expected in pairs:
+            assert parser.format_help() == expected.format_help()
+            assert parser.format_usage() == expected.format_usage()
+        for argv in ([name, *COMPLETE[name]], [name, *COMPLETE[name], *EVERY_OPTION[name]]):
+            parsed = vars(ours.parse_args(argv))
+            assert parsed.pop("handler") is cli._COMMANDS[name][2]
+            assert parsed == vars(oracle.parse_args(argv)), argv
+        for argv in MALFORMED[name]:
+            expected = outcome(capsys, oracle, [name, *argv])
+            assert expected[0] == 2, argv
+            assert outcome(capsys, ours, [name, *argv]) == expected
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]], ids=repr)
     def test_top_level_lists_every_command(self, capsys, argv):
@@ -524,3 +649,54 @@ class TestParserParity:
             cli.main()
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out, captured.err) == expected
+
+
+# Tokens that most arguments refuse; some arguments take one or two of them.
+MALFORMED_TOKENS = ("0", "x", "1,1", "\uff12", "")
+
+
+def seeded_value(rng, options):
+    """A value for an argument declared with ``options``: mostly one of its
+    own kind, sometimes any token at all."""
+    kind = options.get("type")
+    if rng.random() < 0.15:
+        return rng.choice(MALFORMED_TOKENS)
+    if "choices" in options:
+        return rng.choice(options["choices"])
+    if kind is cli._perm:
+        window = list(range(1, rng.randint(1, 6) + 1))
+        rng.shuffle(window)
+        return "".join(map(str, window))
+    if kind is cli._rows:
+        return ",".join(map(str, sorted(rng.sample(range(1, 7), rng.randint(1, 3)))))
+    return str(rng.randint(-2, 9))
+
+
+def seeded_argv(rng):
+    """A command and the arguments it declares in ``cli._COMMANDS``: each
+    optional one given half the time, and any one missing now and then."""
+    name = rng.choice(COMMANDS)
+    argv = [name]
+    for flag, options in cli._COMMANDS[name][1]:
+        optional = flag.startswith("-") and not options.get("required")
+        if rng.random() < (0.5 if optional else 0.05):
+            continue
+        if flag.startswith("-"):
+            argv.append(flag)
+        if options.get("action") not in ("store_true", "store_const"):
+            argv.append(seeded_value(rng, options))
+    return argv
+
+
+class TestContract:
+    def test_seeded_argv_end_in_a_documented_exit_code(self, capsys):
+        rng = random.Random(20041)
+        cases = {tuple(seeded_argv(rng)) for _ in range(1000)}
+        codes, violations = set(), []
+        for argv in sorted(cases):
+            code, out, err = invoke(capsys, *argv)
+            codes.add(code)
+            if code not in (0, 2, 3, 4) or "Traceback" in err or (code != 0 and out):
+                violations.append((argv, code, out, err))
+        assert not violations, violations[:3]
+        assert codes == {0, 2, 3, 4}  # the draw reaches every documented ending

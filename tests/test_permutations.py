@@ -8,6 +8,7 @@ from hypothesis import given, seed, strategies as st
 
 from schubert import Permutation, symmetric_group
 from schubert.permutations import _lehmer_window
+from schubert.worked_examples import EXAMPLE_1, FIGURE_2
 
 from permutation_helpers import is_vexillary, w0_conjugate
 
@@ -117,16 +118,16 @@ class TestParseFormat:
 
 class TestStatistics:
     def test_length_examples(self):
-        assert Permutation.parse("4317625").length() == 10
+        assert Permutation.parse(EXAMPLE_1["perm"]).length() == EXAMPLE_1["length"]
         assert ID.length() == 0
-        assert Permutation.parse("321465").length() == 4
+        assert Permutation.parse(FIGURE_2["perm"]).length() == FIGURE_2["length"]
 
     def test_length_is_inversion_count_on_s5(self):
         for p in symmetric_group(5):
             assert p.length() == brute_inversions(p) == sum(p.lehmer_code())
 
     def test_last_descent_examples(self):
-        assert Permutation.parse("4317625").last_descent() == 5
+        assert Permutation.parse(EXAMPLE_1["perm"]).last_descent() == EXAMPLE_1["last_descent"]
         assert ID.last_descent() is None
         assert Permutation.parse("321546").last_descent() == 4
 
@@ -233,7 +234,9 @@ class TestStructuralOps:
             assert q.length() == p.length()
 
     def test_transpose_examples(self):
-        assert Permutation.parse("4317625").transpose(5, 7) == Permutation.parse("4317526")
+        g, m, without_corner = EXAMPLE_1["transition"]
+        p = Permutation.parse(EXAMPLE_1["perm"])
+        assert p.transpose(g, m) == Permutation.parse(without_corner)
         assert ID.transpose(1, 2) == Permutation.parse("21")
 
     def test_transpose_involution_and_parity_on_s4(self):
