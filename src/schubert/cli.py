@@ -10,7 +10,9 @@ node ceiling, the oracle window ceiling, the basis-expansion strip
 ceiling, or the packed-exponent ceiling of a polynomial: a variable's
 exponent above 255 or a total degree above 65,535, e.g. ``groth`` on a
 window longer than 256), or a ``MemoryError``, which prints ``resource
-limit: out of memory`` and nothing on stdout.  Results go to stdout,
+limit: out of memory``.  stdout is then empty unless memory ran out after
+``groth`` began to write its polynomial, which it streams in pieces once
+it has ordered every term.  Results go to stdout,
 diagnostics to stderr.  A reader that closes stdout early, as ``| head``
 does, took all it wanted: exit 0.  ``tree`` and ``product`` take the
 node ceiling from ``--node-ceiling``, 10^6 by default.  ``tree`` counts
@@ -161,7 +163,11 @@ def _cmd_groth(args: argparse.Namespace) -> int:
     poly = _read_once(args.perm.window)
     if args.truncate is not None:
         poly = poly.truncate(args.truncate)
-    print(poly.render())
+    # Piece by piece, so the whole text is never held at once.
+    write = sys.stdout.write
+    for chunk in poly._render_chunks():
+        write(chunk)
+    write("\n")
     return EXIT_OK
 
 

@@ -19,8 +19,12 @@ constructor checks each term, ``*`` checks its operands' largest fields
 beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
 appear only at the public boundary: the constructor, :meth:`terms` and
 :func:`parse_polynomial` take or return trimmed tuples (no trailing
-zero).  :meth:`terms` and :meth:`render` both read :func:`_canonical`,
-one sorted int key per term; :meth:`render` makes no tuples.
+zero).  :meth:`terms` and :meth:`render` both read :func:`_canonical`:
+two stable sorts of the packed exponents by C key callables, descending
+by their little-endian bytes, then ascending by degree.  :meth:`render`
+makes no tuples: it joins the pieces of ``_render_chunks``, which formats
+:data:`_CHUNK_TERMS` terms at a time, so the ``groth`` command writes
+each piece as it comes and never holds the whole text.
 
 The canonical term order (iteration and printing) is total degree
 ascending, then exponents descending lexicographically, which renders
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from operator import or_
+from operator import methodcaller, or_
 from typing import Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
@@ -44,6 +48,9 @@ FIELD_MASK = (1 << EXPONENT_BITS) - 1
 # The checked bounds: a field never carries into the next.
 MAX_EXPONENT = FIELD_MASK
 MAX_DEGREE = DEGREE_MASK
+# Terms per piece of rendered text: the pieces stay small, and the work per
+# piece dwarfs a generator step.
+_CHUNK_TERMS = 1024
 
 
 class CeilingExceeded(RuntimeError):
@@ -77,23 +84,19 @@ def _unpack(e: int) -> Exponent:
     return tuple(v.to_bytes((v.bit_length() + 7) >> 3, "little"))
 
 
-def _canonical(terms: dict[int, int]) -> tuple[int, Iterator[tuple[int, int]]]:
-    """The exponents' width in bytes, and the terms in canonical order, each
-    as its exponent bytes (x1 first, zero-padded to the width) read as a
-    big-endian int, and its coefficient.  The sort key sets the complemented
-    degree above those bytes; within a degree no trimmed exponent is a
-    prefix of another, so descending keys are the canonical order."""
+def _canonical(terms: dict[int, int]) -> tuple[int, list[int]]:
+    """The exponents' width in bytes, and the packed exponents in canonical
+    order.  Within a degree, the little-endian bytes of a packed exponent
+    compare x1, x2, ... after the equal degree bytes, and no trimmed
+    exponent is a prefix of another, so a descending sort by those bytes
+    and then a stable ascending sort by degree give the canonical order.
+    Both keys are C callables; a degree above 255 fills the second degree
+    byte, which only the stable degree sort reads right."""
     width = ((max(terms, default=0) >> DEGREE_BITS).bit_length() + 7) >> 3
-    bits = EXPONENT_BITS * width
     size = width + DEGREE_BITS // EXPONENT_BITS
-    low = (1 << bits) - 1
-    from_bytes = int.from_bytes
-    keyed = {
-        (MAX_DEGREE - (e & DEGREE_MASK)) << bits
-        | from_bytes(e.to_bytes(size, "little"), "big") & low: c
-        for e, c in terms.items()
-    }
-    return width, ((key & low, keyed[key]) for key in sorted(keyed, reverse=True))
+    order = sorted(terms, key=methodcaller("to_bytes", size, "little"), reverse=True)
+    order.sort(key=DEGREE_MASK.__and__)
+    return width, order
 
 
 def _variable_shift(i: int) -> int:
@@ -171,9 +174,9 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Exponent, int]]:
         """Terms in canonical order, with trimmed exponent tuples."""
-        width, ordered = _canonical(self._terms)
-        for exponent, c in ordered:
-            yield tuple(exponent.to_bytes(width, "big").rstrip(b"\0")), c
+        terms = self._terms
+        for e in _canonical(terms)[1]:
+            yield _unpack(e), terms[e]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -261,35 +264,47 @@ class Polynomial:
 
     def render(self) -> str:
         """Terms in canonical order, e.g. ``x1 + x2 - x1*x2``."""
-        if not self._terms:
-            return "0"
-        width, ordered = _canonical(self._terms)
+        return "".join(self._render_chunks())
+
+    def _render_chunks(self) -> Iterator[str]:
+        """The text of :meth:`render` in pieces of up to :data:`_CHUNK_TERMS`
+        terms each.  The order list and its sort keys are made in full
+        before the first piece, so a caller that writes each piece has
+        written nothing when they run out of memory."""
+        terms = self._terms
+        if not terms:
+            yield "0"
+            return
+        width, order = _canonical(terms)
         # A term's factors are those of its first half of the variables
         # and those of the rest; each half's text is made once per value.
         head = width // 2
-        tail_bits = EXPONENT_BITS * (width - head)
-        tail_mask = (1 << tail_bits) - 1
+        head_mask = (1 << EXPONENT_BITS * head) - 1
+        tail_shift = _variable_shift(head + 1)
         heads, tails = _FactorText(1, head), _FactorText(head + 1, width - head)
-        parts: list[str] = []
-        for exponent, c in ordered:
-            first, rest = heads[exponent >> tail_bits], tails[exponent & tail_mask]
-            factors = f"{first}*{rest}" if first and rest else first or rest
-            magnitude = c if c > 0 else -c
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = factors
-            else:
-                body = f"{magnitude}*{factors}"
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        lead = parts[0]
-        parts[0] = lead[2:] if lead[0] == "+" else f"-{lead[2:]}"
-        return " ".join(parts)
+        for start in range(0, len(order), _CHUNK_TERMS):
+            parts: list[str] = []
+            for e in order[start:start + _CHUNK_TERMS]:
+                first, rest = heads[e >> DEGREE_BITS & head_mask], tails[e >> tail_shift]
+                factors = f"{first}*{rest}" if first and rest else first or rest
+                c = terms[e]
+                magnitude = c if c > 0 else -c
+                if not factors:
+                    body = str(magnitude)
+                elif magnitude == 1:
+                    body = factors
+                else:
+                    body = f"{magnitude}*{factors}"
+                parts.append(f" + {body}" if c > 0 else f" - {body}")
+            if not start:
+                lead = parts[0]
+                parts[0] = lead[3:] if lead[1] == "+" else f"-{lead[3:]}"
+            yield "".join(parts)
 
 
 class _FactorText(dict):
     """Lazily, the factors ``x3*x4^2`` of the exponent bytes of ``size``
-    variables from x_first, read as a big-endian int (x_first highest)."""
+    variables from x_first, read as a little-endian int (x_first lowest)."""
 
     __slots__ = ("first", "size")
 
@@ -300,7 +315,7 @@ class _FactorText(dict):
     def __missing__(self, value: int) -> str:
         text = self[value] = "*".join(
             f"x{i}" if power == 1 else f"x{i}^{power}"
-            for i, power in enumerate(value.to_bytes(self.size, "big"), start=self.first)
+            for i, power in enumerate(value.to_bytes(self.size, "little"), start=self.first)
             if power
         )
         return text

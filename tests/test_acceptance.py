@@ -5,7 +5,8 @@ in the captured-output section of a failure report).
 """
 import itertools
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, redirect_stdout
 
 from schubert import (
     Box,
@@ -31,7 +32,8 @@ from schubert import (
     truncation_product,
     verify,
 )
-from schubert.grothendieck import parse_expansion
+from schubert.cli import run
+from schubert.grothendieck import _read_once, parse_expansion
 from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_3, EXAMPLE_5, FIGURE_2
 
 from permutation_helpers import is_vexillary
@@ -222,3 +224,34 @@ def test_criterion_11_schubert_polynomial_at_window_10():
         s = schubert(p)
         assert len(s) == 16_494
         assert all(sum(e) == p.length() and c > 0 for e, c in s.terms())
+
+
+class _Discard:
+    """A stdout that drops every write."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory that call's allocations held, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_12_groth_prints_in_the_memory_of_its_walk():
+    # 41,990 terms, 2.1 MB of text: printing may hold no more than a tenth
+    # beyond the one-shot walk's own peak, whatever the host.
+    window = "1,11,10,9,8,7,6,5,4,3,2"
+    with criterion(12, "groth of a window-11 permutation within 1.1x its walk's memory", 20.0):
+        walk = _traced_peak(lambda: _read_once(Permutation.parse(window).window))
+        with redirect_stdout(_Discard()):
+            command = _traced_peak(lambda: run(["groth", window]))
+        assert command <= 1.1 * walk, f"groth peaked at {command} bytes, its walk at {walk}"

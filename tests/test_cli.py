@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import schubert
-from schubert import cli
+from schubert import cli, poly
 from schubert.cli import run
 from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, EXAMPLE_4, EXAMPLE_5
 
@@ -169,6 +169,14 @@ class TestGroth:
 
     def test_negative_truncate_is_a_usage_error(self, capsys):
         assert invoke(capsys, "groth", "132", "--truncate", "-1")[0] == 2
+
+    @pytest.mark.parametrize("truncate", [(), ("--truncate", "5")], ids=["whole", "truncated"])
+    def test_a_text_of_several_pieces_is_render_and_a_newline(self, capsys, truncate):
+        # 3,432 terms whole: several pieces of the streamed text.
+        g = schubert.grothendieck(schubert.Permutation.parse("1,9,8,7,6,5,4,3,2"))
+        if truncate:
+            g = g.truncate(5)
+        assert invoke(capsys, "groth", "1,9,8,7,6,5,4,3,2", *truncate) == (0, g.render() + "\n", "")
 
 
 class TestMultiply:
@@ -403,6 +411,17 @@ class TestCeilingFamily:
 
         monkeypatch.setattr(cli, "_read_once", read_once)
         assert invoke(capsys, "groth", "132") == (4, "", "resource limit: out of memory\n")
+
+    def test_running_out_of_memory_while_ordering_the_terms_prints_nothing(
+        self, capsys, monkeypatch
+    ):
+        # groth orders every term before it writes the first piece.
+        def canonical(_):
+            raise MemoryError
+
+        monkeypatch.setattr(poly, "_canonical", canonical)
+        outcome = invoke(capsys, "groth", "1,9,8,7,6,5,4,3,2")
+        assert outcome == (4, "", "resource limit: out of memory\n")
 
     @pytest.mark.parametrize(
         "argv",

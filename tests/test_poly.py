@@ -1,4 +1,5 @@
 import itertools
+import random
 from operator import add, mul, sub
 
 import pytest
@@ -9,9 +10,12 @@ from schubert import (
     Polynomial,
     grothendieck,
     parse_polynomial,
+    schubert,
     symmetric_group,
 )
-from schubert.poly import DEGREE_MASK, MAX_DEGREE, MAX_EXPONENT, _pack, _unpack
+from schubert.poly import _CHUNK_TERMS, DEGREE_MASK, MAX_DEGREE, MAX_EXPONENT, _pack, _unpack
+
+from poly_helpers import keyed_order
 
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
@@ -268,6 +272,38 @@ class TestCanonicalOrder:
         for p in symmetric_group(5):
             assert_canonical_order(grothendieck(p))
 
+    def test_every_g_and_s_of_s6_follows_the_keyed_order(self):
+        for p in symmetric_group(6):
+            for f in (grothendieck(p), schubert(p)):
+                assert list(f.terms()) == keyed_order(f), p
+
+    def test_degrees_past_one_byte_follow_the_keyed_order(self):
+        # Degrees that share a low byte (1, 257, 513; 0, 256, 512) and many
+        # terms per degree: an order that read the low degree byte alone
+        # would put degree 257 between degrees 1 and 2.
+        rng = random.Random(20350)
+        degrees = [0, 1, 2, 255, 256, 257, 511, 512, 513, 1000]
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randrange(1, 40)):
+                terms[random_exponent(rng, rng.choice(degrees), rng.randrange(5, 9))] = (
+                    rng.choice([1, -1, rng.randrange(-(10**20), 10**20) or 1]))
+            f = Polynomial(terms)
+            assert list(f.terms()) == keyed_order(f)
+            assert_canonical_order(f)
+
+
+def random_exponent(rng, degree, width):
+    """A random exponent of the given total degree over ``width`` variables,
+    each at most MAX_EXPONENT; ``width`` must be large enough."""
+    e = [0] * width
+    while degree:
+        i = rng.choice([i for i, v in enumerate(e) if v < MAX_EXPONENT])
+        step = min(degree, rng.randrange(1, MAX_EXPONENT - e[i] + 1))
+        e[i] += step
+        degree -= step
+    return tuple(e)
+
 
 # -- packed exponents ------------------------------------------------------
 
@@ -406,6 +442,22 @@ class TestAgainstTheTupleKernel:
     def test_render_of_wide_polynomials(self, f):
         text = f.render()
         assert text == tuple_render(dict(f.terms()))
+        assert parse_polynomial(text) == f
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_TERMS - 1, _CHUNK_TERMS, _CHUNK_TERMS + 1,
+                                   3 * _CHUNK_TERMS + 7])
+    def test_render_pieces_at_chunk_boundaries(self, n):
+        rng = random.Random(20351 + n)
+        terms = {}
+        while len(terms) < n:
+            exponent = tuple_trim(rng.randrange(4) for _ in range(rng.randrange(8)))
+            big = rng.randrange(2, 10**20)
+            terms[exponent] = rng.choice([1, -1, big, -big])
+        f = Polynomial(terms)
+        pieces = list(f._render_chunks())
+        assert len(pieces) == max(1, -(-n // _CHUNK_TERMS))
+        text = "".join(pieces)
+        assert text == tuple_render(terms) == f.render()
         assert parse_polynomial(text) == f
 
     def test_every_s4_product_of_grothendieck_polynomials(self):
