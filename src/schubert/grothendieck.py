@@ -16,11 +16,18 @@ Two independent constructions of the Grothendieck polynomial are kept:
   the formula needs form a DAG, which one explicit-stack walk over the
   marching kernel of :mod:`schubert.diagram` marches into one
   post-order dict, so no window is too long for the interpreter's
-  recursion limit.  One memo per mode maps each window to its
-  polynomial, and the walk skips memoised windows.  The memo read sums
-  the dict in its order, each window after the windows it reads, into
-  one fresh dict of packed exponents (see :mod:`schubert.poly`), not
-  through polynomial arithmetic: raising x_g adds
+  recursion limit.  One memo per mode maps each window to its entry:
+  two tuples, the packed exponents (see :mod:`schubert.poly`) and the
+  coefficients of its polynomial, since the walk and the strips of
+  :func:`expand_in_basis` only iterate a memoised G.  Over S_7 a
+  memoised term costs 43.9 B (tracemalloc), against 66.4 B as a dict,
+  and a verify-sweep round of the benchmark peaks at ~61 MB, not ~79.
+  A public read (:func:`grothendieck`, :func:`schubert`) makes the
+  window's :class:`Polynomial` once and keeps it, and the memo entry
+  becomes the views of its dict.  The walk skips memoised windows; the
+  memo read sums the dict in its order, each window after the windows
+  it reads, into one fresh dict of packed exponents, not through
+  polynomial arithmetic: raising x_g adds
   ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
   int.  The sum cancels no term, so nothing is filtered.  Every
   monomial of G_w for w in S_n divides the staircase
@@ -49,8 +56,8 @@ term of its lowest degree is kept on a lazily pruned heap, so a strip
 touches only the terms of the subtracted basis element.  The leading
 exponent of a strip, read as a Lehmer code, is decoded straight to the
 canonical window of its permutation, and the strips are kept and
-checked by window.  Each strip reads its basis element through
-:func:`_read`, the reader :func:`grothendieck` calls, so
+checked by window.  Each strip reads its basis element's memo entry
+through :func:`_read_entry`, the reader under :func:`grothendieck`, so
 ``grothendieck.cache_info()`` counts a K expansion as it counts that
 many calls, and ``schubert.cache_info()`` a cohomology one.  The
 windows become :class:`Permutation` keys once, at the end, each
@@ -61,7 +68,9 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from typing import Container, NamedTuple
+from itertools import repeat
+from operator import and_
+from typing import Container, Iterable, NamedTuple
 
 from . import poly
 from .diagram import Mode, _check_mode, _Window, _window_marches
@@ -93,12 +102,19 @@ class _CacheInfo(NamedTuple):
     currsize: int
 
 
-_ONE = Polynomial.constant(1)
-# Mode -> window -> G (K) or S (cohomology); the identity is the base case.
-# Every other entry is one miss of the walk, and every read of a window,
-# by a caller or by a node of the walk, is one lookup.
-_memos: dict[Mode, dict[_Window, Polynomial]] = {"K": {(): _ONE}, "cohomology": {(): _ONE}}
+# A memo entry: the packed exponents and the coefficients of one G (K) or
+# S (cohomology), which zip into its terms.
+_Entry = tuple[Iterable[int], Iterable[int]]
+# Mode -> window -> entry; the identity is the base case.  Every other
+# entry is one miss of the walk, and every read of a window, by a caller
+# or by a node of the walk, is one lookup.
+_ID_ENTRY = (0,), (1,)
+_memos: dict[Mode, dict[_Window, _Entry]] = {"K": {(): _ID_ENTRY}, "cohomology": {(): _ID_ENTRY}}
 _lookups = dict.fromkeys(_memos, 0)
+# Mode -> window -> the Polynomial that grothendieck or schubert returns,
+# made on the window's first such read; its memo entry becomes the
+# views of its dict, so the terms are not held twice.
+_polynomials: dict[Mode, dict[_Window, Polynomial]] = {mode: {} for mode in _memos}
 
 
 def grothendieck(p: Permutation) -> Polynomial:
@@ -113,14 +129,29 @@ def grothendieck(p: Permutation) -> Polynomial:
 
 
 def _read(window: _Window, mode: Mode) -> Polynomial:
-    """G (K) or S (cohomology) of a window as one counted lookup, the one
-    read of the memos; a miss sums :func:`_transition_dag` into the memo,
-    each window reading its q and children: 1 + len(children) lookups."""
+    """G (K) or S (cohomology) of a window as one counted lookup of
+    :func:`_read_entry`, one Polynomial per window however often read."""
+    polynomials = _polynomials[mode]
+    found = polynomials.get(window)
+    if found is None:
+        terms = dict(zip(*_read_entry(window, mode)))
+        found = polynomials[window] = _unchecked(terms)
+        _memos[mode][window] = terms.keys(), terms.values()
+    else:
+        _lookups[mode] += 1
+    return found
+
+
+def _read_entry(window: _Window, mode: Mode) -> _Entry:
+    """The memo entry of a window as one counted lookup, the one read of
+    the memos; a miss sums :func:`_transition_dag` into the memo, each
+    window reading its q and children: 1 + len(children) lookups."""
     memo = _memos[mode]
     found = memo.get(window)
     if found is None:
         for needing, (g, q, children) in _transition_dag(window, mode, memo).items():
-            memo[needing] = _transition_sum(memo, g, q, children, mode)
+            terms = _transition_sum(memo, g, q, children, mode)
+            memo[needing] = tuple(terms), tuple(terms.values())
             _lookups[mode] += 1 + len(children)
         found = memo[window]
     _lookups[mode] += 1
@@ -171,24 +202,27 @@ def _read_once(root: _Window) -> Polynomial:
     readers, the windows whose transition reads it, and sums the DAG in
     its order into a private store seeded with the identity, dropping
     each window's G once its last reader is summed, so only the G still
-    to be read are live at a time, not the G of the whole DAG."""
+    to be read are live at a time, not the G of the whole DAG.  Its
+    entries are the views of each summed dict, so no tuples are built."""
     dag = _transition_dag(root, "K", {()})
     readers = Counter(w for _, q, children in dag.values() for w in (q, *children.values()))
-    store = {(): _ONE}
+    store, terms = {(): _ID_ENTRY}, {0: 1}
     for window, (g, q, children) in dag.items():
-        store[window] = _transition_sum(store, g, q, children, "K")
+        terms = _transition_sum(store, g, q, children, "K")
+        store[window] = terms.keys(), terms.values()
         for needed in (q, *children.values()):
             readers[needed] -= 1
             if not readers[needed]:
                 del store[needed]
-    return store[root]
+    return _unchecked(terms)  # root's, summed last
 
 
 def _transition_sum(
-    store: dict[_Window, Polynomial], g: int, q: _Window, children: dict, mode: Mode
-) -> Polynomial:
-    """x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I} in K, or its lowest
-    degree part x_g S_q + sum_i S_{child_i} in cohomology, read from store.
+    store: dict[_Window, _Entry], g: int, q: _Window, children: dict, mode: Mode
+) -> dict[int, int]:
+    """The terms of x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I} in K,
+    or of its lowest degree part x_g S_q + sum_i S_{child_i} in
+    cohomology, read from the entries of store.
 
     No term cancels: length(q) = length(p) - 1 and length(child_I) =
     length(p) - 1 + |I|, so if every coefficient of degree D in G_w has
@@ -197,26 +231,26 @@ def _transition_sum(
     (-1)^(D - length(p)), and G_p keeps the law; S_p has no sign.
     """
     x_g = (1 << _variable_shift(g)) + 1  # one more x_g, one more degree
-    out = {e + x_g: c for e, c in store[q]._terms.items()}
+    out = {e + x_g: c for e, c in zip(*store[q])}
     get = out.get
     if mode == "cohomology":
         for child in children.values():
-            for e, c in store[child]._terms.items():
+            for e, c in zip(*store[child]):
                 out[e] = get(e, 0) + c
-        return _unchecked(out)
+        return out
     for rows, child in children.items():
-        terms = store[child]._terms
+        terms = zip(*store[child])
         if len(rows) % 2:
-            for e, c in terms.items():
+            for e, c in terms:
                 raised = e + x_g
                 out[raised] = get(raised, 0) - c
                 out[e] = get(e, 0) + c
         else:
-            for e, c in terms.items():
+            for e, c in terms:
                 raised = e + x_g
                 out[raised] = get(raised, 0) + c
                 out[e] = get(e, 0) - c
-    return _unchecked(out)
+    return out
 
 
 def _cache_info(mode: Mode) -> _CacheInfo:
@@ -228,7 +262,8 @@ def _cache_info(mode: Mode) -> _CacheInfo:
 def _cache_clear() -> None:
     for mode, memo in _memos.items():
         memo.clear()
-        memo[()] = _ONE
+        memo[()] = _ID_ENTRY
+        _polynomials[mode].clear()
         _lookups[mode] = 0
 
 
@@ -328,7 +363,7 @@ def expand_in_basis(f: Polynomial, mode: Mode = "K") -> ExpansionMap:
 
     Strips are kept and checked by canonical window, decoded from the
     leading exponent, and each strip's basis element is read through
-    :func:`_read`, as :func:`grothendieck` and :func:`schubert` read it.
+    :func:`_read_entry`, under :func:`grothendieck` and :func:`schubert`.
     The windows become :class:`Permutation` keys once, at the end, in
     strip order; each is given its length, the degree of its strip, so
     sorting or filtering the result by length counts no inversions.
@@ -345,7 +380,8 @@ def expand_in_basis(f: Polynomial, mode: Mode = "K") -> ExpansionMap:
         while heap and -heap[0] not in remaining:
             heapq.heappop(heap)
         if not heap:
-            degree = min(e & DEGREE_MASK for e in remaining)
+            # All in C; a bound DEGREE_MASK.__and__ would make a tuple per call.
+            degree = min(map(and_, remaining, repeat(DEGREE_MASK)))
             heap = [-e for e in remaining if e & DEGREE_MASK == degree]
             heapq.heapify(heap)
         if len(strips) >= EXPANSION_ITERATION_CEILING:
@@ -361,7 +397,7 @@ def expand_in_basis(f: Polynomial, mode: Mode = "K") -> ExpansionMap:
             )
         # A Lehmer code sums to its permutation's length.
         strips[window] = coeff, degree
-        for e, c in _read(window, mode)._terms.items():
+        for e, c in zip(*_read_entry(window, mode)):
             c *= coeff
             left = remaining.get(e)
             if left is None:

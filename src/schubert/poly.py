@@ -237,7 +237,10 @@ class Polynomial:
             for e2, c2 in right:
                 e = e1 + e2
                 result[e] = get(e, 0) + c1 * c2
-        return _unchecked({e: c for e, c in result.items() if c})
+        # Rare: no product of Grothendieck polynomials cancels, their signs alternate by degree.
+        if 0 in result.values():
+            result = {e: c for e, c in result.items() if c}
+        return _unchecked(result)
 
     __rmul__ = __mul__
 
@@ -248,8 +251,7 @@ class Polynomial:
         if t < 0:
             raise ValueError("truncation index must be non-negative")
         shift = _variable_shift(t + 1)
-        # Up to 2**16 bits the mask costs less than a scan for the largest key.
-        if shift > 1 << 16 and max(self._terms, default=0).bit_length() <= shift:
+        if max(self._terms, default=0).bit_length() <= shift:
             return self  # no variable beyond x_t
         limit = 1 << shift
         return _unchecked({e: c for e, c in self._terms.items() if e < limit})

@@ -27,6 +27,7 @@ from schubert import (
 from schubert.diagram import _window_marches
 from schubert.grothendieck import (
     _read,
+    _read_entry,
     _read_once,
     _transition_dag,
     divided_difference,
@@ -45,7 +46,6 @@ groth_module = importlib.import_module("schubert.grothendieck")
 ID = Permutation.identity()
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
-ID_CLASS = Polynomial.constant(1)
 
 
 def tuple_leading_term(f: Polynomial):
@@ -197,6 +197,37 @@ class TestTransitionWalk:
         assert _transition_dag(p.window, mode, memo) == {}
 
 
+class TestPackedMemo:
+    """The memo keeps each G as its packed exponents and its coefficients;
+    a public read makes one Polynomial per window."""
+
+    def test_a_memoised_term_costs_at_most_55_bytes_on_s6(self):
+        grothendieck.cache_clear()
+        tracemalloc.start()
+        try:
+            for p in symmetric_group(6):
+                _read_entry(p.window, "K")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        terms = sum(len(exponents) for exponents, _ in groth_module._memos["K"].values())
+        assert held <= 55 * terms, (held, terms)
+
+    def test_a_window_summed_inside_a_walk_reads_as_one_polynomial(self):
+        root = Permutation.parse("326541")
+        grothendieck.cache_clear()
+        grothendieck(root)
+        inner = [Permutation._trusted(w) for w in list(groth_module._memos["K"])[1:-1:5]]
+        for p in inner:
+            g = grothendieck(p)
+            assert grothendieck(p) is g and g == grothendieck_dd(p, 6), p
+        # Read first and then summed by a walk, the entries read as before.
+        grothendieck.cache_clear()
+        for p in inner:
+            grothendieck(p)
+        assert grothendieck(root) == grothendieck_dd(root, 6)
+
+
 class TestOneShotRead:
     """The walk behind the ``groth`` command: no memo, each window freed
     after its last reader."""
@@ -336,7 +367,8 @@ class TestSchubert:
         assert grothendieck.cache_info() == info
         assert len(groth_module._memos["cohomology"]) > 1
         grothendieck.cache_clear()
-        assert groth_module._memos == {"K": {(): ID_CLASS}, "cohomology": {(): ID_CLASS}}
+        # The identity's entry: its packed exponents and its coefficients.
+        assert groth_module._memos == {"K": {(): ((0,), (1,))}, "cohomology": {(): ((0,), (1,))}}
         assert grothendieck.cache_info() == (0, 0, None, 1)
 
     def test_each_memo_has_its_own_cache_info_on_s4(self):

@@ -144,6 +144,11 @@ class TestArithmetic:
         f = X1 * (X1 + X2 - X1 * X2)
         assert f == Polynomial({(2,): 1, (1, 1): 1, (2, 1): -1})
 
+    def test_a_cancelled_product_term_is_dropped(self):
+        f = (X1 - X2) * (X1 + X2)
+        assert list(f.terms()) == [((2,), 1), ((0, 2), -1)]
+        assert_canonical(f)
+
     def test_multiplicative_identity_and_zero(self):
         f = X1 + X2 - X1 * X2
         assert f * ONE == f
@@ -205,6 +210,13 @@ class TestTruncate:
         f = X1 + X2 - X1 * X2
         assert f.truncate(10**20) == f
         assert Polynomial.zero().truncate(10**20) == 0
+
+    @given(small_polys, st.integers(min_value=0, max_value=4))
+    def test_the_same_object_when_nothing_is_cut(self, f, t):
+        # Exactly when no term has a variable beyond x_t.
+        uncut = all(len(e) <= t for e, _ in f.terms())
+        assert (f.truncate(t) is f) == uncut
+        assert f.truncate(10**20) is f
 
     @given(small_polys, small_polys, st.integers(min_value=0, max_value=4))
     def test_ring_homomorphism(self, f, g, t):
