@@ -19,12 +19,10 @@ Two independent constructions of the Grothendieck polynomial are kept:
   recursion limit.  One memo per mode maps each window to its entry:
   two tuples, the packed exponents (see :mod:`schubert.poly`) and the
   coefficients of its polynomial, since the walk and the strips of
-  :func:`expand_in_basis` only iterate a memoised G.  Over S_7 a
-  memoised term costs 43.9 B (tracemalloc), against 66.4 B as a dict,
-  and a verify-sweep round of the benchmark peaks at ~61 MB, not ~79.
-  A public read (:func:`grothendieck`, :func:`schubert`) makes the
-  window's :class:`Polynomial` once and keeps it, and the memo entry
-  becomes the views of its dict.  The walk skips memoised windows; the
+  :func:`expand_in_basis` only iterate a memoised G.  A public read
+  (:func:`grothendieck`, :func:`schubert`) makes the window's
+  :class:`Polynomial` once and keeps it, and the memo entry becomes the
+  views of its dict.  The walk skips memoised windows; the
   memo read sums the dict in its order, each window after the windows
   it reads, into one fresh dict of packed exponents, not through
   polynomial arithmetic: raising x_g adds
@@ -69,7 +67,7 @@ import heapq
 import json
 from collections import Counter
 from itertools import repeat
-from operator import and_
+from operator import and_, neg
 from typing import Container, Iterable, NamedTuple
 
 from . import poly
@@ -222,7 +220,9 @@ def _transition_sum(
 ) -> dict[int, int]:
     """The terms of x_g G_q + (x_g - 1) sum_I (-1)^|I| G_{child_I} in K,
     or of its lowest degree part x_g S_q + sum_i S_{child_i} in
-    cohomology, read from the entries of store.
+    cohomology, read from the entries of store.  The sign (-1)^|I| is
+    folded into each child's coefficients once, so one loop sums every
+    child, whatever the size of its march set.
 
     No term cancels: length(q) = length(p) - 1 and length(child_I) =
     length(p) - 1 + |I|, so if every coefficient of degree D in G_w has
@@ -239,17 +239,13 @@ def _transition_sum(
                 out[e] = get(e, 0) + c
         return out
     for rows, child in children.items():
-        terms = zip(*store[child])
-        if len(rows) % 2:
-            for e, c in terms:
-                raised = e + x_g
-                out[raised] = get(raised, 0) - c
-                out[e] = get(e, 0) + c
-        else:
-            for e, c in terms:
-                raised = e + x_g
-                out[raised] = get(raised, 0) + c
-                out[e] = get(e, 0) - c
+        exponents, coefficients = store[child]
+        if not len(rows) % 2:
+            coefficients = map(neg, coefficients)
+        for e, c in zip(exponents, coefficients):
+            raised = e + x_g
+            out[raised] = get(raised, 0) - c
+            out[e] = get(e, 0) + c
     return out
 
 

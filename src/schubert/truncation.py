@@ -24,7 +24,7 @@ from .grothendieck import (
     expand_in_basis,
     structure_constants,
 )
-from .permutations import Permutation
+from .permutations import Permutation, _last_descent
 from .poly import CeilingExceeded
 from .trees import DEFAULT_NODE_CEILING, Mode, leaf_counts
 
@@ -95,8 +95,7 @@ def detect(
         raise ValueError(f"t must lie in [1, {2 * n}], got {t}")
     if sigma.size() > n or alpha.size() > n:
         raise ValueError(f"both windows must fit in S_{n}")
-    last = sigma.last_descent()
-    if last is not None and last > t:
+    if _last_descent(sigma.window) > t:
         return None
     counts = leaf_counts(alpha.stabilize(n), t, "K", node_ceiling).counts
     if list(counts.values()) != [1]:

@@ -11,7 +11,7 @@ record with the check that ``verify-paper`` runs on it, in run order.
 from .diagram import (
     diagram, k_march, k_march_steps, march, march_boxes, maximal_corner, pivots, transition_pair
 )
-from .grothendieck import grothendieck, parse_expansion, structure_constants
+from .grothendieck import grothendieck, parse_expansion
 from .permutations import Permutation
 from .poly import Polynomial
 from .trees import MarchTree, build_tree, leaf_counts
@@ -150,11 +150,7 @@ def _figure_tree(fig: dict) -> MarchTree:
     _check(root == Permutation.parse(fig["perm"]), f"star product {left} *_{k} {right}")
     leaves = parse_expansion(fig["leaves"])
     summary = leaf_counts(root, fig["t"], "K")
-    _check(
-        summary.counts == {p: abs(c) for p, c in leaves.items()}
-        and summary.null_count == fig["null_leaves"],
-        "leaf summary",
-    )
+    _check(summary.null_count == fig["null_leaves"], "leaf summary")
     _check(summary.signed() == leaves, "signed leaves")
     return build_tree(root, fig["t"], "K")
 
@@ -196,8 +192,6 @@ def _fixture_product(ex: dict) -> None:
     expected = {mode: parse_expansion(terms) for mode, terms in ex["expansions"].items()}
     for mode, terms in expected.items():
         _check(truncation_product(problem, mode) == terms, f"{mode} expansion")
-    if ex["oracle"]:
-        _check(structure_constants(sigma, rho) == expected["K"], "oracle product")
     for mode in ex["oracle"]:
         _check(verify(problem, mode).match, f"three-way verification in {mode}")
 

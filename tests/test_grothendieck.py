@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -623,10 +624,43 @@ class TestStructuralIdentities:
             for e, c in grothendieck(p).terms():
                 assert c * (-1) ** ((sum(e) - length) % 2) > 0, (p, e)
 
+    def test_k_monk_rule_on_s6(self):
+        # The rule a marching x_k G_w would follow, against the oracle.
+        for w in symmetric_group(6):
+            for k in range(1, 7):
+                product = Polynomial.variable(k) * grothendieck(w)
+                assert expand_in_basis(product) == k_monk(w, k), (w, k)
+
     def test_grothendieck_at_all_ones_is_one(self):
         # Every (x_g - 1) factor in the transition formula vanishes at 1.
         for p in symmetric_group(4):
             assert sum(c for _, c in grothendieck(p).terms()) == 1
+
+
+def k_monk(w: Permutation, k: int) -> dict[Permutation, int]:
+    """x_k G_w in the Grothendieck basis by Lenart's K-Monk rule (JPAA
+    2003): the sum over chains w -> w t_{a1,k} ... t_{ap,k} t_{k,b1} ...
+    t_{k,bq} with k > a1 > ... > ap >= 1 and b1 > ... > bq > k, every step
+    a cover and (p, q) != (0, 0), each signed (-1)^(q - 1), or -1 when
+    q = 0.  A cover w t_{k,b} needs b <= max(len(w), k) + 1."""
+    out: Counter = Counter()
+
+    def climb(u, last_a, last_b, q):
+        if u != w:  # every step is a cover, so only the empty chain ends at w
+            out[u] += (-1) ** (q - 1) if q else -1
+        covers = u.length() + 1
+        if not q:
+            for a in range(1, last_a):
+                v = u.transpose(a, k)
+                if v.length() == covers:
+                    climb(v, a, last_b, 0)
+        for b in range(k + 1, last_b):
+            v = u.transpose(k, b)
+            if v.length() == covers:
+                climb(v, last_a, b, q + 1)
+
+    climb(w, k, max(w.size(), k) + 2, 0)
+    return {v: c for v, c in out.items() if c}
 
 
 def inversions(window) -> int:
