@@ -2,8 +2,9 @@
 
 ``schubert verify-paper`` and the tests check the library against these
 plain records.  Permutations are texts for :meth:`Permutation.parse`,
-boxes are (row, column) pairs, march sets are tuples of rows, and an
-expansion maps texts to coefficients (read by
+boxes are (row, column) pairs, march sets are tuples of rows, a tree
+figure is its edge list of (parent, march set, child) with ``None`` the
+null leaf, and an expansion maps texts to coefficients (read by
 :func:`schubert.grothendieck.parse_expansion`).  A record's ``name`` is
 the line ``verify-paper`` prints for it.  :data:`FIXTURES` pairs each
 record with the check that ``verify-paper`` runs on it, in run order.
@@ -14,7 +15,7 @@ from .diagram import (
 from .grothendieck import grothendieck, parse_expansion
 from .permutations import Permutation
 from .poly import Polynomial
-from .trees import MarchTree, build_tree, leaf_counts
+from .trees import build_tree, leaf_counts
 from .truncation import detect, truncate_grothendieck_via_tree, truncation_product, verify
 
 EXAMPLE_1 = {
@@ -49,10 +50,14 @@ FIGURE_2 = {
     "corner": (5, 5), "pivots": ((4, 4),),
     "transition": (5, 6, "321456"),
     "marches": {4: "321546"},  # the root's one edge
-    # March set -> label, in the order of the children; the last has no pivots.
-    "second_level": {(1,): "421356", (2,): "341256", (3,): "324156", (1, 2): "431256",
-                     (1, 3): "423156", (2, 3): "342156", (1, 2, 3): "432156"},
-    "null_leaves": 4,
+    "labeled": 9, "null_leaves": 4,
+    # Each parent's edges in child order; a label with no pivots has one, (), to None.
+    "edges": (("321465", (4,), "321546"), ("321546", (1,), "421356"),
+              ("321546", (2,), "341256"), ("321546", (3,), "324156"),
+              ("321546", (1, 2), "431256"), ("321546", (1, 3), "423156"),
+              ("321546", (2, 3), "342156"), ("321546", (1, 2, 3), "432156"),
+              ("324156", (), None), ("423156", (), None), ("342156", (), None),
+              ("432156", (), None)),
     "leaves": THREE_TERMS,
 }
 
@@ -60,9 +65,7 @@ FIGURE_1 = {
     "name": "figure 1: the K tree of 34127658 at level 4",
     "star": ("3412", "3214", 4),
     "perm": "34127658", "t": 4,  # the root
-    "labeled": 18,  # vertices
-    "null_leaves": 0,
-    # (parent, march set, child) for every edge of the tree.
+    "labeled": 18, "null_leaves": 0,
     "edges": (("34127658", (2,), "35127468"), ("34127658", (4,), "34157268"),
               ("34127658", (2, 4), "35147268"), ("35127468", (2,), "36125478"),
               ("35127468", (4,), "35162478"), ("35127468", (2, 4), "36152478"),
@@ -143,42 +146,25 @@ def _fixture_k_march(ex: dict) -> None:
     _check(k_march(p, ex["rows"]) == expected[-1][2], "algebraic K-march result")
 
 
-def _figure_tree(fig: dict) -> MarchTree:
-    """The K tree of a figure, after checking its root and its leaves."""
+def _fixture_tree(fig: dict) -> None:
+    """A K tree figure's star root, signed leaves, labeled vertices and edges."""
+    parse = Permutation.parse
     left, right, k = fig["star"]
-    root = Permutation.parse(left).star(Permutation.parse(right), k)
-    _check(root == Permutation.parse(fig["perm"]), f"star product {left} *_{k} {right}")
-    leaves = parse_expansion(fig["leaves"])
+    root = parse(left).star(parse(right), k)
+    _check(root == parse(fig["perm"]), f"star product {left} *_{k} {right}")
     summary = leaf_counts(root, fig["t"], "K")
     _check(summary.null_count == fig["null_leaves"], "leaf summary")
-    _check(summary.signed() == leaves, "signed leaves")
-    return build_tree(root, fig["t"], "K")
+    _check(summary.signed() == parse_expansion(fig["leaves"]), "signed leaves")
+    tree = build_tree(root, fig["t"], "K")
+    _check(tree.sizes[-1] - summary.null_count == fig["labeled"], "labeled vertex count")
+    labels = tree.labels  # vertex 0, the null leaf, is labeled None
+    edges = {(labels[u], rows, labels[v]) for u, out in enumerate(tree.out) for rows, v in out}
+    _check(edges == {(parse(a), rows, b and parse(b)) for a, rows, b in fig["edges"]}, "edges")
 
 
 def _fixture_figure2(fig: dict) -> None:
     _fixture_permutation(fig)
-    tree = _figure_tree(fig)
-    out, labels = tree.out, tree.labels
-    marches = [((row,), Permutation.parse(text)) for row, text in fig["marches"].items()]
-    _check([(rows, labels[v]) for rows, v in out[-1]] == marches, "root edges")
-    child = out[-1][0][1]
-    second = {rows: Permutation.parse(text) for rows, text in fig["second_level"].items()}
-    _check({rows: labels[v] for rows, v in out[child]} == second, "second-level edges")
-    no_pivots = list(second.values())[-1]
-    _check(pivots(no_pivots) == [], f"{no_pivots} has no pivots")
-    # Vertex 0 is the null leaf.
-    nulls = [v for _, v in out[child] if [c for _, c in out[v]] == [0]]
-    _check(len(nulls) == fig["null_leaves"], "null leaves below the second level")
-
-
-def _fixture_figure1(fig: dict) -> None:
-    tree = _figure_tree(fig)
-    out, labels = tree.out, tree.labels
-    _check(all(v for edges in out for _, v in edges), "no null leaves")  # vertex 0 is the null leaf
-    _check(tree.sizes[-1] == fig["labeled"], "labeled vertex count")
-    edges = {(labels[u], rows, labels[v]) for u, children in enumerate(out) for rows, v in children}
-    parse = Permutation.parse
-    _check(edges == {(parse(a), rows, parse(b)) for a, rows, b in fig["edges"]}, "edges")
+    _fixture_tree(fig)
 
 
 def _fixture_product(ex: dict) -> None:
@@ -213,7 +199,7 @@ FIXTURES = (
     (EXAMPLE_1, _fixture_permutation),
     (EXAMPLE_2, _fixture_k_march),
     (FIGURE_2, _fixture_figure2),
-    (FIGURE_1, _fixture_figure1),
+    (FIGURE_1, _fixture_tree),
     *((product, _fixture_product) for product in PRODUCTS),
     (TRUNCATION_IDENTITY, _fixture_truncation_identity),
 )

@@ -249,6 +249,19 @@ class TestVerifyPaper:
         assert sum(line.startswith("ok   ") for line in lines) == 7
         assert lines[-1] == "1 of 8 fixtures failed"
 
+    def test_a_wrong_tree_record_fails_its_fixture_only(self, capsys, monkeypatch):
+        module = importlib.import_module("schubert.worked_examples")
+        edges = module.FIGURE_2["edges"]
+        assert edges[-1][2] is None
+        monkeypatch.setitem(module.FIGURE_2, "edges", edges[:-1])  # one null edge dropped
+        code, out, _ = invoke(capsys, "verify-paper")
+        lines = out.splitlines()
+        assert code == 1
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert failed == [f"FAIL {module.FIGURE_2['name']}: edges"]
+        assert sum(line.startswith("ok   ") for line in lines) == 7
+        assert lines[-1] == "1 of 8 fixtures failed"
+
     def test_a_record_the_library_rejects_fails_its_fixture_only(self, capsys, monkeypatch):
         module = importlib.import_module("schubert.worked_examples")
         monkeypatch.setitem(module.EXAMPLE_2, "perm", "21")  # rows 1 and 3 are no pivots

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -22,13 +23,15 @@ from schubert import (
     transition_pair,
 )
 from schubert.diagram import _window_marches
-from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, FIGURE_2
+from schubert.worked_examples import EXAMPLE_1, EXAMPLE_2, FIGURE_1, FIGURE_2
+
+diagram_module = importlib.import_module("schubert.diagram")  # schubert.diagram is the function
 
 ID = Permutation.identity()
 EX1 = Permutation.parse(EXAMPLE_1["perm"])
 FIG2 = Permutation.parse(FIGURE_2["perm"])
-# The last child of Figure 2's second level: a label with no pivots.
-NO_PIVOTS = Permutation.parse(list(FIGURE_2["second_level"].values())[-1])
+# The labels of Figure 2 with no pivots: the parents of its null leaves.
+NO_PIVOTS = [Permutation.parse(parent) for parent, _, child in FIGURE_2["edges"] if child is None]
 
 
 def brute_diagram(p: Permutation) -> set[tuple[int, int]]:
@@ -92,7 +95,9 @@ class TestCornerAndPivots:
     def test_pivot_examples(self):
         assert pivots(EX1) == [Box(*b) for b in EXAMPLE_1["pivots"]]
         assert pivots(FIG2) == [Box(*b) for b in FIGURE_2["pivots"]]
-        assert pivots(NO_PIVOTS) == []
+        assert len(NO_PIVOTS) == FIGURE_2["null_leaves"]
+        for p in NO_PIVOTS:
+            assert pivots(p) == []
 
     def test_pivots_reject_identity(self):
         with pytest.raises(MarchError):
@@ -222,6 +227,13 @@ class TestMarch:
         for row in EXAMPLE_1["marches"]:
             assert march_boxes(EX1, row) == diagram(march(EX1, row))
 
+    def test_a_box_without_one_free_cell_is_a_march_error(self, monkeypatch):
+        # Without the box (1,1), the march of Example 1 towards row 2 finds two
+        # free cells northwest of the box (4,5).
+        monkeypatch.setattr(diagram_module, "diagram", lambda p: diagram(p) - {Box(1, 1)})
+        with pytest.raises(MarchError, match=r"box \(4,5\) has 2 free cells"):
+            march_boxes(EX1, 2)
+
 
 class TestAddBox:
     def test_example_2_intermediate(self):
@@ -255,10 +267,12 @@ class TestKMarch:
         result = EXAMPLE_2["steps"][-1][2]
         assert k_march(EX1, EXAMPLE_2["rows"]) == Permutation.parse(result)
 
-    def test_figure_2_edges(self):
-        [first] = FIGURE_2["marches"].values()
-        for rows, text in FIGURE_2["second_level"].items():
-            assert k_march(Permutation.parse(first), rows) == Permutation.parse(text)
+    def test_every_labeled_edge_of_both_figures(self):
+        for fig in (FIGURE_1, FIGURE_2):
+            labeled = [edge for edge in fig["edges"] if edge[2] is not None]
+            assert len(labeled) == fig["labeled"] - 1  # every labeled vertex but the root
+            for parent, rows, child in labeled:
+                assert k_march(Permutation.parse(parent), rows) == Permutation.parse(child)
 
     def test_singleton_equals_march_on_s5(self):
         for p in symmetric_group(5):

@@ -467,6 +467,13 @@ class TestExpandInBasis:
             expand_in_basis(product)
         assert issubclass(ExpansionCeilingExceeded, RuntimeError)
 
+    def test_a_revisited_window_is_an_ordering_bug(self, monkeypatch):
+        # Every leading term now decodes to 21: the strip of x2 settles 21 and
+        # leaves x2 - x1*x2, whose leading term x2 comes back to it.
+        monkeypatch.setattr(groth_module, "_lehmer_window", lambda code: (2, 1))
+        with pytest.raises(RuntimeError, match="basis expansion revisited 21; ordering bug"):
+            expand_in_basis(grothendieck(Permutation.parse("132")))
+
     def test_memoised_polynomials_are_never_written(self):
         grothendieck.cache_clear()
         watched = [Permutation.parse(text) for text in ("21543", "35142", "13254", "54321")]

@@ -31,7 +31,7 @@ from schubert.trees import DEFAULT_NODE_CEILING, TreeNode, _tree_dag
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
 
 from permutation_helpers import is_vexillary
-from tree_helpers import leaf_summary_of, preorder
+from tree_helpers import leaf_summary_of, preorder, record_children, tree_children
 
 trees_module = importlib.import_module("schubert.trees")
 
@@ -146,21 +146,18 @@ class TestFigure2:
     def test_shape(self):
         root = self.tree.root
         assert root.label == Permutation.parse(FIGURE_2["perm"])
-        [(row, first)] = FIGURE_2["marches"].items()
-        assert [c.march for c in root.children] == [(row,)]
-        child = root.children[0]
-        assert child.label == Permutation.parse(first)
-        assert [c.march for c in child.children] == list(FIGURE_2["second_level"])
-        targets = {c.march: c.label for c in child.children}
-        assert targets == {
-            rows: Permutation.parse(text) for rows, text in FIGURE_2["second_level"].items()
-        }
+        # Each node's children, in order, are its label's edges in the record,
+        # which names every edge: the four null ones too.
+        assert tree_children(root) == record_children(FIGURE_2)
 
     def test_leaf_summary(self):
         summary = leaf_summary_of(self.tree.root)
         assert summary.counts == FIGURE_2_COUNTS
         assert summary.null_count == FIGURE_2["null_leaves"]
-        assert sum(summary.counts.values()) + summary.null_count == len(FIGURE_2["second_level"])
+        # No label repeats in Figure 2, so its leaves are the children that are no parent.
+        parents = {parent for parent, _, _ in FIGURE_2["edges"]}
+        leaves = [child for _, _, child in FIGURE_2["edges"] if child not in parents]
+        assert sum(summary.counts.values()) + summary.null_count == len(leaves) == 7
 
     def test_signed_expansion(self):
         summary = leaf_summary_of(self.tree.root)

@@ -1,8 +1,9 @@
-"""Test-side walks of a marching tree's ``TreeNode`` root view."""
+"""Test-side walks of a marching tree's ``TreeNode`` root view, and a tree
+figure's edge list in the shape of one of them."""
 from collections import Counter
 from typing import Iterator
 
-from schubert import LeafSummary
+from schubert import LeafSummary, Permutation
 from schubert.trees import TreeNode
 
 
@@ -21,3 +22,23 @@ def leaf_summary_of(root: TreeNode) -> LeafSummary:
     counts = Counter(node.label for node in preorder(root) if not node.children)
     nulls = counts.pop(None, 0)
     return LeafSummary(dict(counts), nulls, root.label)
+
+
+def tree_children(root: TreeNode) -> dict:
+    """{label: [(march set, child label), ...]} for every node under root
+    that has children, each list in child order."""
+    return {
+        node.label: [(child.march, child.label) for child in node.children]
+        for node in preorder(root)
+        if node.children
+    }
+
+
+def record_children(fig: dict) -> dict:
+    """A tree figure's edge list in the shape of :func:`tree_children`:
+    {parent: [(march set, child), ...]} in record order, None the null leaf."""
+    parse = Permutation.parse
+    children: dict = {}
+    for parent, rows, child in fig["edges"]:
+        children.setdefault(parse(parent), []).append((rows, child and parse(child)))
+    return children
