@@ -8,16 +8,18 @@ per non-empty subset of pivot rows.  A label with no pivots gets a
 single null child.
 
 The subtree under a vertex depends only on its label, so the tree is
-the unfolding of a marching DAG over distinct labels, which one
-explicit-stack walk over the marching kernel of :mod:`schubert.diagram`
-returns as a post-order dict, marching each distinct window once.
-:func:`leaf_counts` counts root-to-leaf paths over that dict, and
-:func:`build_tree`, the only maker of a :class:`MarchTree`, turns it into
-the tree's vertex lists (``out``, ``labels``, ``texts`` and subtree
-``sizes``), which the exporters write from in preorder.  The
-:class:`TreeNode` objects of ``MarchTree.root`` are a read-only view of
-those lists, built only when it is read.  The node ceiling bounds the
-distinct labels of the first and the unfolded nodes of the second.
+the unfolding of a marching DAG over distinct labels.  One explicit-stack
+walk over the marching kernel of :mod:`schubert.diagram` marches each
+distinct window once and lists the DAG as vertex lists, children before
+parents and the root last, vertex 0 the null leaf: ``out`` (each
+vertex's edges (march set, vertex) in tree order) and ``windows``.
+:func:`build_tree`, the only maker of a :class:`MarchTree`, adds
+``labels``, ``texts`` and subtree ``sizes``, and the exporters write from
+these four lists in preorder.  One path count over ``out`` serves both
+:func:`leaf_counts`, which builds no tree, and :func:`leaf_summary`,
+which marches nothing.  ``MarchTree.root`` views the lists as
+:class:`TreeNode` objects, built only when read.  The node ceiling bounds
+the distinct labels of ``leaf_counts`` and the nodes of ``build_tree``.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from json.encoder import encode_basestring
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .diagram import Mode, _check_mode, _window_marches, march_children
 from .permutations import Permutation, _last_descent
@@ -51,19 +53,17 @@ class TreeNode(NamedTuple):
 
 
 class MarchTree:
-    """A marching tree at truncation level t in a mode, made by
-    :func:`build_tree`: lists over its distinct vertices, children before
-    parents and the root last; vertex 0 is the null leaf.  The exporters
-    write from these lists; ``root`` views them as :class:`TreeNode`
-    objects, built on first read, with one shared tuple of child nodes per
-    distinct label."""
+    """A marching tree made by :func:`build_tree`: four lists over its
+    distinct vertices, children before parents and the root last; vertex 0
+    is the null leaf.  The exporters write from these lists; ``root``
+    views them as :class:`TreeNode` objects, built on first read, with one
+    shared tuple of child nodes per distinct label."""
 
-    def __init__(self, out: list, labels: list, texts: list, sizes: list, t: int, mode: Mode):
+    def __init__(self, out: list, labels: list, texts: list, sizes: list):
         self.out: list[list[tuple[tuple[int, ...], int]]] = out  # per vertex: (march set, child)
         self.labels: list[Permutation | None] = labels  # per vertex: None for the null leaf
         self.texts: list[str] = texts  # per vertex: its label's text, "∅" for the null leaf
         self.sizes: list[int] = sizes  # per vertex: the nodes of its subtree
-        self.t, self.mode = t, mode
 
     @cached_property
     def root(self) -> TreeNode:
@@ -100,13 +100,15 @@ class LeafSummary(NamedTuple):
         }
 
 
-def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> dict:
-    """{window: None for a leaf, else its children {rows: child window} in
-    tree order, {} with no pivots (a null leaf)} for beta's window and every
-    label under it, each after its children.  An explicit stack marches
-    each label once: the labels on it are ancestors of the one marched,
-    which in a DAG are none of its children.  A bad level or mode raises
-    ValueError before :class:`NodeCeilingExceeded`, raised past ``ceiling``."""
+def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> tuple[list, list]:
+    """beta's marching DAG as vertex lists (out, windows): vertex 0 is the
+    null leaf (window None), then every distinct label under beta, each
+    after its children, and beta last.  out[v] holds v's edges (march set,
+    vertex) in tree order: none for a leaf, ((), 0) alone with no pivots.
+    An explicit stack marches each label once: the labels on it are
+    ancestors of the one marched, which in a DAG are none of its children.
+    A bad level or mode raises ValueError before
+    :class:`NodeCeilingExceeded`, raised past ``ceiling`` labels."""
     if t < 1:
         raise ValueError("truncation level must be positive")
     _check_mode(mode)
@@ -116,29 +118,34 @@ def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) ->
     # wraps, so traced runs still see tree marching in the diagram layer.
     leaf = _last_descent(beta.window) <= t
     marches = None if leaf else {rows: child.window for rows, child in march_children(beta, mode)}
-    dag: dict = {}
+    out, windows, index = [[]], [None], {}
     labels = 1
-    stack = [(beta.window, marches, iter((marches or {}).values()))]
+    # Per label on the stack: its window, march set, pending marches and edges so far.
+    stack = [(beta.window, (), iter((marches or {}).items()), [((), 0)] if marches == {} else [])]
     while stack:
-        window, marches, pending = stack[-1]
-        for child in pending:
-            if child in dag:
-                continue
-            labels += 1
-            if labels > ceiling:
-                raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
-            node = _window_marches(child, mode, t)
-            if node is None:  # a leaf has no children, so it is listed at once
-                dag[child] = None
-            elif node[2]:
-                stack.append((child, node[2], iter(node[2].values())))
-                break
-            else:  # no pivots: the null leaf is the only child
-                dag[child] = {}
+        window, march, pending, edges = stack[-1]
+        for rows, child in pending:
+            vertex = index.get(child)
+            if vertex is None:
+                labels += 1
+                if labels > ceiling:
+                    raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
+                node = _window_marches(child, mode, t)
+                if node is not None and node[2]:
+                    stack.append((child, rows, iter(node[2].items()), []))
+                    break
+                vertex = index[child] = len(out)  # a leaf or a pivotless label: listed at once
+                windows.append(child)
+                out.append([] if node is None else [((), 0)])
+            edges.append((rows, vertex))
         else:
             stack.pop()
-            dag[window] = marches
-    return dag
+            vertex = index[window] = len(out)
+            if stack:
+                stack[-1][3].append((march, vertex))
+            windows.append(window)
+            out.append(edges)
+    return out, windows
 
 
 def build_tree(
@@ -151,21 +158,30 @@ def build_tree(
     marching DAG of :func:`leaf_counts`, unfolded with its subtree sizes.
     Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null
     leaves included), counted over the DAG before any node is built."""
-    dag = _tree_dag(beta, t, mode, node_ceiling, "nodes")
-    index = {None: 0}
-    out, labels, texts, sizes = [[]], [None], ["∅"], [1]
-    for window, marches in dag.items():
-        # A pivotless label ({}) has the null leaf as its only child.
-        edges = () if marches is None else marches.items() or [((), None)]
-        index[window] = len(out)
-        out.append([(rows, index[child]) for rows, child in edges])
-        label = Permutation._trusted(window)
-        labels.append(label)
-        texts.append(label.text())
-        sizes.append(1 + sum([sizes[v] for _, v in out[-1]]))
+    out, windows = _tree_dag(beta, t, mode, node_ceiling, "nodes")
+    labels = [None, *map(Permutation._trusted, windows[1:])]
+    texts, sizes = ["∅", *(label.text() for label in labels[1:])], []
+    for edges in out:
+        sizes.append(1 + sum([sizes[v] for _, v in edges]))
     if sizes[-1] > node_ceiling:  # the root's subtree is the largest
         raise NodeCeilingExceeded(f"more than {node_ceiling} nodes")
-    return MarchTree(out, labels, texts, sizes, t, mode)
+    return MarchTree(out, labels, texts, sizes)
+
+
+def _leaf_paths(out: list, label: Callable[[int], Permutation], root: Permutation) -> LeafSummary:
+    """The leaf summary over a tree's ``out`` lists: paths flow from the root
+    down in reverse vertex order, each vertex before its children; leaf v
+    counts under label(v), and vertex 0 gathers the null leaves."""
+    paths = [0] * len(out)
+    paths[-1] = 1
+    counts: dict[Permutation, int] = {}
+    for v in range(len(out) - 1, 0, -1):
+        count = paths[v]
+        if not out[v]:
+            counts[label(v)] = count
+        for _, child in out[v]:
+            paths[child] += count
+    return LeafSummary(counts, paths[0], root)
 
 
 def leaf_counts(
@@ -174,32 +190,16 @@ def leaf_counts(
     mode: Mode = "K",
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> LeafSummary:
-    """The leaf summary of ``build_tree(beta, t, mode)`` without building it.
-
-    Its ``root`` is beta.  Path multiplicities flow from the root in
-    reverse post-order, which lists every label before its children.
-    Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` distinct labels.
-    """
-    dag = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
-    paths = {beta.window: 1}
-    counts: dict[Permutation, int] = {}
-    nulls = 0
-    for window, marches in reversed(dag.items()):
-        count = paths.pop(window)
-        if marches is None:
-            counts[Permutation._trusted(window)] = count
-        elif not marches:
-            nulls += count
-        else:
-            for child in marches.values():
-                paths[child] = paths.get(child, 0) + count
-    return LeafSummary(counts, nulls, beta)
+    """The leaf summary of ``build_tree(beta, t, mode)``, whose ``root`` is
+    beta, without building it.  Raises :class:`NodeCeilingExceeded` past
+    ``node_ceiling`` distinct labels."""
+    out, windows = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
+    return _leaf_paths(out, lambda v: Permutation._trusted(windows[v]), beta)
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:
-    """The leaf summary of a built tree, counted by :func:`leaf_counts`
-    (the tree's nodes bound its distinct labels)."""
-    return leaf_counts(tree.labels[-1], tree.t, tree.mode, tree.sizes[-1])
+    """The leaf summary of a built tree, counted over its own lists."""
+    return _leaf_paths(tree.out, tree.labels.__getitem__, tree.labels[-1])
 
 
 # -- serialization ---------------------------------------------------------

@@ -15,7 +15,7 @@ from .diagram import (
 from .grothendieck import grothendieck, parse_expansion
 from .permutations import Permutation
 from .poly import Polynomial
-from .trees import build_tree, leaf_counts
+from .trees import build_tree, leaf_summary
 from .truncation import detect, truncate_grothendieck_via_tree, truncation_product, verify
 
 EXAMPLE_1 = {
@@ -152,10 +152,10 @@ def _fixture_tree(fig: dict) -> None:
     left, right, k = fig["star"]
     root = parse(left).star(parse(right), k)
     _check(root == parse(fig["perm"]), f"star product {left} *_{k} {right}")
-    summary = leaf_counts(root, fig["t"], "K")
+    tree = build_tree(root, fig["t"], "K")
+    summary = leaf_summary(tree)
     _check(summary.null_count == fig["null_leaves"], "leaf summary")
     _check(summary.signed() == parse_expansion(fig["leaves"]), "signed leaves")
-    tree = build_tree(root, fig["t"], "K")
     _check(tree.sizes[-1] - summary.null_count == fig["labeled"], "labeled vertex count")
     labels = tree.labels  # vertex 0, the null leaf, is labeled None
     edges = {(labels[u], rows, labels[v]) for u, out in enumerate(tree.out) for rows, v in out}

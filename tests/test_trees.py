@@ -457,15 +457,28 @@ def star_roots_and_levels(n, pairs):
             yield sigma.star(alpha, n), t
 
 
+def refuse_to_march(*args):
+    raise AssertionError("marched while summarizing a built tree")
+
+
 class TestLeafCounts:
     """leaf_counts walks the marching DAG; the grown tree is its oracle."""
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
-    def test_matches_the_tree_on_every_s4_star_root(self, mode):
+    def test_matches_the_tree_on_every_s4_star_root(self, mode, monkeypatch):
         s4 = list(symmetric_group(4))
         for root, t in star_roots_and_levels(4, itertools.product(s4, s4)):
             expected = leaf_summary_of(grown_tree(root, t, mode))
-            assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
+            counted = leaf_counts(root, t, mode)
+            assert summary_pair(counted) == summary_pair(expected), (root, t)
+            tree = build_tree(root, t, mode)
+            # A built tree's summary is counted over its own lists, marching nothing.
+            with monkeypatch.context() as patch:
+                patch.setattr(trees_module, "_window_marches", refuse_to_march)
+                patch.setattr(trees_module, "march_children", refuse_to_march)
+                summary = leaf_summary(tree)
+            assert summary == counted, (root, t)
+            assert list(summary.counts.items()) == list(counted.counts.items()), (root, t)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_matches_the_tree_on_sampled_s5_pairs(self, mode):
@@ -535,11 +548,11 @@ class TestLeafCounts:
         assert_rejects_bad_level_and_mode(leaf_counts)
 
 
-def tree_marches(window, mode, t):
-    """A label's entry in the tree walk, from the kernel: None for a leaf,
-    else its children {rows: child window}."""
+def tree_edges(window, mode, t):
+    """A label's edges in the tree walk, from the kernel: none for a leaf,
+    ((), None) alone with no pivots, else (rows, child window) in tree order."""
     marches = _window_marches(window, mode, t)
-    return None if marches is None else marches[2]
+    return [] if marches is None else list(marches[2].items()) or [((), None)]
 
 
 def check_tree_walk(root, t, mode, monkeypatch):
@@ -552,24 +565,26 @@ def check_tree_walk(root, t, mode, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(trees_module, "_window_marches", kernel)
-        dag = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, "labels")
+        out, windows = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, "labels")
     reachable, frontier = {root.window}, [root.window]
     while frontier:
-        for child in (tree_marches(frontier.pop(), mode, t) or {}).values():
-            if child not in reachable:
+        for _, child in tree_edges(frontier.pop(), mode, t):
+            if child is not None and child not in reachable:
                 reachable.add(child)
                 frontier.append(child)
-    assert len(dag) == len(reachable) and set(dag) == reachable
+    # Vertex 0 is the null leaf; every reachable label is listed once after it, the root last.
+    assert (out[0], windows[0], windows[-1]) == ([], None, root.window)
+    assert len(out) == len(windows)
+    assert len(windows) - 1 == len(reachable) and set(windows[1:]) == reachable
     # The root marches through march_children; every other label through the kernel, once.
     assert sorted(marched) == sorted(reachable - {root.window})
-    position = {window: k for k, window in enumerate(dag)}
-    for window, marches in dag.items():
-        assert marches == tree_marches(window, mode, t)
-        for child in (marches or {}).values():
-            assert position[child] < position[window]
-    assert _tree_dag(root, t, mode, len(dag), "labels") == dag
-    with pytest.raises(NodeCeilingExceeded, match=f"more than {len(dag) - 1} labels"):
-        _tree_dag(root, t, mode, len(dag) - 1, "labels")
+    for v, edges in enumerate(out[1:], 1):
+        assert [(rows, windows[c]) for rows, c in edges] == tree_edges(windows[v], mode, t)
+        assert all(c < v for _, c in edges)
+    labels = len(windows) - 1
+    assert _tree_dag(root, t, mode, labels, "labels") == (out, windows)
+    with pytest.raises(NodeCeilingExceeded, match=f"more than {labels - 1} labels"):
+        _tree_dag(root, t, mode, labels - 1, "labels")
 
 
 class TestTreeWalk:
