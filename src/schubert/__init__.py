@@ -32,7 +32,7 @@ from .grothendieck import (
     structure_constants,
 )
 from .permutations import Permutation, symmetric_group
-from .poly import CeilingExceeded, ExponentCeilingExceeded, Polynomial, parse_polynomial
+from .poly import CeilingExceeded, ExponentCeilingExceeded, Polynomial
 from .trees import (
     DEFAULT_NODE_CEILING,
     LeafSummary,
@@ -91,7 +91,6 @@ __all__ = [
     "march_boxes",
     "march_children",
     "maximal_corner",
-    "parse_polynomial",
     "pivot_rows",
     "pivots",
     "render",

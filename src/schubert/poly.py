@@ -17,14 +17,15 @@ most :data:`MAX_EXPONENT` (255) and every total degree at most
 constructor checks each term, ``*`` checks its operands' largest fields
 (one pass over each operand, not over the term pairs), and anything
 beyond a bound raises :class:`ExponentCeilingExceeded`.  Exponent tuples
-appear only at the public boundary: the constructor, :meth:`terms` and
-:func:`parse_polynomial` take or return trimmed tuples (no trailing
-zero).  :meth:`terms` and :meth:`render` both read :func:`_canonical`:
-two stable sorts of the packed exponents by C key callables, descending
-by their little-endian bytes, then ascending by degree.  :meth:`render`
-makes no tuples: it joins the pieces of ``_render_chunks``, which formats
-:data:`_CHUNK_TERMS` terms at a time, so the ``groth`` command writes
-each piece as it comes and never holds the whole text.
+appear only at the public boundary: the constructor takes them and trims
+trailing zeros, and :meth:`terms` returns them trimmed.  :meth:`terms`
+and :meth:`render` both read :func:`_canonical`: two stable sorts of the
+packed exponents by C key callables, descending by their little-endian
+bytes, then ascending by degree.  :meth:`render` makes no tuples: it
+joins the pieces of ``_render_chunks``, which formats :data:`_CHUNK_TERMS`
+terms at a time, so the ``groth`` command writes each piece as it comes
+and never holds the whole text.  The module writes polynomial text and
+reads none.
 
 The canonical term order (iteration and printing) is total degree
 ascending, then exponents descending lexicographically, which renders
@@ -33,7 +34,6 @@ e.g. ``x1 + x2 - x1*x2``.  The basis expansion of
 """
 from __future__ import annotations
 
-import re
 from functools import reduce
 from operator import methodcaller, or_
 from typing import Iterable, Iterator, Mapping
@@ -321,44 +321,6 @@ class _FactorText(dict):
             if power
         )
         return text
-
-
-# Variables are 1-based, and a coefficient's "*" needs a factor after it.
-_FACTOR = r"x[1-9]\d*(?:\^\d+)?"
-_TERM_RE = re.compile(rf"^(?:(\d+)(?:\*(?=x))?)?({_FACTOR}(?:\*{_FACTOR})*)?$", re.ASCII)
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse the :meth:`Polynomial.render` format back exactly."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    if text == "0":
-        return Polynomial.zero()
-    tokens = text.replace("- ", "-").replace("+ ", "+").split()
-    if any(token[0] not in "+-" for token in tokens[1:]):
-        raise ValueError(f"polynomial terms without a sign between them: {text!r}")
-    terms: dict[Exponent, int] = {}
-    for token in tokens:
-        sign = 1
-        if token.startswith("-"):
-            sign, token = -1, token[1:]
-        elif token.startswith("+"):
-            token = token[1:]
-        match = _TERM_RE.match(token)
-        if not match or (match.group(1) is None and not match.group(2)):
-            raise ValueError(f"malformed polynomial term: {token!r}")
-        coeff = sign * int(match.group(1) or 1)
-        exponent: dict[int, int] = {}
-        if match.group(2):
-            for factor in match.group(2).split("*"):
-                var, _, power = factor.partition("^")
-                i = int(var[1:])
-                exponent[i] = exponent.get(i, 0) + (int(power) if power else 1)
-        n = max(exponent, default=0)
-        e = tuple(exponent.get(i, 0) for i in range(1, n + 1))
-        terms[e] = terms.get(e, 0) + coeff
-    return Polynomial(terms)
 
 
 def _unchecked(terms: dict[int, int]) -> Polynomial:

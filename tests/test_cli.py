@@ -478,6 +478,21 @@ class TestPublicSurface:
         for name in schubert.__all__:
             assert getattr(schubert, name) is not None, name
 
+    def test_the_public_names_are_pinned(self):
+        # Adding or dropping a public name means editing this pin.
+        assert tuple(sorted(schubert.__all__)) == (
+            "Box", "CeilingExceeded", "DEFAULT_NODE_CEILING", "DEFAULT_ORACLE_WINDOW_CEILING",
+            "ExpansionCeilingExceeded", "ExpansionMap", "ExponentCeilingExceeded", "LeafSummary",
+            "MarchError", "MarchTree", "NodeCeilingExceeded", "OracleCeilingExceeded",
+            "Permutation", "Polynomial", "TruncationProblem", "VerificationReport", "add_box",
+            "build_tree", "detect", "diagram", "expand_in_basis", "expansion_to_json",
+            "grothendieck", "grothendieck_dd", "k_march", "k_march_steps", "leaf_counts",
+            "leaf_summary", "march", "march_boxes", "march_children", "maximal_corner",
+            "pivot_rows", "pivots", "render", "schubert", "structure_constants",
+            "symmetric_group", "to_dot", "to_json", "to_text", "transition_pair",
+            "truncate_grothendieck_via_tree", "truncation_product", "verify",
+        )
+
     def test_a_command_loads_neither_dataclasses_nor_inspect(self):
         # A fresh process: this one has loaded both through pytest.
         script = (

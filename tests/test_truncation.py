@@ -6,6 +6,7 @@ import random
 import pytest
 
 from schubert import (
+    DEFAULT_ORACLE_WINDOW_CEILING,
     NodeCeilingExceeded,
     OracleCeilingExceeded,
     Permutation,
@@ -24,7 +25,7 @@ from schubert import (
 from schubert.grothendieck import expand_in_basis, parse_expansion
 from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION_IDENTITY
 
-from permutation_helpers import w0_conjugate
+from permutation_helpers import pieri, pieri_shape, w0_conjugate
 
 ID = Permutation.identity()
 
@@ -295,6 +296,23 @@ class TestSweeps:
         assert len(problems) == 5540
         for problem in random.Random(2004).sample(problems, 300):
             assert_three_way(problem)
+
+    def test_cohomology_tree_is_the_pieri_rule_on_an_s5_sample(self):
+        """Kogan's stratum past the oracle: every problem among 4,000
+        seeded S_5 draws whose rho has S_rho = h_m(x_1..x_k), most of them
+        with a star window above the oracle's ceiling."""
+        rng = random.Random(7)
+        perms = list(symmetric_group(5))
+        checked = past = 0
+        for _ in range(4000):
+            sigma, alpha, t = rng.choice(perms), rng.choice(perms), rng.randint(1, 10)
+            problem = detect(sigma, alpha, 5, t)
+            shape = problem and pieri_shape(problem.rho)
+            if shape:
+                checked += 1
+                past += problem.star_root().size() > DEFAULT_ORACLE_WINDOW_CEILING
+                assert truncation_product(problem, "cohomology") == pieri(sigma, *shape), problem
+        assert (checked, past) == (266, 177)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_tree_is_the_truncated_product_on_every_s4_triple(self, mode):
