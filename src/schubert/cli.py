@@ -17,8 +17,10 @@ diagnostics to stderr.  A reader that closes stdout early, as ``| head``
 does, took all it wanted: exit 0.  ``tree`` and ``product`` take the
 node ceiling from ``--node-ceiling``, 10^6 by default.  ``tree`` counts
 the nodes of the unfolded tree, null leaves included, against it before
-it builds any; ``product`` counts the distinct labels of the marching
-DAG it walks instead.
+it builds any; ``product`` counts instead the live labels of the marching
+DAG it walks: the distinct labels with a labeled leaf below, the only
+ones it marches.  An alpha whose tree has no labeled leaf is then no
+problem (exit 3) under any positive ceiling.
 """
 from __future__ import annotations
 

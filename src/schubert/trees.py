@@ -21,6 +21,20 @@ which marches nothing.  ``MarchTree.root`` views the lists as
 :class:`TreeNode` objects, built only when read.  The node ceiling bounds
 the distinct labels of ``leaf_counts`` and the nodes of ``build_tree``.
 
+Most labels lie in subtrees that hold only null leaves, and the label
+itself says which: its tree at level t has a labeled leaf exactly when
+no column of its diagram holds more than t boxes.  The tree expands r_t
+of the label's Grothendieck polynomial (Schubert, in cohomology), which
+is nonzero exactly then: for S_w by the bottom pipe dream
+(Bergeron-Billey, *RC-graphs and Schubert polynomials*, Exp. Math.
+1993), and so for G_w, each of whose pipe dreams holds a reduced one
+(Knutson-Miller, Ann. Math. 2005).  The readers of labeled leaves alone
+(``detect``, ``truncation_product`` and ``truncate_grothendieck_via_tree``
+in :mod:`schubert.truncation`) walk in a private pruning mode that
+marches no such dead label and counts only live ones against the
+ceiling; ``leaf_counts``, ``build_tree`` and ``leaf_summary`` keep the
+full DAG, whose null leaves they count and export.
+
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
 interpreter's recursion limit.
@@ -82,10 +96,11 @@ class MarchTree:
 
 
 class LeafSummary(NamedTuple):
-    """Multiplicities of labeled leaves, the count of null leaves, and their root."""
+    """Multiplicities of labeled leaves, the count of null leaves (None from
+    the pruned walk, which meets none), and their root."""
 
     counts: dict[Permutation, int]
-    null_count: int
+    null_count: int | None
     root: Permutation
 
     def signed(self) -> dict[Permutation, int]:
@@ -100,7 +115,24 @@ class LeafSummary(NamedTuple):
         }
 
 
-def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) -> tuple[list, list]:
+def _holds_a_labeled_leaf(window: tuple[int, ...], t: int) -> bool:
+    """Whether the tree of a canonical window at level t has a labeled leaf:
+    exactly when no value has more than t larger values to its left, i.e.
+    no column of the diagram holds more than t boxes (see the module
+    docstring).  A value in the first t places has fewer than t before it."""
+    seen = 0
+    for v in window[:t]:
+        seen |= 1 << v
+    for v in window[t:]:
+        if (seen >> v).bit_count() > t:
+            return False
+        seen |= 1 << v
+    return True
+
+
+def _tree_dag(
+    beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str, prune: bool = False
+) -> tuple[list, list]:
     """beta's marching DAG as vertex lists (out, windows): vertex 0 is the
     null leaf (window None), then every distinct label under beta, each
     after its children, and beta last.  out[v] holds v's edges (march set,
@@ -108,12 +140,21 @@ def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) ->
     An explicit stack marches each label once: the labels on it are
     ancestors of the one marched, which in a DAG are none of its children.
     A bad level or mode raises ValueError before
-    :class:`NodeCeilingExceeded`, raised past ``ceiling`` labels."""
+    :class:`NodeCeilingExceeded`, raised past ``ceiling`` labels.
+
+    With ``prune``, a label whose subtree holds no labeled leaf
+    (:func:`_holds_a_labeled_leaf`) is dead: it is tested once, remembered
+    in ``index`` as -1 and gets no vertex, no edge and no count against the
+    ceiling.  A pivotless label is dead, so no null leaf is met; a dead root
+    gives ([], []).  No live label lies below a dead one, so the live labels
+    are listed in the full walk's order."""
     if t < 1:
         raise ValueError("truncation level must be positive")
     _check_mode(mode)
     if ceiling < 1:
         raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
+    if prune and not _holds_a_labeled_leaf(beta.window, t):
+        return [], []
     # The root marches through the public march_children, which bench/tracer.py
     # wraps, so traced runs still see tree marching in the diagram layer.
     leaf = _last_descent(beta.window) <= t
@@ -127,6 +168,9 @@ def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) ->
         for rows, child in pending:
             vertex = index.get(child)
             if vertex is None:
+                if prune and not _holds_a_labeled_leaf(child, t):
+                    index[child] = -1
+                    continue
                 labels += 1
                 if labels > ceiling:
                     raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
@@ -137,6 +181,8 @@ def _tree_dag(beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str) ->
                 vertex = index[child] = len(out)  # a leaf or a pivotless label: listed at once
                 windows.append(child)
                 out.append([] if node is None else [((), 0)])
+            elif vertex < 0:  # dead
+                continue
             edges.append((rows, vertex))
         else:
             stack.pop()
@@ -195,6 +241,20 @@ def leaf_counts(
     ``node_ceiling`` distinct labels."""
     out, windows = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
     return _leaf_paths(out, lambda v: Permutation._trusted(windows[v]), beta)
+
+
+def _labeled_leaves(
+    beta: Permutation, t: int, mode: Mode, node_ceiling: int = DEFAULT_NODE_CEILING
+) -> LeafSummary:
+    """``leaf_counts(beta, t, mode)`` with ``null_count`` None: the same
+    ``counts``, keys in the same order, from the pruned walk, which marches
+    only the labels with a labeled leaf below and counts only those against
+    ``node_ceiling``."""
+    out, windows = _tree_dag(beta, t, mode, node_ceiling, "distinct labels", prune=True)
+    counts = {}
+    if out:  # else the root is dead
+        counts = _leaf_paths(out, lambda v: Permutation._trusted(windows[v]), beta).counts
+    return LeafSummary(counts, None, beta)
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:

@@ -26,7 +26,7 @@ from .grothendieck import (
 )
 from .permutations import Permutation, _last_descent
 from .poly import CeilingExceeded
-from .trees import DEFAULT_NODE_CEILING, Mode, leaf_counts
+from .trees import DEFAULT_NODE_CEILING, Mode, _labeled_leaves
 
 DEFAULT_ORACLE_WINDOW_CEILING = 8
 
@@ -89,7 +89,9 @@ def detect(
     the K tree of the n-stabilization of alpha at level t has a single
     labeled leaf rho, counting multiplicity.  Returns None when either
     fails.  A bad t or window raises ValueError first; the tree is walked
-    last, under ``node_ceiling`` distinct labels.
+    last, under ``node_ceiling`` distinct labels, of which it marches and
+    counts only those with a labeled leaf below.  So an alpha whose tree
+    has no labeled leaf gives None under any positive ceiling.
     """
     if not 1 <= t <= 2 * n:
         raise ValueError(f"t must lie in [1, {2 * n}], got {t}")
@@ -97,7 +99,7 @@ def detect(
         raise ValueError(f"both windows must fit in S_{n}")
     if _last_descent(sigma.window) > t:
         return None
-    counts = leaf_counts(alpha.stabilize(n), t, "K", node_ceiling).counts
+    counts = _labeled_leaves(alpha.stabilize(n), t, "K", node_ceiling).counts
     if list(counts.values()) != [1]:
         return None
     (rho,) = counts
@@ -111,11 +113,12 @@ def truncation_product(
 ) -> ExpansionMap:
     """Signed leaf expansion of the tree rooted at sigma *_n alpha: the
     ``signed()`` leaf summary, which signs each leaf by that root's length.
+    ``node_ceiling`` counts the distinct labels with a labeled leaf below.
 
     In cohomology mode every sign is +1 and only permutations of length
     sigma + rho appear.
     """
-    return leaf_counts(problem.star_root(), problem.t, mode, node_ceiling).signed()
+    return _labeled_leaves(problem.star_root(), problem.t, mode, node_ceiling).signed()
 
 
 def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
@@ -123,7 +126,7 @@ def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:
 
     Summing coefficient * G_label reproduces the truncation exactly.
     """
-    return leaf_counts(gamma, t, "K").signed()
+    return _labeled_leaves(gamma, t, "K").signed()
 
 
 def verify(

@@ -220,6 +220,29 @@ class TestProduct:
         assert code == 3
         assert "not a truncation Schubert problem" in err
 
+    def test_an_alpha_without_a_labeled_leaf_is_no_problem_under_any_ceiling(self, capsys):
+        # The ceiling counts live labels, and 4321's K tree at t = 2 has none.
+        argv = ["product", "21", "4321", "--n", "4", "--t", "2", "--node-ceiling"]
+        for ceiling in ("1", "2"):
+            code, out, err = invoke(capsys, *argv, ceiling)
+            assert (code, out) == (3, "")
+            assert "(21, 4321, n=4, t=2) is not a truncation Schubert problem" in err
+        assert invoke(capsys, *argv, "0")[0] == 4
+
+    @pytest.mark.parametrize(
+        ("flags", "digest"),
+        [
+            ((), "09df091d93e7bf68ea63ca313ae1c0e56535ceef6df40924035432dce5d788d5"),
+            (("--cohomology",), "148bc66c6ca21cecf77c4818d195a5f91d815294ddd3f9ef9c8d6c346917c229"),
+        ],
+        ids=["K", "cohomology"],
+    )
+    def test_the_largest_benchmark_problem_prints_its_pinned_digest(self, capsys, flags, digest):
+        argv = ["product", "54321", "54132", "--n", "5", "--t", "4", *flags]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "rho = 13682457\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_t_out_of_range(self, capsys):
         code, _, _ = invoke(capsys, "product", "321", "132", "--n", "3", "--t", "9")
         assert code == 3

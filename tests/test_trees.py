@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+from collections import Counter
 import json
 import random
 import sys
@@ -15,19 +16,28 @@ from schubert import (
     Polynomial,
     build_tree,
     detect,
+    diagram,
     grothendieck,
     grothendieck_dd,
     leaf_counts,
     leaf_summary,
+    schubert,
     symmetric_group,
     to_dot,
     to_json,
     to_text,
+    truncation_product,
 )
 from schubert.cli import run
 from schubert.diagram import _window_marches, march_children
 from schubert.grothendieck import parse_expansion
-from schubert.trees import DEFAULT_NODE_CEILING, TreeNode, _tree_dag
+from schubert.trees import (
+    DEFAULT_NODE_CEILING,
+    TreeNode,
+    _holds_a_labeled_leaf,
+    _labeled_leaves,
+    _tree_dag,
+)
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
 
 from permutation_helpers import is_vexillary
@@ -596,6 +606,89 @@ class TestTreeWalk:
             t = max(1, sigma.last_descent() or 0)
             for mode in ("K", "cohomology"):
                 check_tree_walk(sigma.star(alpha, 4), t, mode, monkeypatch)
+
+
+def record_marches(monkeypatch):
+    """The (window, level) of every label the kernel marches in the tree walk."""
+    marched = []
+
+    def kernel(window, mode, t):
+        marched.append((window, t))
+        return _window_marches(window, mode, t)
+
+    monkeypatch.setattr(trees_module, "_window_marches", kernel)
+    return marched
+
+
+class TestLabeledLeafPruning:
+    """The pruned walk that detect, truncation_product and
+    truncate_grothendieck_via_tree read: a label is marched only when the
+    columns of its diagram say that its subtree holds a labeled leaf."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_the_column_test_is_a_nonzero_truncation(self, n):
+        zero = Polynomial.zero()
+        for w in symmetric_group(n):
+            columns = Counter(box.col for box in diagram(w))
+            for t in range(n + 1):
+                holds = _holds_a_labeled_leaf(w.window, t)
+                assert holds == (max(columns.values(), default=0) <= t), (w, t)
+                assert holds == (grothendieck(w).truncate(t) != zero), (w, t)
+                assert holds == (schubert(w).truncate(t) != zero), (w, t)
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_the_column_test_is_a_labeled_leaf_below_on_every_s4_star_root(self, mode):
+        s4 = list(symmetric_group(4))
+        roots = {sigma.star(alpha, 4) for sigma, alpha in itertools.product(s4, s4)}
+        for root in roots:
+            for t in range(1, 9):
+                out, windows = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, "labels")
+                below = [False]  # the null leaf
+                for v, edges in enumerate(out[1:], 1):
+                    below.append(not edges or any(below[c] for _, c in edges))
+                    assert _holds_a_labeled_leaf(windows[v], t) == below[v], (root, t, windows[v])
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_pruned_counts_are_the_leaf_counts_in_their_order(self, mode):
+        s4 = list(symmetric_group(4))
+        cases = list(star_roots_and_levels(4, itertools.product(s4, s4)))
+        rng = random.Random(20043)
+        s5 = list(symmetric_group(5))
+        for sigma, alpha in [(rng.choice(s5), rng.choice(s5)) for _ in range(150)]:
+            t = max(1, sigma.last_descent() or 0)
+            cases += [(sigma.star(alpha, 5), t), (sigma.star(alpha, 5), rng.randint(t, 10))]
+        for root, t in cases:
+            counts = leaf_counts(root, t, mode).counts
+            pruned = _labeled_leaves(root, t, mode)
+            assert (pruned.null_count, pruned.root) == (None, root)
+            assert list(pruned.counts.items()) == list(counts.items()), (root, t)
+
+    def test_truncation_product_marches_no_dead_label(self, monkeypatch):
+        s4 = list(symmetric_group(4))
+        problems = [
+            problem
+            for sigma, alpha in itertools.product(s4, s4)
+            if (problem := detect(sigma, alpha, 4, max(1, sigma.last_descent() or 0)))
+        ]
+        marched = record_marches(monkeypatch)
+        for problem in problems:
+            for mode in ("K", "cohomology"):
+                truncation_product(problem, mode)
+        assert marched and all(_holds_a_labeled_leaf(window, t) for window, t in marched)
+        # The full walk over the same roots marches dead labels.
+        marched.clear()
+        for problem in problems:
+            leaf_counts(problem.star_root(), problem.t, "K")
+        assert not all(_holds_a_labeled_leaf(window, t) for window, t in marched)
+
+    def test_the_largest_benchmark_problem_marches_a_fifteenth_of_its_labels(self):
+        sigma, alpha = Permutation.parse("54321"), Permutation.parse("54132")
+        problem = detect(sigma, alpha, 5, 4)
+        root = problem.star_root()
+        out, _ = _tree_dag(root, 4, "K", DEFAULT_NODE_CEILING, "labels", prune=True)
+        full, _ = _tree_dag(root, 4, "K", DEFAULT_NODE_CEILING, "labels")
+        assert (len(out) - 1, len(full) - 1) == (284, 4298)
+        assert truncation_product(problem, "K") == leaf_counts(root, 4, "K").signed()
 
 
 DEEP_ROOT = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")  # depth 17 at t=2 in cohomology

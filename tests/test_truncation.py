@@ -6,6 +6,7 @@ import random
 import pytest
 
 from schubert import (
+    DEFAULT_NODE_CEILING,
     DEFAULT_ORACLE_WINDOW_CEILING,
     NodeCeilingExceeded,
     OracleCeilingExceeded,
@@ -28,6 +29,11 @@ from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION
 from permutation_helpers import pieri, pieri_shape, w0_conjugate
 
 ID = Permutation.identity()
+trees_module = importlib.import_module("schubert.trees")
+
+
+def refuse_to_march(*args):
+    raise AssertionError("marched a tree with no labeled leaf")
 
 
 def problem_of(example):
@@ -108,6 +114,19 @@ class TestDetect:
         with pytest.raises(NodeCeilingExceeded, match="^more than 0 distinct labels$"):
             detect(ID, oversized, 4, 2, node_ceiling=0)
 
+    def test_an_alpha_without_a_labeled_leaf_is_no_problem_under_any_ceiling(self, monkeypatch):
+        # At t = 2 the value 5 of 12348765 has three larger values to its
+        # left: its K tree is one null leaf, and detect marches none of it.
+        sigma, alpha = Permutation.parse("21"), Permutation.parse("4321")
+        stabilized = alpha.stabilize(4)
+        assert leaf_counts(stabilized, 2, "K") == ({}, 1, stabilized)
+        monkeypatch.setattr(trees_module, "_window_marches", refuse_to_march)
+        monkeypatch.setattr(trees_module, "march_children", refuse_to_march)
+        for ceiling in (1, 2, DEFAULT_NODE_CEILING):
+            assert detect(sigma, alpha, 4, 2, node_ceiling=ceiling) is None
+        with pytest.raises(NodeCeilingExceeded, match="^more than 0 distinct labels$"):
+            detect(sigma, alpha, 4, 2, node_ceiling=0)
+
     def test_t_range_enforced(self):
         with pytest.raises(ValueError):
             detect(ID, ID, 3, 0)
@@ -163,6 +182,14 @@ class TestTruncateViaTree:
         expansion = truncate_grothendieck_via_tree(Permutation.parse("132"), 1)
         assert expansion == parse_expansion({"21": 1})
         assert resum(expansion) == grothendieck(Permutation.parse("132")).truncate(1)
+
+    def test_a_tree_of_null_leaves_only_marches_nothing(self, monkeypatch):
+        # leaf_counts walks this K tree's 884,117 null leaves in about 1 s;
+        # the first column of its diagram holds four boxes, more than 2.
+        gamma = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")
+        monkeypatch.setattr(trees_module, "_window_marches", refuse_to_march)
+        monkeypatch.setattr(trees_module, "march_children", refuse_to_march)
+        assert truncate_grothendieck_via_tree(gamma, 2) == {}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_identity_sweep(self, n):
