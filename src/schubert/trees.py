@@ -13,13 +13,6 @@ walk over the marching kernel of :mod:`schubert.diagram` marches each
 distinct window once and lists the DAG as vertex lists, children before
 parents and the root last, vertex 0 the null leaf: ``out`` (each
 vertex's edges (march set, vertex) in tree order) and ``windows``.
-:func:`build_tree`, the only maker of a :class:`MarchTree`, adds
-``labels``, ``texts`` and subtree ``sizes``, and the exporters write from
-these four lists in preorder.  One path count over ``out`` serves both
-:func:`leaf_counts`, which builds no tree, and :func:`leaf_summary`,
-which marches nothing.  ``MarchTree.root`` views the lists as
-:class:`TreeNode` objects, built only when read.  The node ceiling bounds
-the distinct labels of ``leaf_counts`` and the nodes of ``build_tree``.
 
 Most labels lie in subtrees that hold only null leaves, and the label
 itself says which: its tree at level t has a labeled leaf exactly when
@@ -28,12 +21,19 @@ of the label's Grothendieck polynomial (Schubert, in cohomology), which
 is nonzero exactly then: for S_w by the bottom pipe dream
 (Bergeron-Billey, *RC-graphs and Schubert polynomials*, Exp. Math.
 1993), and so for G_w, each of whose pipe dreams holds a reduced one
-(Knutson-Miller, Ann. Math. 2005).  The readers of labeled leaves alone
-(``detect``, ``truncation_product`` and ``truncate_grothendieck_via_tree``
-in :mod:`schubert.truncation`) walk in a private pruning mode that
-marches no such dead label and counts only live ones against the
-ceiling; ``leaf_counts``, ``build_tree`` and ``leaf_summary`` keep the
-full DAG, whose null leaves they count and export.
+(Knutson-Miller, Ann. Math. 2005).
+
+So the walk has two uses.  :func:`build_tree`, the only maker of a
+:class:`MarchTree`, lists the full DAG, null leaves included, and adds
+``labels``, ``texts`` and subtree ``sizes``; the exporters write from
+these four lists in preorder, and :func:`leaf_summary` counts a built
+tree's labeled and null leaves over its ``out`` lists, marching nothing.
+It is the one reader of null leaves.  :func:`leaf_counts`, which builds
+no tree, lists the live labels only: it tests each new label once and
+marches no dead one, so its ``null_count`` is None.  ``MarchTree.root``
+views the lists as :class:`TreeNode` objects, built only when read.  The
+node ceiling bounds the nodes of ``build_tree`` and the live labels of
+``leaf_counts``.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
 Every walk uses an explicit stack, so tree depth is not limited by the
@@ -97,7 +97,7 @@ class MarchTree:
 
 class LeafSummary(NamedTuple):
     """Multiplicities of labeled leaves, the count of null leaves (None from
-    the pruned walk, which meets none), and their root."""
+    :func:`leaf_counts`, which walks no dead label), and their root."""
 
     counts: dict[Permutation, int]
     null_count: int | None
@@ -131,7 +131,7 @@ def _holds_a_labeled_leaf(window: tuple[int, ...], t: int) -> bool:
 
 
 def _tree_dag(
-    beta: Permutation, t: int, mode: Mode, ceiling: int, unit: str, prune: bool = False
+    beta: Permutation, t: int, mode: Mode, ceiling: int, prune: bool
 ) -> tuple[list, list]:
     """beta's marching DAG as vertex lists (out, windows): vertex 0 is the
     null leaf (window None), then every distinct label under beta, each
@@ -140,7 +140,8 @@ def _tree_dag(
     An explicit stack marches each label once: the labels on it are
     ancestors of the one marched, which in a DAG are none of its children.
     A bad level or mode raises ValueError before
-    :class:`NodeCeilingExceeded`, raised past ``ceiling`` labels.
+    :class:`NodeCeilingExceeded`, raised past ``ceiling`` labels: "nodes"
+    for the full walk, "distinct labels" for the pruned one.
 
     With ``prune``, a label whose subtree holds no labeled leaf
     (:func:`_holds_a_labeled_leaf`) is dead: it is tested once, remembered
@@ -151,6 +152,7 @@ def _tree_dag(
     if t < 1:
         raise ValueError("truncation level must be positive")
     _check_mode(mode)
+    unit = "distinct labels" if prune else "nodes"
     if ceiling < 1:
         raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
     if prune and not _holds_a_labeled_leaf(beta.window, t):
@@ -200,11 +202,11 @@ def build_tree(
     mode: Mode = "K",
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> MarchTree:
-    """The marching tree rooted at beta with truncation level t: the
-    marching DAG of :func:`leaf_counts`, unfolded with its subtree sizes.
+    """The marching tree rooted at beta with truncation level t: the full
+    marching DAG, null leaves included, unfolded with its subtree sizes.
     Raises :class:`NodeCeilingExceeded` past ``node_ceiling`` nodes (null
     leaves included), counted over the DAG before any node is built."""
-    out, windows = _tree_dag(beta, t, mode, node_ceiling, "nodes")
+    out, windows = _tree_dag(beta, t, mode, node_ceiling, prune=False)
     labels = [None, *map(Permutation._trusted, windows[1:])]
     texts, sizes = ["∅", *(label.text() for label in labels[1:])], []
     for edges in out:
@@ -214,10 +216,11 @@ def build_tree(
     return MarchTree(out, labels, texts, sizes)
 
 
-def _leaf_paths(out: list, label: Callable[[int], Permutation], root: Permutation) -> LeafSummary:
-    """The leaf summary over a tree's ``out`` lists: paths flow from the root
-    down in reverse vertex order, each vertex before its children; leaf v
-    counts under label(v), and vertex 0 gathers the null leaves."""
+def _leaf_paths(out: list, label: Callable[[int], Permutation]) -> tuple[dict, int]:
+    """(leaf multiplicities, null leaves) over a tree's ``out`` lists: paths
+    flow from the root down in reverse vertex order, each vertex before its
+    children; leaf v counts under label(v), and vertex 0 gathers the null
+    leaves."""
     paths = [0] * len(out)
     paths[-1] = 1
     counts: dict[Permutation, int] = {}
@@ -227,7 +230,7 @@ def _leaf_paths(out: list, label: Callable[[int], Permutation], root: Permutatio
             counts[label(v)] = count
         for _, child in out[v]:
             paths[child] += count
-    return LeafSummary(counts, paths[0], root)
+    return counts, paths[0]
 
 
 def leaf_counts(
@@ -236,30 +239,20 @@ def leaf_counts(
     mode: Mode = "K",
     node_ceiling: int = DEFAULT_NODE_CEILING,
 ) -> LeafSummary:
-    """The leaf summary of ``build_tree(beta, t, mode)``, whose ``root`` is
-    beta, without building it.  Raises :class:`NodeCeilingExceeded` past
-    ``node_ceiling`` distinct labels."""
-    out, windows = _tree_dag(beta, t, mode, node_ceiling, "distinct labels")
-    return _leaf_paths(out, lambda v: Permutation._trusted(windows[v]), beta)
-
-
-def _labeled_leaves(
-    beta: Permutation, t: int, mode: Mode, node_ceiling: int = DEFAULT_NODE_CEILING
-) -> LeafSummary:
-    """``leaf_counts(beta, t, mode)`` with ``null_count`` None: the same
-    ``counts``, keys in the same order, from the pruned walk, which marches
-    only the labels with a labeled leaf below and counts only those against
-    ``node_ceiling``."""
-    out, windows = _tree_dag(beta, t, mode, node_ceiling, "distinct labels", prune=True)
-    counts = {}
-    if out:  # else the root is dead
-        counts = _leaf_paths(out, lambda v: Permutation._trusted(windows[v]), beta).counts
+    """The labeled leaves of ``build_tree(beta, t, mode)``, keys in the same
+    order, with ``null_count`` None and ``root`` beta, without building it.
+    The walk marches only the live labels, those with a labeled leaf below,
+    and raises :class:`NodeCeilingExceeded` past ``node_ceiling`` of them;
+    :func:`leaf_summary` of the built tree counts its null leaves."""
+    out, windows = _tree_dag(beta, t, mode, node_ceiling, prune=True)
+    counts = _leaf_paths(out, lambda v: Permutation._trusted(windows[v]))[0] if out else {}
     return LeafSummary(counts, None, beta)
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:
-    """The leaf summary of a built tree, counted over its own lists."""
-    return _leaf_paths(tree.out, tree.labels.__getitem__, tree.labels[-1])
+    """The leaf summary of a built tree, null leaves included, counted over
+    its own lists."""
+    return LeafSummary(*_leaf_paths(tree.out, tree.labels.__getitem__), tree.labels[-1])
 
 
 # -- serialization ---------------------------------------------------------

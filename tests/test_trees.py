@@ -26,6 +26,7 @@ from schubert import (
     to_dot,
     to_json,
     to_text,
+    truncate_grothendieck_via_tree,
     truncation_product,
 )
 from schubert.cli import run
@@ -35,7 +36,6 @@ from schubert.trees import (
     DEFAULT_NODE_CEILING,
     TreeNode,
     _holds_a_labeled_leaf,
-    _labeled_leaves,
     _tree_dag,
 )
 from schubert.worked_examples import EXAMPLE_3, FIGURE_1, FIGURE_2
@@ -53,7 +53,7 @@ FIGURE_2_COUNTS = {perm: abs(c) for perm, c in FIGURE_2_LEAVES.items()}
 def grown_tree(beta: Permutation, t: int, mode: str = "K") -> TreeNode:
     """The root of the marching tree grown node by node through
     ``march_children``, on an explicit stack, with no node shared: the
-    oracle of ``build_tree`` and ``leaf_counts``."""
+    oracle of ``build_tree``, ``leaf_summary`` and ``leaf_counts``."""
 
     def start(label: Permutation | None, march: tuple[int, ...]) -> TreeNode | list:
         """A finished leaf, or the frame [label, march, child specs, built children]."""
@@ -399,11 +399,7 @@ class TestUnfolding:
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_matches_the_grown_tree_on_sampled_s5_star_roots(self, mode):
         # At the smallest level, where the trees are largest (up to 21,555 nodes).
-        rng = random.Random(2013)
-        s5 = list(symmetric_group(5))
-        for _ in range(50):
-            sigma, alpha = rng.choice(s5), rng.choice(s5)
-            root, t = sigma.star(alpha, 5), max(1, sigma.last_descent() or 0)
+        for root, t in sampled_s5_star_roots(2013, 50):
             assert_same_exports(build_tree(root, t, mode), grown_tree(root, t, mode))
 
     def test_children_are_shared_per_label(self):
@@ -431,7 +427,7 @@ class TestUnfolding:
         exports = to_json(tree), to_dot(tree), to_text(tree)
         summary = leaf_summary(tree)
         assert built == []
-        assert summary_pair(summary) == summary_pair(leaf_counts(root, 3, "K"))
+        assert list(summary.counts.items()) == list(leaf_counts(root, 3, "K").counts.items())
         assert tree.root is tree.root
         count = len(built)
         assert 0 < count < 1899  # one node per distinct edge, not per vertex
@@ -460,6 +456,23 @@ def summary_pair(summary):
     return summary.counts, summary.null_count
 
 
+def grown_summary(root, t, mode):
+    """The grown tree's leaf summary, its labeled leaves in the key order of
+    ``leaf_counts`` and ``leaf_summary``: the walk lists each leaf label at
+    its first appearance in preorder, and the path count reads the listed
+    vertices from the last."""
+    summary = leaf_summary_of(grown_tree(root, t, mode))
+    return summary._replace(counts=dict(reversed(summary.counts.items())))
+
+
+def live_labels(tree):
+    """The labels of a built tree with a labeled leaf below, read off its lists."""
+    below = [False]  # the null leaf
+    for edges in tree.out[1:]:
+        below.append(not edges or any(below[c] for _, c in edges))
+    return {label for label, live in zip(tree.labels, below) if live}
+
+
 def star_roots_and_levels(n, pairs):
     """(sigma *_n alpha, t) at every admissible level t of each pair."""
     for sigma, alpha in pairs:
@@ -467,51 +480,63 @@ def star_roots_and_levels(n, pairs):
             yield sigma.star(alpha, n), t
 
 
+def sampled_s5_star_roots(seed, count):
+    """(sigma *_5 alpha, t) at the smallest level of each of count seeded pairs."""
+    rng = random.Random(seed)
+    s5 = list(symmetric_group(5))
+    for sigma, alpha in [(rng.choice(s5), rng.choice(s5)) for _ in range(count)]:
+        yield sigma.star(alpha, 5), max(1, sigma.last_descent() or 0)
+
+
 def refuse_to_march(*args):
     raise AssertionError("marched while summarizing a built tree")
 
 
+def check_leaf_readers(root, t, mode, monkeypatch):
+    """leaf_summary of the built tree is the grown tree's summary, null
+    leaves and key order included, and marches nothing; leaf_counts has
+    the same labeled leaves in the same order and no null count."""
+    expected = grown_summary(root, t, mode)
+    tree = build_tree(root, t, mode)
+    with monkeypatch.context() as patch:
+        patch.setattr(trees_module, "_window_marches", refuse_to_march)
+        patch.setattr(trees_module, "march_children", refuse_to_march)
+        summary = leaf_summary(tree)
+    assert summary == expected, (root, t)
+    assert list(summary.counts.items()) == list(expected.counts.items()), (root, t)
+    counted = leaf_counts(root, t, mode)
+    assert (counted.null_count, counted.root) == (None, root), (root, t)
+    assert list(counted.counts.items()) == list(expected.counts.items()), (root, t)
+
+
 class TestLeafCounts:
-    """leaf_counts walks the marching DAG; the grown tree is its oracle."""
+    """leaf_counts walks the live labels of the marching DAG, and
+    leaf_summary counts a built tree; the grown tree is their oracle."""
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_matches_the_tree_on_every_s4_star_root(self, mode, monkeypatch):
         s4 = list(symmetric_group(4))
         for root, t in star_roots_and_levels(4, itertools.product(s4, s4)):
-            expected = leaf_summary_of(grown_tree(root, t, mode))
-            counted = leaf_counts(root, t, mode)
-            assert summary_pair(counted) == summary_pair(expected), (root, t)
-            tree = build_tree(root, t, mode)
-            # A built tree's summary is counted over its own lists, marching nothing.
-            with monkeypatch.context() as patch:
-                patch.setattr(trees_module, "_window_marches", refuse_to_march)
-                patch.setattr(trees_module, "march_children", refuse_to_march)
-                summary = leaf_summary(tree)
-            assert summary == counted, (root, t)
-            assert list(summary.counts.items()) == list(counted.counts.items()), (root, t)
+            check_leaf_readers(root, t, mode, monkeypatch)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
-    def test_matches_the_tree_on_sampled_s5_pairs(self, mode):
-        rng = random.Random(20050)
-        s5 = list(symmetric_group(5))
-        pairs = [(rng.choice(s5), rng.choice(s5)) for _ in range(25)]
-        for sigma, alpha in pairs:
-            root = sigma.star(alpha, 5)
-            t = max(1, sigma.last_descent() or 0)
-            expected = leaf_summary_of(grown_tree(root, t, mode))
-            assert summary_pair(leaf_counts(root, t, mode)) == summary_pair(expected), (root, t)
+    def test_matches_the_tree_on_sampled_s5_pairs(self, mode, monkeypatch):
+        for root, t in sampled_s5_star_roots(20050, 25):
+            check_leaf_readers(root, t, mode, monkeypatch)
 
     def test_figure_2_and_a_leaf_root(self):
         root = Permutation.parse(FIGURE_2["perm"])
         summary = leaf_counts(root, FIGURE_2["t"], "K")
-        assert summary.counts == FIGURE_2_COUNTS
-        assert summary.null_count == FIGURE_2["null_leaves"]
-        assert summary_pair(leaf_counts(ID, 3, "K")) == ({ID: 1}, 0)
+        assert summary_pair(summary) == (FIGURE_2_COUNTS, None)
+        built = leaf_summary(build_tree(root, FIGURE_2["t"], "K"))
+        assert summary_pair(built) == (FIGURE_2_COUNTS, FIGURE_2["null_leaves"])
+        assert leaf_counts(ID, 3, "K") == ({ID: 1}, None, ID)
+        assert leaf_summary(build_tree(ID, 3, "K")) == ({ID: 1}, 0, ID)
         # The summary keeps its root and signs every leaf by that root's length.
         assert LeafSummary._fields == ("counts", "null_count", "root")
         assert summary.root is root and root.length() == FIGURE_2["length"]
-        assert leaf_summary(build_tree(root, FIGURE_2["t"], "K")).root == root
-        assert summary.signed() == FIGURE_2_LEAVES
+        assert built.root == root
+        assert summary.signed() == built.signed() == FIGURE_2_LEAVES
         sign = (-1) ** (root.length() - 1)  # 21 has length 1
         resigned = summary._replace(root=Permutation.parse("21")).signed()
         assert resigned == {perm: sign * c for perm, c in FIGURE_2_LEAVES.items()}
@@ -520,37 +545,41 @@ class TestLeafCounts:
         root = Permutation.parse("43218765")
         tree = build_tree(root, 3, "K")
         nodes = list(preorder(tree.root))
-        labels = len({node.label for node in nodes if node.label is not None})
-        assert (len(nodes), labels) == (1899, 608)
-        assert summary_pair(leaf_counts(root, 3, "K", node_ceiling=labels)) == summary_pair(
-            leaf_summary_of(tree.root)
-        )
+        labels = {node.label for node in nodes if node.label is not None}
+        live = live_labels(tree)
+        assert (len(nodes), len(labels), len(live)) == (1899, 608, 30)
+        assert live == {label for label in labels if _holds_a_labeled_leaf(label.window, 3)}
+        counted = leaf_counts(root, 3, "K", node_ceiling=len(live))
+        assert counted.counts == leaf_summary_of(tree.root).counts
         with pytest.raises(NodeCeilingExceeded):
-            build_tree(root, 3, "K", node_ceiling=labels)
+            build_tree(root, 3, "K", node_ceiling=len(labels))
         with pytest.raises(NodeCeilingExceeded):
-            leaf_counts(root, 3, "K", node_ceiling=labels - 1)
+            leaf_counts(root, 3, "K", node_ceiling=len(live) - 1)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_ceiling_boundary_is_the_distinct_label_count(self, mode):
+        # The boundary is the live labels alone: 30 of 608 distinct labels in
+        # K and 15 of 88 in cohomology.
         root = Permutation.parse("43218765")
         tree = build_tree(root, 3, mode)
         labels = len({node.label for node in preorder(tree.root) if node.label is not None})
-        assert labels == {"K": 608, "cohomology": 88}[mode]
-        assert summary_pair(leaf_counts(root, 3, mode, node_ceiling=labels)) == summary_pair(
-            leaf_summary_of(tree.root)
-        )
-        with pytest.raises(NodeCeilingExceeded, match=f"more than {labels - 1} distinct labels"):
-            leaf_counts(root, 3, mode, node_ceiling=labels - 1)
+        live = len(live_labels(tree))
+        assert (live, labels) == {"K": (30, 608), "cohomology": (15, 88)}[mode]
+        counted = leaf_counts(root, 3, mode, node_ceiling=live)
+        assert counted.counts == leaf_summary_of(tree.root).counts
+        with pytest.raises(NodeCeilingExceeded, match=f"^more than {live - 1} distinct labels$"):
+            leaf_counts(root, 3, mode, node_ceiling=live - 1)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_identity_and_pivotless_roots(self, mode):
-        assert summary_pair(leaf_counts(ID, 1, mode)) == ({ID: 1}, 0)
-        assert summary_pair(leaf_counts(ID, 1, mode, node_ceiling=1)) == ({ID: 1}, 0)
+        assert summary_pair(leaf_counts(ID, 1, mode)) == ({ID: 1}, None)
+        assert summary_pair(leaf_counts(ID, 1, mode, node_ceiling=1)) == ({ID: 1}, None)
         with pytest.raises(NodeCeilingExceeded, match="more than 0 distinct labels"):
             leaf_counts(ID, 1, mode, node_ceiling=0)
         pivotless = Permutation.parse("321")  # last descent 2, corner (2, 1), no pivots
-        assert summary_pair(leaf_counts(pivotless, 1, mode)) == ({}, 1)
+        assert summary_pair(leaf_counts(pivotless, 1, mode)) == ({}, None)
         tree = build_tree(pivotless, 1, mode)
+        assert summary_pair(leaf_summary(tree)) == ({}, 1)
         assert tree.root.children == (TreeNode(None, (), ()),)
         assert to_text(tree) == "321\n  ----> ∅"
 
@@ -575,7 +604,7 @@ def check_tree_walk(root, t, mode, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(trees_module, "_window_marches", kernel)
-        out, windows = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, "labels")
+        out, windows = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, prune=False)
     reachable, frontier = {root.window}, [root.window]
     while frontier:
         for _, child in tree_edges(frontier.pop(), mode, t):
@@ -592,9 +621,9 @@ def check_tree_walk(root, t, mode, monkeypatch):
         assert [(rows, windows[c]) for rows, c in edges] == tree_edges(windows[v], mode, t)
         assert all(c < v for _, c in edges)
     labels = len(windows) - 1
-    assert _tree_dag(root, t, mode, labels, "labels") == (out, windows)
-    with pytest.raises(NodeCeilingExceeded, match=f"more than {labels - 1} labels"):
-        _tree_dag(root, t, mode, labels - 1, "labels")
+    assert _tree_dag(root, t, mode, labels, prune=False) == (out, windows)
+    with pytest.raises(NodeCeilingExceeded, match=f"^more than {labels - 1} nodes$"):
+        _tree_dag(root, t, mode, labels - 1, prune=False)
 
 
 class TestTreeWalk:
@@ -621,7 +650,7 @@ def record_marches(monkeypatch):
 
 
 class TestLabeledLeafPruning:
-    """The pruned walk that detect, truncation_product and
+    """The pruned walk of leaf_counts, which detect, truncation_product and
     truncate_grothendieck_via_tree read: a label is marched only when the
     columns of its diagram say that its subtree holds a labeled leaf."""
 
@@ -642,11 +671,11 @@ class TestLabeledLeafPruning:
         roots = {sigma.star(alpha, 4) for sigma, alpha in itertools.product(s4, s4)}
         for root in roots:
             for t in range(1, 9):
-                out, windows = _tree_dag(root, t, mode, DEFAULT_NODE_CEILING, "labels")
-                below = [False]  # the null leaf
-                for v, edges in enumerate(out[1:], 1):
-                    below.append(not edges or any(below[c] for _, c in edges))
-                    assert _holds_a_labeled_leaf(windows[v], t) == below[v], (root, t, windows[v])
+                tree = build_tree(root, t, mode)
+                live = live_labels(tree)
+                for label in tree.labels[1:]:
+                    holds = _holds_a_labeled_leaf(label.window, t)
+                    assert holds == (label in live), (root, t, label)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_pruned_counts_are_the_leaf_counts_in_their_order(self, mode):
@@ -658,37 +687,43 @@ class TestLabeledLeafPruning:
             t = max(1, sigma.last_descent() or 0)
             cases += [(sigma.star(alpha, 5), t), (sigma.star(alpha, 5), rng.randint(t, 10))]
         for root, t in cases:
-            counts = leaf_counts(root, t, mode).counts
-            pruned = _labeled_leaves(root, t, mode)
+            counts = leaf_summary(build_tree(root, t, mode)).counts
+            pruned = leaf_counts(root, t, mode)
             assert (pruned.null_count, pruned.root) == (None, root)
             assert list(pruned.counts.items()) == list(counts.items()), (root, t)
 
     def test_truncation_product_marches_no_dead_label(self, monkeypatch):
         s4 = list(symmetric_group(4))
-        problems = [
-            problem
-            for sigma, alpha in itertools.product(s4, s4)
-            if (problem := detect(sigma, alpha, 4, max(1, sigma.last_descent() or 0)))
-        ]
         marched = record_marches(monkeypatch)
+        problems = []
+        for sigma, alpha in itertools.product(s4, s4):
+            problem = detect(sigma, alpha, 4, max(1, sigma.last_descent() or 0))
+            problems += [problem] if problem else []
+        assert marched and all(_holds_a_labeled_leaf(window, t) for window, t in marched)
+        marched.clear()
         for problem in problems:
             for mode in ("K", "cohomology"):
                 truncation_product(problem, mode)
         assert marched and all(_holds_a_labeled_leaf(window, t) for window, t in marched)
-        # The full walk over the same roots marches dead labels.
+        marched.clear()
+        for gamma in symmetric_group(5):
+            for t in range(1, 5):
+                truncate_grothendieck_via_tree(gamma, t)
+        assert marched and all(_holds_a_labeled_leaf(window, t) for window, t in marched)
+        # build_tree's full walk over the same star roots marches dead labels.
         marched.clear()
         for problem in problems:
-            leaf_counts(problem.star_root(), problem.t, "K")
+            build_tree(problem.star_root(), problem.t, "K")
         assert not all(_holds_a_labeled_leaf(window, t) for window, t in marched)
 
     def test_the_largest_benchmark_problem_marches_a_fifteenth_of_its_labels(self):
         sigma, alpha = Permutation.parse("54321"), Permutation.parse("54132")
         problem = detect(sigma, alpha, 5, 4)
         root = problem.star_root()
-        out, _ = _tree_dag(root, 4, "K", DEFAULT_NODE_CEILING, "labels", prune=True)
-        full, _ = _tree_dag(root, 4, "K", DEFAULT_NODE_CEILING, "labels")
+        out, _ = _tree_dag(root, 4, "K", DEFAULT_NODE_CEILING, prune=True)
+        full, _ = _tree_dag(root, 4, "K", DEFAULT_NODE_CEILING, prune=False)
         assert (len(out) - 1, len(full) - 1) == (284, 4298)
-        assert truncation_product(problem, "K") == leaf_counts(root, 4, "K").signed()
+        assert truncation_product(problem, "K") == leaf_summary(build_tree(root, 4, "K")).signed()
 
 
 DEEP_ROOT = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")  # depth 17 at t=2 in cohomology
@@ -725,11 +760,13 @@ class TestNoRecursion:
         sys.setrecursionlimit(frame_depth() + 20)
         try:
             tree = build_tree(DEEP_ROOT, 2, "cohomology")
+            summary = leaf_summary(tree)
             counted = leaf_counts(DEEP_ROOT, 2, "cohomology")
         finally:
             sys.setrecursionlimit(limit)
         assert tree.sizes[-1] == 10184
-        assert summary_pair(leaf_summary_of(tree.root)) == summary_pair(counted)
+        assert summary_pair(leaf_summary_of(tree.root)) == summary_pair(summary)
+        assert counted.counts == summary.counts
 
     def test_grothendieck_is_not_bounded_by_the_recursion_limit(self):
         # The transition formula reaches w0 of S_40 through 780 lengths,

@@ -13,9 +13,11 @@ from schubert import (
     Permutation,
     Polynomial,
     VerificationReport,
+    build_tree,
     detect,
     grothendieck,
     leaf_counts,
+    leaf_summary,
     schubert,
     structure_constants,
     symmetric_group,
@@ -119,11 +121,12 @@ class TestDetect:
         # left: its K tree is one null leaf, and detect marches none of it.
         sigma, alpha = Permutation.parse("21"), Permutation.parse("4321")
         stabilized = alpha.stabilize(4)
-        assert leaf_counts(stabilized, 2, "K") == ({}, 1, stabilized)
+        assert leaf_summary(build_tree(stabilized, 2, "K")) == ({}, 1, stabilized)
         monkeypatch.setattr(trees_module, "_window_marches", refuse_to_march)
         monkeypatch.setattr(trees_module, "march_children", refuse_to_march)
         for ceiling in (1, 2, DEFAULT_NODE_CEILING):
             assert detect(sigma, alpha, 4, 2, node_ceiling=ceiling) is None
+        assert leaf_counts(stabilized, 2, "K") == ({}, None, stabilized)
         with pytest.raises(NodeCeilingExceeded, match="^more than 0 distinct labels$"):
             detect(sigma, alpha, 4, 2, node_ceiling=0)
 
@@ -184,11 +187,13 @@ class TestTruncateViaTree:
         assert resum(expansion) == grothendieck(Permutation.parse("132")).truncate(1)
 
     def test_a_tree_of_null_leaves_only_marches_nothing(self, monkeypatch):
-        # leaf_counts walks this K tree's 884,117 null leaves in about 1 s;
-        # the first column of its diagram holds four boxes, more than 2.
+        # A full walk of this K tree meets 884,117 null leaves in about 1 s.
+        # The first column of its diagram holds four boxes, more than 2, so
+        # leaf_counts tests the root once and returns, in about 1.4 µs.
         gamma = Permutation.parse("6,5,4,3,1,2,12,11,10,9,8,7")
         monkeypatch.setattr(trees_module, "_window_marches", refuse_to_march)
         monkeypatch.setattr(trees_module, "march_children", refuse_to_march)
+        assert leaf_counts(gamma, 2, "K") == ({}, None, gamma)
         assert truncate_grothendieck_via_tree(gamma, 2) == {}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
