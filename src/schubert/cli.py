@@ -17,11 +17,14 @@ diagnostics to stderr.  A reader that closes stdout early, as ``| head``
 does, took all it wanted: exit 0.  ``tree`` and ``product`` take the
 node ceiling from ``--node-ceiling``, 10^6 by default.  ``tree`` counts
 the nodes of the unfolded tree, null leaves included, against it before
-it builds any; ``product`` builds no tree and counts instead, through
-``leaf_counts``, the live labels of the marching DAG: the distinct labels
-with a labeled leaf below, the only ones it marches.  An alpha whose tree
-has no labeled leaf is then no problem (exit 3) under any positive
-ceiling.
+it builds any.  ``product`` builds no tree: in each of its two walks the
+ceiling counts the distinct labels that walk marches, live ones only
+(those with a labeled leaf below), at m = min(--n, max(|sigma|, |alpha|,
+t - 1)), the smallest n that decides the problem.  The first walk is the
+chain of alpha's m-stabilization down to its leaf or first branch, the
+second the live labels of sigma *_m alpha.  A dead root is never counted,
+so an alpha whose tree has no labeled leaf is no problem (exit 3) under
+every ceiling, 0 included.
 """
 from __future__ import annotations
 

@@ -33,11 +33,13 @@ no tree, lists the live labels only: it tests each new label once and
 marches no dead one, so its ``null_count`` is None.  ``MarchTree.root``
 views the lists as :class:`TreeNode` objects, built only when read.  The
 node ceiling bounds the nodes of ``build_tree`` and the live labels of
-``leaf_counts``.
+``leaf_counts``.  ``detect`` needs only whether a tree has a single
+labeled leaf: ``_single_leaf`` follows the one live chain from the root
+and stops at its first dead end or branch.
 
 Children are ordered by (|I|, I) so every serialization is byte-stable.
-Every walk uses an explicit stack, so tree depth is not limited by the
-interpreter's recursion limit.
+No walk recurses, so tree depth is not limited by the interpreter's
+recursion limit.
 """
 from __future__ import annotations
 
@@ -139,30 +141,32 @@ def _tree_dag(
     vertex) in tree order: none for a leaf, ((), 0) alone with no pivots.
     An explicit stack marches each label once: the labels on it are
     ancestors of the one marched, which in a DAG are none of its children.
-    A bad level or mode raises ValueError before
-    :class:`NodeCeilingExceeded`, raised past ``ceiling`` labels: "nodes"
-    for the full walk, "distinct labels" for the pruned one.
+    A bad level or mode raises ValueError first.  Each label is counted
+    when it is first listed, the root first, and
+    :class:`NodeCeilingExceeded` is raised past ``ceiling`` of them:
+    "nodes" for the full walk, "distinct labels" for the pruned one.
 
     With ``prune``, a label whose subtree holds no labeled leaf
-    (:func:`_holds_a_labeled_leaf`) is dead: it is tested once, remembered
-    in ``index`` as -1 and gets no vertex, no edge and no count against the
-    ceiling.  A pivotless label is dead, so no null leaf is met; a dead root
-    gives ([], []).  No live label lies below a dead one, so the live labels
-    are listed in the full walk's order."""
+    (:func:`_holds_a_labeled_leaf`) is dead: it is tested once, before it
+    is counted, remembered in ``index`` as -1 and gets no vertex, no edge
+    and no count against the ceiling.  A pivotless label is dead, so no
+    null leaf is met; a dead root gives the null vertex alone, ([[]],
+    [None]), under every ceiling.  No live label lies below a dead one, so
+    the live labels are listed in the full walk's order."""
     if t < 1:
         raise ValueError("truncation level must be positive")
     _check_mode(mode)
-    unit = "distinct labels" if prune else "nodes"
-    if ceiling < 1:
-        raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
     if prune and not _holds_a_labeled_leaf(beta.window, t):
-        return [], []
+        return [[]], [None]
+    unit = "distinct labels" if prune else "nodes"
+    labels = 1  # the root
+    if labels > ceiling:
+        raise NodeCeilingExceeded(f"more than {ceiling} {unit}")
     # The root marches through the public march_children, which bench/tracer.py
     # wraps, so traced runs still see tree marching in the diagram layer.
     leaf = _last_descent(beta.window) <= t
     marches = None if leaf else {rows: child.window for rows, child in march_children(beta, mode)}
     out, windows, index = [[]], [None], {}
-    labels = 1
     # Per label on the stack: its window, march set, pending marches and edges so far.
     stack = [(beta.window, (), iter((marches or {}).items()), [((), 0)] if marches == {} else [])]
     while stack:
@@ -243,10 +247,38 @@ def leaf_counts(
     order, with ``null_count`` None and ``root`` beta, without building it.
     The walk marches only the live labels, those with a labeled leaf below,
     and raises :class:`NodeCeilingExceeded` past ``node_ceiling`` of them;
-    :func:`leaf_summary` of the built tree counts its null leaves."""
+    a beta with no labeled leaf is none of them, so it gives no leaf under
+    every ceiling.  :func:`leaf_summary` of the built tree counts its null
+    leaves."""
     out, windows = _tree_dag(beta, t, mode, node_ceiling, prune=True)
-    counts = _leaf_paths(out, lambda v: Permutation._trusted(windows[v]))[0] if out else {}
+    counts = _leaf_paths(out, lambda v: Permutation._trusted(windows[v]))[0]
     return LeafSummary(counts, None, beta)
+
+
+def _single_leaf(beta: Permutation, t: int, ceiling: int) -> tuple[int, ...] | None:
+    """The window of the labeled leaf of beta's K tree at level t when it
+    has exactly one, of multiplicity 1; else None.  A live label that is
+    not a leaf has a live child, and two live edges out of one label lead
+    to two labeled leaves, so the tree has a single leaf exactly when each
+    live label from the root has one live edge.  The walk follows that
+    chain, one label at a time, and stops at the first dead end or branch.
+    It tests the root before counting it, as the pruned :func:`_tree_dag`
+    does, and raises :class:`NodeCeilingExceeded` past ``ceiling`` labels
+    of the chain."""
+    window = beta.window
+    if not _holds_a_labeled_leaf(window, t):
+        return None
+    labels = 1
+    while labels <= ceiling:
+        node = _window_marches(window, "K", t)
+        if node is None:
+            return window
+        live = [child for child in node[2].values() if _holds_a_labeled_leaf(child, t)]
+        if len(live) != 1:
+            return None
+        (window,) = live
+        labels += 1
+    raise NodeCeilingExceeded(f"more than {ceiling} distinct labels")
 
 
 def leaf_summary(tree: MarchTree) -> LeafSummary:

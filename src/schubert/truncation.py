@@ -26,7 +26,7 @@ from .grothendieck import (
 )
 from .permutations import Permutation, _last_descent
 from .poly import CeilingExceeded
-from .trees import DEFAULT_NODE_CEILING, Mode, leaf_counts
+from .trees import DEFAULT_NODE_CEILING, Mode, _single_leaf, leaf_counts
 
 DEFAULT_ORACLE_WINDOW_CEILING = 8
 
@@ -76,6 +76,12 @@ class VerificationReport(NamedTuple):
         return found
 
 
+def _deciding_n(sigma: Permutation, alpha: Permutation, n: int, t: int) -> int:
+    """min(n, n0) for n0 = max(|sigma|, |alpha|, t - 1): from n0 on, the
+    problem and its expansion do not depend on n (see :func:`detect`)."""
+    return min(n, max(sigma.size(), alpha.size(), t - 1))
+
+
 def detect(
     sigma: Permutation,
     alpha: Permutation,
@@ -89,10 +95,25 @@ def detect(
     the K tree of the n-stabilization of alpha at level t has a single
     labeled leaf rho, counting multiplicity.  Returns None when either
     fails.  A bad t or window raises ValueError first; the tree is walked
-    last, by :func:`~schubert.trees.leaf_counts`, which marches and counts
-    against ``node_ceiling`` only the live labels, those with a labeled
-    leaf below, and no null leaf.  So an alpha whose tree has no labeled
-    leaf gives None under any positive ceiling.
+    last.
+
+    Neither condition depends on n once n >= n0 = max(|sigma|, |alpha|,
+    t - 1), so the tree is walked at min(n, n0).  1^n x alpha has no
+    descent at 1..n, so G_{1^n x alpha} is symmetric in x_1..x_{n+1}; for
+    t <= n + 1 its truncation r_t is the stable Grothendieck polynomial of
+    alpha in t variables (Fomin-Kirillov, *Grothendieck polynomials and the
+    Yang-Baxter equation*, 1994), the same for every such n.  So rho does
+    not depend on n, and by the paper's theorem neither does the
+    expansion of G_sigma G_rho that :func:`truncation_product` reads.
+
+    The walk follows one chain.  A live label, one whose tree holds a
+    labeled leaf, that is not a leaf has a live child, since its r_t is a
+    signed sum of its children's; two live children give two labeled
+    leaves.  So the tree has a single leaf of multiplicity 1 exactly when
+    every live label from the root has one live child, and the walk
+    marches that chain alone, stopping at the first dead end or branch.
+    It counts the chain's labels against ``node_ceiling``; an alpha whose
+    tree has no labeled leaf gives None under every ceiling.
     """
     if not 1 <= t <= 2 * n:
         raise ValueError(f"t must lie in [1, {2 * n}], got {t}")
@@ -100,11 +121,10 @@ def detect(
         raise ValueError(f"both windows must fit in S_{n}")
     if _last_descent(sigma.window) > t:
         return None
-    counts = leaf_counts(alpha.stabilize(n), t, "K", node_ceiling).counts
-    if list(counts.values()) != [1]:
+    rho = _single_leaf(alpha.stabilize(_deciding_n(sigma, alpha, n, t)), t, node_ceiling)
+    if rho is None:
         return None
-    (rho,) = counts
-    return TruncationProblem(sigma, alpha, n, t, rho)
+    return TruncationProblem(sigma, alpha, n, t, Permutation._trusted(rho))
 
 
 def truncation_product(
@@ -114,12 +134,16 @@ def truncation_product(
 ) -> ExpansionMap:
     """Signed leaf expansion of the tree rooted at sigma *_n alpha: the
     ``signed()`` leaf summary, which signs each leaf by that root's length.
-    ``node_ceiling`` counts the distinct labels with a labeled leaf below.
+    The tree is walked at min(n, n0), whose leaves are the same (see
+    :func:`detect`), and ``node_ceiling`` counts the distinct labels with
+    a labeled leaf below.
 
     In cohomology mode every sign is +1 and only permutations of length
     sigma + rho appear.
     """
-    return leaf_counts(problem.star_root(), problem.t, mode, node_ceiling).signed()
+    sigma, alpha, n, t, _ = problem
+    root = sigma.star(alpha, _deciding_n(sigma, alpha, n, t))
+    return leaf_counts(root, t, mode, node_ceiling).signed()
 
 
 def truncate_grothendieck_via_tree(gamma: Permutation, t: int) -> ExpansionMap:

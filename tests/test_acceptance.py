@@ -6,7 +6,8 @@ in the captured-output section of a failure report).
 import itertools
 import time
 import tracemalloc
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from io import StringIO
 
 from schubert import (
     Box,
@@ -255,3 +256,21 @@ def test_criterion_12_groth_prints_in_the_memory_of_its_walk():
         with redirect_stdout(_Discard()):
             command = _traced_peak(lambda: run(["groth", window]))
         assert command <= 1.1 * walk, f"groth peaked at {command} bytes, its walk at {walk}"
+
+
+def _product(*argv: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of a ``product`` command."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["product", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_criterion_13_product_at_a_large_n_walks_the_smallest_n():
+    # The answer is decided at n0 = max(|sigma|, |alpha|, t - 1) = 3; the
+    # walks of every n used to take about 3.6 s at n = 4000 (measured ~0.5 ms
+    # since, shared 2-CPU Xeon, Python 3.11.7).
+    small = _product("321", "132", "--n", "3", "--t", "2")
+    assert small == (0, '{"3412": 1, "4213": 1, "4312": -1}\n', "rho = 132\n")
+    with criterion(13, "product 321 132 at n = 4000 prints its n = 3 answer", 0.1):
+        assert _product("321", "132", "--n", "4000", "--t", "2") == small

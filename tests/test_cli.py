@@ -221,13 +221,26 @@ class TestProduct:
         assert "not a truncation Schubert problem" in err
 
     def test_an_alpha_without_a_labeled_leaf_is_no_problem_under_any_ceiling(self, capsys):
-        # The ceiling counts live labels, and 4321's K tree at t = 2 has none.
+        # The ceiling counts live labels, and 4321's K tree at t = 2 has none;
+        # the root is tested before it is counted, so a ceiling of 0 is no limit.
         argv = ["product", "21", "4321", "--n", "4", "--t", "2", "--node-ceiling"]
-        for ceiling in ("1", "2"):
+        for ceiling in ("0", "1", "2"):
             code, out, err = invoke(capsys, *argv, ceiling)
             assert (code, out) == (3, "")
             assert "(21, 4321, n=4, t=2) is not a truncation Schubert problem" in err
-        assert invoke(capsys, *argv, "0")[0] == 4
+        # A live root under a ceiling of 0 is a resource limit.
+        live = ["product", "321", "132", "--n", "3", "--t", "2", "--node-ceiling", "0"]
+        code, out, err = invoke(capsys, *live)
+        assert (code, out) == (4, "")
+        assert err.startswith("resource limit:")
+
+    def test_a_multi_leaf_alpha_under_a_small_ceiling_ends_in_a_documented_code(self, capsys):
+        # 2143's tree at t = 2 has three labeled leaves: a ceiling of 0 stops
+        # at its root, and any other lets detect reach the branch below it.
+        argv = ["product", "21", "2143", "--n", "4", "--t", "2", "--node-ceiling"]
+        endings = [invoke(capsys, *argv, str(ceiling)) for ceiling in range(4)]
+        assert [(code, out) for code, out, _ in endings] == [(4, "")] + [(3, "")] * 3
+        assert endings[0][2] == "resource limit: more than 0 distinct labels\n"
 
     @pytest.mark.parametrize(
         ("flags", "digest"),

@@ -578,6 +578,9 @@ class TestLeafCounts:
             leaf_counts(ID, 1, mode, node_ceiling=0)
         pivotless = Permutation.parse("321")  # last descent 2, corner (2, 1), no pivots
         assert summary_pair(leaf_counts(pivotless, 1, mode)) == ({}, None)
+        # A dead root is tested before it is counted: the null vertex alone, under every ceiling.
+        assert summary_pair(leaf_counts(pivotless, 1, mode, node_ceiling=0)) == ({}, None)
+        assert _tree_dag(pivotless, 1, mode, 0, True) == ([[]], [None])
         tree = build_tree(pivotless, 1, mode)
         assert summary_pair(leaf_summary(tree)) == ({}, 1)
         assert tree.root.children == (TreeNode(None, (), ()),)

@@ -26,6 +26,7 @@ from schubert import (
     verify,
 )
 from schubert.grothendieck import expand_in_basis, parse_expansion
+from schubert.trees import _holds_a_labeled_leaf
 from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION_IDENTITY
 
 from permutation_helpers import pieri, pieri_shape, w0_conjugate
@@ -124,11 +125,10 @@ class TestDetect:
         assert leaf_summary(build_tree(stabilized, 2, "K")) == ({}, 1, stabilized)
         monkeypatch.setattr(trees_module, "_window_marches", refuse_to_march)
         monkeypatch.setattr(trees_module, "march_children", refuse_to_march)
-        for ceiling in (1, 2, DEFAULT_NODE_CEILING):
+        # The root is tested before it is counted, so a ceiling of 0 is no limit.
+        for ceiling in (0, 1, 2, DEFAULT_NODE_CEILING):
             assert detect(sigma, alpha, 4, 2, node_ceiling=ceiling) is None
-        assert leaf_counts(stabilized, 2, "K") == ({}, None, stabilized)
-        with pytest.raises(NodeCeilingExceeded, match="^more than 0 distinct labels$"):
-            detect(sigma, alpha, 4, 2, node_ceiling=0)
+            assert leaf_counts(stabilized, 2, "K", ceiling) == ({}, None, stabilized)
 
     def test_t_range_enforced(self):
         with pytest.raises(ValueError):
@@ -169,6 +169,153 @@ class TestTruncationProduct:
         expansion = truncation_product(problem, "cohomology")
         assert all(c > 0 for c in expansion.values())
         assert all(perm.length() == top for perm in expansion)
+
+
+def single_leaf_definitions(triples):
+    """rho, or None, for each (sigma, alpha, n, t) by the paper's
+    definition read off the built tree: sigma's last descent is at most t,
+    and leaf_summary(build_tree(...)) of alpha's n-stabilization at level t
+    holds exactly one labeled leaf, of multiplicity 1."""
+    leaves = {}
+    answers = []
+    for sigma, alpha, n, t in triples:
+        if (alpha, n, t) not in leaves:
+            counts = leaf_summary(build_tree(alpha.stabilize(n), t, "K")).counts
+            leaves[alpha, n, t] = next(iter(counts)) if list(counts.values()) == [1] else None
+        answers.append(None if (sigma.last_descent() or 0) > t else leaves[alpha, n, t])
+    return answers
+
+
+def refuse_the_dag_walk(*args):
+    raise AssertionError("detect walked the marching DAG")
+
+
+def check_detect_is_the_definition(triples, monkeypatch):
+    """detect gives the definition's rho on every triple, walking no DAG
+    and counting no path; returns the number of problems."""
+    expected = single_leaf_definitions(triples)
+    with monkeypatch.context() as patch:
+        patch.setattr(trees_module, "_tree_dag", refuse_the_dag_walk)
+        patch.setattr(trees_module, "_leaf_paths", refuse_the_dag_walk)
+        found = [detect(*triple) for triple in triples]
+    for triple, problem, rho in zip(triples, found, expected):
+        assert (problem and problem.rho) == rho, triple
+        assert problem is None or problem == (*triple, rho)
+    return sum(rho is not None for rho in expected)
+
+
+class TestSingleLeafChain:
+    """detect follows alpha's one live chain: it equals the definition on a
+    built tree and marches no label off the chain."""
+
+    def test_every_triple_of_s1_to_s4(self, monkeypatch):
+        triples = [
+            (sigma, alpha, n, t)
+            for n in range(1, 5)
+            for sigma, alpha in itertools.product(symmetric_group(n), repeat=2)
+            for t in range(1, 2 * n + 1)
+        ]
+        assert len(triples) == 4842
+        check_detect_is_the_definition(triples, monkeypatch)
+
+    @pytest.mark.parametrize(("n", "cases", "problems"), [(5, 1200, 904), (6, 8640, 5498)])
+    def test_every_alpha_and_level_of_s5_and_s6(self, n, cases, problems, monkeypatch):
+        triples = [(ID, alpha, n, t) for alpha in symmetric_group(n) for t in range(1, 2 * n + 1)]
+        assert len(triples) == cases
+        assert check_detect_is_the_definition(triples, monkeypatch) == problems
+
+    def test_it_marches_only_the_chain(self, monkeypatch):
+        # Each label marched is live and, after the first, the one live child
+        # of the label marched before it; every label but the last has one.
+        kernel = trees_module._window_marches
+
+        def live_children(window, t):
+            node = kernel(window, "K", t)
+            children = [] if node is None else node[2].values()
+            return [child for child in children if _holds_a_labeled_leaf(child, t)]
+
+        marched = []
+
+        def recording(window, mode, t):
+            marched.append(window)
+            return kernel(window, mode, t)
+
+        monkeypatch.setattr(trees_module, "_window_marches", recording)
+        for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
+            for t in range(max(1, sigma.last_descent() or 0), 9):
+                marched.clear()
+                problem = detect(sigma, alpha, 4, t)
+                stabilized = {alpha.stabilize(m).window for m in range(5)}
+                assert not marched or marched[0] in stabilized, (sigma, alpha, t)
+                assert all(_holds_a_labeled_leaf(window, t) for window in marched)
+                for above, below in zip(marched, marched[1:]):
+                    assert live_children(above, t) == [below], (sigma, alpha, t)
+                if problem is not None:
+                    assert marched[-1] == problem.rho.window
+                    assert kernel(marched[-1], "K", t) is None
+                elif marched:
+                    assert len(live_children(marched[-1], t)) != 1, (sigma, alpha, t)
+
+
+def walked(sigma, alpha, m, t, rhos):
+    """rho and both modes' expansions at m, from leaf_counts over alpha's
+    m-stabilization and sigma *_m alpha themselves; None without a problem.
+    rhos keeps the single leaf of each (alpha, m, t) walked."""
+    if (alpha, m, t) not in rhos:
+        counts = leaf_counts(alpha.stabilize(m), t, "K").counts
+        rhos[alpha, m, t] = next(iter(counts)) if list(counts.values()) == [1] else None
+    rho = rhos[alpha, m, t]
+    if (sigma.last_descent() or 0) > t or rho is None:
+        return None
+    root = sigma.star(alpha, m)
+    return (rho, *(leaf_counts(root, t, mode).signed() for mode in ("K", "cohomology")))
+
+
+def check_stable_from_n0(sigma, alpha, t, rhos):
+    """From n0 = max(|sigma|, |alpha|, t - 1), but at least 1 as detect's
+    n must be, to n0 + 3, the walked problem is the one at n0, and detect
+    and truncation_product give it."""
+    n0 = max(sigma.size(), alpha.size(), t - 1, 1)
+    at_n0 = walked(sigma, alpha, n0, t, rhos)
+    for m in range(n0, n0 + 4):
+        assert m == n0 or walked(sigma, alpha, m, t, rhos) == at_n0, (sigma, alpha, t, m)
+        problem = detect(sigma, alpha, m, t)
+        answer = problem and (
+            problem.rho, *(truncation_product(problem, mode) for mode in ("K", "cohomology"))
+        )
+        assert answer == at_n0, (sigma, alpha, t, m)
+    return at_n0 is not None
+
+
+class TestSmallestN:
+    """From n0 on neither rho nor the expansion depends on n, so detect and
+    truncation_product walk at min(n, n0); the walks here take both roots
+    at every n and do not use that shortcut."""
+
+    def test_every_s4_triple(self):
+        problems, rhos = 0, {}
+        for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
+            for t in range(max(1, sigma.last_descent() or 0), 9):
+                problems += check_stable_from_n0(sigma, alpha, t, rhos)
+        assert problems == 3548
+
+    def test_a_seeded_s5_sample(self):
+        rng = random.Random(20046)
+        s5 = list(symmetric_group(5))
+        for sigma, alpha in [(rng.choice(s5), rng.choice(s5)) for _ in range(150)]:
+            t = rng.randint(max(1, sigma.last_descent() or 0), 10)
+            check_stable_from_n0(sigma, alpha, t, {})
+
+    def test_a_long_window_walks_at_n0(self):
+        # At n = 4000 the walks are those at n0 = 3: sigma *_3 alpha has five
+        # live labels, where sigma *_4000 alpha has over 4,000.
+        sigma, alpha = Permutation.parse("321"), Permutation.parse("132")
+        problem = detect(sigma, alpha, 4000, 2)
+        assert problem == (sigma, alpha, 4000, 2, alpha)
+        expansion = {Permutation.parse(w): c for w, c in (("3412", 1), ("4213", 1), ("4312", -1))}
+        assert truncation_product(problem, "K", node_ceiling=5) == expansion
+        # A problem the caller builds keeps its n, and so does its star root.
+        assert problem.star_root().size() == 4003
 
 
 class TestTruncateViaTree:
