@@ -27,11 +27,19 @@ Two independent constructions of the Grothendieck polynomial are kept:
   it reads, into one fresh dict of packed exponents, not through
   polynomial arithmetic: raising x_g adds
   ``(1 << (DEGREE_BITS + EXPONENT_BITS (g - 1))) + 1`` to the packed
-  int.  The sum cancels no term, so nothing is filtered.  Every
-  monomial of G_w for w in S_n divides the staircase
-  x1^(n-1) x2^(n-2) ... x_{n-1}, and every window of the walk is at
-  most as long as the root's, so a root window of n <= MAX_EXPONENT + 1
-  (256) keeps every field within its bound; a longer window raises
+  int.  The sum cancels no term, so nothing is filtered.  A read that
+  misses on a block sum w = u + v, u a permutation of 1..k past w's
+  leading fixed points, walks nothing: G_w = G_u G_{1^k x v}, and S
+  likewise (Fomin-Kirillov, 1994), so its entry is the product of its
+  two blocks' entries, each read through the memo, by the term-pair
+  loop of :class:`Polynomial` ``*``; both factors follow Brion's sign
+  law, so no term cancels.  Only read misses look for a block, by a
+  scan that stops at the value len(w); the windows a walk reaches are
+  summed by the transition.  Every monomial of G_w for w in S_n
+  divides the staircase x1^(n-1) x2^(n-2) ... x_{n-1}, and every window
+  of the walk, and every block, is at most as long as the root's, so a
+  root window of n <= MAX_EXPONENT + 1 (256) keeps every field within
+  its bound; a longer window raises
   :class:`schubert.poly.ExponentCeilingExceeded` before any work.
   The ``groth`` command reads one root and exits, so it reads G through
   :func:`_read_once` instead, which sums the same dict by the same rule
@@ -79,6 +87,7 @@ from .poly import (
     CeilingExceeded,
     ExponentCeilingExceeded,
     Polynomial,
+    _product_terms,
     _unchecked,
     _unpack,
     _variable_shift,
@@ -142,18 +151,60 @@ def _read(window: _Window, mode: Mode) -> Polynomial:
 
 def _read_entry(window: _Window, mode: Mode) -> _Entry:
     """The memo entry of a window as one counted lookup, the one read of
-    the memos; a miss sums :func:`_transition_dag` into the memo, each
-    window reading its q and children: 1 + len(children) lookups."""
+    the memos.  A miss on a block sum u + v, u its first block on 1..k
+    (:func:`_first_block`), is G_u G_{1^k x v}: it reads its two blocks,
+    two lookups, and walks nothing.  Any other miss sums
+    :func:`_transition_dag` into the memo, each window reading its q and
+    children: 1 + len(children) lookups."""
     memo = _memos[mode]
     found = memo.get(window)
     if found is None:
-        for needing, (g, q, children) in _transition_dag(window, mode, memo).items():
-            terms = _transition_sum(memo, g, q, children, mode)
-            memo[needing] = tuple(terms), tuple(terms.values())
-            _lookups[mode] += 1 + len(children)
+        k = _first_block(window)
+        if k:
+            _check_fits(window)
+            left = _read_entry(window[:k], mode)
+            right = _read_entry((*range(1, k + 1), *window[k:]), mode)
+            if len(left[0]) > len(right[0]):
+                left, right = right, left
+            # Both factors keep Brion's sign law, so no term cancels.
+            terms = _product_terms(zip(*left), tuple(zip(*right)))
+            memo[window] = tuple(terms), tuple(terms.values())
+        else:
+            for needing, (g, q, children) in _transition_dag(window, mode, memo).items():
+                terms = _transition_sum(memo, g, q, children, mode)
+                memo[needing] = tuple(terms), tuple(terms.values())
+                _lookups[mode] += 1 + len(children)
         found = memo[window]
     _lookups[mode] += 1
     return found
+
+
+def _first_block(window: _Window) -> int:
+    """The least k < len(window), past its leading fixed points, with
+    window[:k] a permutation of 1..k, or 0 if there is none: G of the
+    window is then G_u G_{1^k x v} for its blocks u on 1..k and v on the
+    rest (Fomin-Kirillov).  The scan stops at the value len(window),
+    past which no block ends."""
+    n, top = len(window), 0
+    for k, value in enumerate(window, 1):
+        if value == n:
+            return 0
+        if value > top:
+            top = value
+        elif top == k:
+            return k
+    return 0
+
+
+def _check_fits(root: _Window) -> None:
+    """Raise ExponentCeilingExceeded unless G of root fits the packed
+    fields: every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1},
+    n = len(root)."""
+    if len(root) - 1 > poly.MAX_EXPONENT:
+        raise ExponentCeilingExceeded(
+            f"window {len(root)} gives exponents up to {len(root) - 1}; "
+            f"they stop at {poly.MAX_EXPONENT}"
+        )
 
 
 def _transition_dag(root: _Window, mode: Mode, done: Container[_Window]) -> dict:
@@ -168,12 +219,7 @@ def _transition_dag(root: _Window, mode: Mode, done: Container[_Window]) -> dict
     terminates on every permutation (Lascoux), so the windows on the
     stack, ancestors of the one marched, are never among its needs and
     each window is marched once."""
-    # Every monomial of G_p divides x1^(n-1) x2^(n-2) ... x_{n-1}, n = len(root).
-    if len(root) - 1 > poly.MAX_EXPONENT:
-        raise ExponentCeilingExceeded(
-            f"window {len(root)} gives exponents up to {len(root) - 1}; "
-            f"they stop at {poly.MAX_EXPONENT}"
-        )
+    _check_fits(root)
     dag: dict = {}
     if root in done:
         return dag

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import methodcaller, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -230,13 +230,7 @@ class Polynomial:
         _check_product(left, right)
         if len(left) > len(right):
             left, right = right, left  # fewer, longer inner loops
-        result: dict[int, int] = {}
-        get = result.get
-        right = right.items()
-        for e1, c1 in left.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                result[e] = get(e, 0) + c1 * c2
+        result = _product_terms(left.items(), right.items())
         # Rare: no product of Grothendieck polynomials cancels, their signs alternate by degree.
         if 0 in result.values():
             result = {e: c for e, c in result.items() if c}
@@ -321,6 +315,22 @@ class _FactorText(dict):
             if power
         )
         return text
+
+
+def _product_terms(
+    left: Iterable[tuple[int, int]], right: Collection[tuple[int, int]]
+) -> dict[int, int]:
+    """The summed terms of the product of two polynomials given as
+    (packed exponent, coefficient) pairs, zeros kept; right is read once
+    per term of left, so the shorter is best on the left.  The caller
+    checks that every field of the product fits."""
+    result: dict[int, int] = {}
+    get = result.get
+    for e1, c1 in left:
+        for e2, c2 in right:
+            e = e1 + e2
+            result[e] = get(e, 0) + c1 * c2
+    return result
 
 
 def _unchecked(terms: dict[int, int]) -> Polynomial:

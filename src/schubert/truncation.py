@@ -172,15 +172,22 @@ def verify(
     G_sigma * r_t(G_{id * alpha}) is multiplied out and expanded only
     when the factors differ.  In cohomology mode both polynomial routes
     read Schubert polynomials and expand in the Schubert basis.
+
+    Every route runs at n0 = min(n, max(|sigma|, |alpha|, t - 1)), as
+    :func:`truncation_product` does: from there on r_t(G_{id * alpha})
+    does not depend on n (see :func:`detect`).  So the window of
+    sigma *_{n0} alpha is the one held to ``oracle_window_ceiling``, and
+    the oracle checks a problem at every n once it reaches it at n0.
     """
-    star = problem.star_root()
+    sigma, alpha, n, t, rho = problem
+    n0 = _deciding_n(sigma, alpha, n, t)
+    star = sigma.star(alpha, n0)
     if star.size() > oracle_window_ceiling:
         raise OracleCeilingExceeded(
             f"window {star.size()} exceeds the oracle ceiling {oracle_window_ceiling}"
         )
     tree_expansion = truncation_product(problem, mode)
-    truncated = _read(problem.alpha.stabilize(problem.n).window, mode).truncate(problem.t)
-    sigma, rho = problem.sigma, problem.rho
+    truncated = _read(alpha.stabilize(n0).window, mode).truncate(t)
     oracle_expansion = structure_constants(sigma, rho, mode)
     if truncated == _read(rho.window, mode):
         # A copy, so that editing one report field leaves the other alone.

@@ -31,6 +31,7 @@ from schubert.grothendieck import (
     _read_entry,
     _read_once,
     _transition_dag,
+    _transition_sum,
     divided_difference,
     expansion_to_json,
     isobaric_divided_difference,
@@ -88,31 +89,62 @@ class TestTransitionConstruction:
 
     def test_cache_info_counts_reads_and_computed_windows(self):
         # A functools.cache on the recursion would count the same: one
-        # read for the call and one per transition term of each window,
-        # one miss per window other than the identity.  The walk from
-        # this root reaches some windows twice before it sums them.
+        # read for the call and one per term each miss reads, one miss
+        # per window other than the identity.  A miss on a block sum
+        # reads its two blocks; any other miss walks its transition
+        # terms, and the walk reaches some windows twice before it sums
+        # them.  This root is 4321 + 21, so it reads 4321 and 123465.
         root = Permutation.parse("432165")
-        reached, pending, reads = set(), [root], 1
-        while pending:
-            p = pending.pop()
-            if p.is_identity() or p in reached:
-                continue
-            reached.add(p)
-            terms = [transition_pair(p)[2]] + [child for _, child in march_children(p, "K")]
-            reads += len(terms)
-            pending.extend(terms)
+        assert first_block(root.window) == 4
+        reached, reads = {ID}, 0
+
+        def read(p):
+            nonlocal reads
+            reads += 1
+            if p in reached:
+                return
+            k = first_block(p.window)
+            if k is not None:
+                for block in blocks(p.window, k):
+                    read(Permutation._trusted(block))
+                reached.add(p)
+                return
+            pending = [p]
+            while pending:
+                q = pending.pop()
+                if q in reached:
+                    continue
+                reached.add(q)
+                terms = [transition_pair(q)[2]] + [child for _, child in march_children(q, "K")]
+                reads += len(terms)
+                pending.extend(terms)
+
+        read(root)
         grothendieck.cache_clear()
         g = grothendieck(root)
         info = grothendieck.cache_info()
-        assert (info.hits, info.misses) == (reads - len(reached), len(reached))
-        assert info.currsize == len(reached) + 1
+        assert (info.hits, info.misses) == (reads - (len(reached) - 1), len(reached) - 1)
+        assert info.currsize == len(reached)
         assert grothendieck(root) is g
         assert grothendieck.cache_info().hits == info.hits + 1
         # All of S_7 from a cleared memo: the reads and misses a change to the walk must keep.
         grothendieck.cache_clear()
         for p in symmetric_group(7):
             grothendieck(p)
-        assert grothendieck.cache_info() == (12_671, 5_039, None, 5_040)
+        assert grothendieck.cache_info() == (11_613, 5_039, None, 5_040)
+
+
+def first_block(window):
+    """The least k < len(window) past its leading fixed points with
+    window[:k] a permutation of 1..k, or None: a window is the block sum
+    of window[:k] and 1^k x the rest."""
+    fixed = next((i for i, value in enumerate(window) if value != i + 1), len(window))
+    return next((k for k in range(fixed + 1, len(window)) if max(window[:k]) == k), None)
+
+
+def blocks(window, k):
+    """The two windows whose G multiply to G of window, split at k."""
+    return window[:k], (*range(1, k + 1), *window[k:])
 
 
 def transition_needs(window, mode="K"):
@@ -132,9 +164,30 @@ def reachable_past(root, done, mode="K"):
     return reachable
 
 
+def modelled_read(window, known, mode="K"):
+    """The windows a read of window adds to a memo holding known, as
+    (walked, split), and adds them to known: a miss on a block sum reads
+    its two blocks and walks nothing, and any other miss walks every
+    window it reaches that is not known."""
+    walked, split = set(), set()
+    if window in known:
+        return walked, split
+    k = first_block(window)
+    if k is None:
+        walked = reachable_past(window, known, mode)
+    else:
+        for block in blocks(window, k):
+            more_walked, more_split = modelled_read(block, known, mode)
+            walked |= more_walked
+            split |= more_split
+        split.add(window)
+    known |= walked | split
+    return walked, split
+
+
 def check_transition_walk(p, monkeypatch):
     """G_p from the memo as it stands, counting the windows the kernel
-    marches; returns the windows the walk summed."""
+    marches; returns the windows the read summed."""
     known, marched = set(groth_module._memos["K"]), []
 
     def kernel(window, mode, t=0):
@@ -144,16 +197,17 @@ def check_transition_walk(p, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(groth_module, "_window_marches", kernel)
         grothendieck(p)
-    summed = list(groth_module._memos["K"])[len(known):]  # in the order the walk summed them
-    reachable = reachable_past(p.window, known)
-    assert len(summed) == len(reachable) and set(summed) == reachable
-    assert sorted(marched) == sorted(reachable)
+    summed = list(groth_module._memos["K"])[len(known):]  # in the order the read summed them
+    walked, split = modelled_read(p.window, set(known))
+    assert len(summed) == len(walked) + len(split) and set(summed) == walked | split
+    assert sorted(marched) == sorted(walked)
     assert not known.intersection(marched)
     position = {window: k for k, window in enumerate(summed)}
     for window in summed:
-        for needed in transition_needs(window):
+        needs = blocks(window, first_block(window)) if window in split else transition_needs(window)
+        for needed in needs:
             assert needed in known or position[needed] < position[window]
-    return reachable
+    return walked | split
 
 
 def check_transition_dag(root, mode, done):
@@ -197,6 +251,80 @@ class TestTransitionWalk:
         monkeypatch.setattr(groth_module, "_window_marches", None)  # a done root marches nothing
         assert _transition_dag((), mode, {()}) == {}
         assert _transition_dag(p.window, mode, memo) == {}
+
+
+def split_windows(n):
+    """The windows of S_2 .. S_n with a non-identity first block."""
+    return [p.window for p in symmetric_group(n) if first_block(p.window) is not None]
+
+
+def walked_store(windows, mode):
+    """Each window's terms by the transition walk alone, summed into a
+    private store that no block split fills."""
+    store = {(): ((0,), (1,))}
+    for window in windows:
+        for needing, (g, q, children) in _transition_dag(window, mode, store).items():
+            terms = _transition_sum(store, g, q, children, mode)
+            store[needing] = tuple(terms), tuple(terms.values())
+    return store
+
+
+def as_polynomial(entry) -> Polynomial:
+    return poly_module._unchecked(dict(zip(*entry)))
+
+
+class TestBlockSplit:
+    """A read miss on a block sum u + v, u on 1..k, is G_u G_{1^k x v}
+    (S in cohomology), read from its two blocks without a walk."""
+
+    def test_the_first_block_scan_on_s1_to_s7(self):
+        for p in symmetric_group(7):
+            assert groth_module._first_block(p.window) == (first_block(p.window) or 0), p
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_every_split_window_of_s2_to_s7(self, mode):
+        # Each entry is a split miss of a cleared memo; it equals the
+        # divided-difference oracle and the transition walk's own sum.
+        windows = split_windows(7)
+        assert len(windows) == 384
+        walked = walked_store(windows, mode)
+        for window in windows:
+            grothendieck.cache_clear()
+            entry = as_polynomial(_read_entry(window, mode))
+            oracle = grothendieck_dd(Permutation._trusted(window), len(window))
+            assert entry == (oracle if mode == "K" else lowest_degree_part(oracle)), window
+            assert entry == as_polynomial(walked[window]), window
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_a_split_miss_whose_blocks_are_memoised_marches_nothing(self, mode, monkeypatch):
+        memo = groth_module._memos[mode]
+        for window in split_windows(6):
+            left, right = blocks(window, first_block(window))
+            grothendieck.cache_clear()
+            product = _read(left, mode) * _read(right, mode)
+            info = groth_module._cache_info(mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(groth_module, "_window_marches", None)  # no march may run
+                assert as_polynomial(_read_entry(window, mode)) == product
+            # One miss, read once and reading its two blocks.
+            assert groth_module._cache_info(mode) == (info.hits + 2, info.misses + 1, None, len(memo))
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_a_split_window_past_the_ceiling_raises_before_any_work(self, mode, monkeypatch):
+        # 21543 is 21 + 321; its second block 12543 has window 5, past a
+        # ceiling of 3, so the read raises even with both blocks memoised.
+        memo = groth_module._memos[mode]
+        for memoised in ((), ((2, 1), (1, 2, 5, 4, 3))):
+            grothendieck.cache_clear()
+            for window in memoised:
+                _read_entry(window, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(poly_module, "MAX_EXPONENT", 3)
+                patch.setattr(groth_module, "_window_marches", None)  # no march may run
+                before, info = dict(memo), groth_module._cache_info(mode)
+                with pytest.raises(ExponentCeilingExceeded, match="window 5 gives exponents up to 4"):
+                    _read_entry((2, 1, 5, 4, 3), mode)
+                assert (groth_module._cache_info(mode), memo) == (info, before)
 
 
 class TestPackedMemo:
@@ -379,13 +507,13 @@ class TestSchubert:
         grothendieck.cache_clear()
         for p in symmetric_group(4):
             schubert(p)
-        assert schubert.cache_info() == (34, 23, None, 24)
+        assert schubert.cache_info() == (33, 23, None, 24)
         assert grothendieck.cache_info() == (0, 0, None, 1)
         schubert.cache_clear()
         assert schubert.cache_info() == (0, 0, None, 1)
         for p in symmetric_group(4):
             grothendieck(p)
-        assert grothendieck.cache_info() == (35, 23, None, 24)
+        assert grothendieck.cache_info() == (33, 23, None, 24)
         assert schubert.cache_info() == (0, 0, None, 1)
 
     @pytest.mark.parametrize("mode", ["H", "k", None])
@@ -692,7 +820,7 @@ class TestExpansionIdentity:
 
     @pytest.mark.parametrize(
         "sigma, rho, terms, hits, misses",
-        [("326541", "7312654", 1209, 1828, 1910), ("2647315", "314265", 559, 904, 1161)],
+        [("326541", "7312654", 1209, 1828, 1910), ("2647315", "314265", 559, 897, 1156)],
     )
     def test_terms_and_cache_counts_from_a_cleared_memo(self, sigma, rho, terms, hits, misses):
         grothendieck.cache_clear()

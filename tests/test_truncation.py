@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import pickle
@@ -25,8 +26,9 @@ from schubert import (
     truncation_product,
     verify,
 )
-from schubert.grothendieck import expand_in_basis, parse_expansion
+from schubert.grothendieck import _read, expand_in_basis, parse_expansion
 from schubert.trees import _holds_a_labeled_leaf
+from schubert.truncation import _deciding_n
 from schubert.worked_examples import EXAMPLE_3, EXAMPLE_4, EXAMPLE_5, TRUNCATION_IDENTITY
 
 from permutation_helpers import pieri, pieri_shape, w0_conjugate
@@ -306,6 +308,26 @@ class TestSmallestN:
             t = rng.randint(max(1, sigma.last_descent() or 0), 10)
             check_stable_from_n0(sigma, alpha, t, {})
 
+    def test_the_truncated_factor_of_verify_on_every_s4_pair_and_level(self):
+        # verify builds r_t(G_{1^n x alpha}) at n0 = max(|sigma|, |alpha|, t - 1);
+        # it is the same at n0 + 1 and n0 + 2, in both modes.  In K an alpha of
+        # window 4 stops at t = 5: at t = 8, G_{1^9 x 4321} has 6.3 million terms.
+        checks = 0
+        for mode in ("K", "cohomology"):
+
+            @functools.cache
+            def truncated(alpha, t, n):
+                return _read(alpha.stabilize(n).window, mode).truncate(t)
+
+            for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
+                for t in range(1, 6 if mode == "K" and alpha.size() == 4 else 9):
+                    n0 = max(sigma.size(), alpha.size(), t - 1)
+                    for n in (n0 + 1, n0 + 2):
+                        assert _deciding_n(sigma, alpha, n, t) == n0
+                        assert truncated(alpha, t, n) == truncated(alpha, t, n0), (sigma, alpha, t, n)
+                        checks += 1
+        assert checks == 15_840
+
     def test_a_long_window_walks_at_n0(self):
         # At n = 4000 the walks are those at n0 = 3: sigma *_3 alpha has five
         # live labels, where sigma *_4000 alpha has over 4,000.
@@ -379,6 +401,22 @@ class TestVerify:
             verify(problem, "K")
         report = verify(problem, "K", oracle_window_ceiling=10)
         assert report.match
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_a_problem_past_the_ceiling_at_its_n_verifies_at_n0(self, mode):
+        # At the caller's n = 6 the star root has window 9, past the ceiling
+        # of 8; verify runs at n0 = 3, where it has window 6.
+        sigma, alpha = Permutation.parse("321"), Permutation.parse("132")
+        problem = detect(sigma, alpha, 6, 2)
+        assert problem == (sigma, alpha, 6, 2, alpha)
+        assert problem.star_root().size() == 9 > DEFAULT_ORACLE_WINDOW_CEILING
+        grothendieck.cache_clear()
+        report = verify(problem, mode)
+        assert report.match and report.problem is problem
+        # Its polynomial route read alpha's stabilization at n0, not at n.
+        memo = importlib.import_module("schubert.grothendieck")._memos[mode]
+        assert alpha.stabilize(3).window in memo and alpha.stabilize(6).window not in memo
+        assert report[1:] == verify(detect(sigma, alpha, 3, 2), mode)[1:]
 
     def test_report_json_fields(self):
         problem = problem_of(EXAMPLE_4)
