@@ -33,9 +33,13 @@ Two independent constructions of the Grothendieck polynomial are kept:
   likewise (Fomin-Kirillov, 1994), so its entry is the product of its
   two blocks' entries, each read through the memo, by the term-pair
   loop of :class:`Polynomial` ``*``; both factors follow Brion's sign
-  law, so no term cancels.  Only read misses look for a block, by a
-  scan that stops at the value len(w); the windows a walk reaches are
-  summed by the transition.  Every monomial of G_w for w in S_n
+  law, so no term cancels.  The product is not kept: a split read is one
+  miss each time it runs, reads its two blocks and stores nothing, so
+  the memo holds the windows a walk summed and those a public read made
+  a Polynomial of, not a second copy of what two blocks hold.  Only read
+  misses look for a block, by a scan that stops at the value len(w);
+  the windows a walk reaches are summed by the transition, and stored.
+  Every monomial of G_w for w in S_n
   divides the staircase x1^(n-1) x2^(n-2) ... x_{n-1}, and every window
   of the walk, and every block, is at most as long as the root's, so a
   root window of n <= MAX_EXPONENT + 1 (256) keeps every field within
@@ -112,12 +116,13 @@ class _CacheInfo(NamedTuple):
 # A memo entry: the packed exponents and the coefficients of one G (K) or
 # S (cohomology), which zip into its terms.
 _Entry = tuple[Iterable[int], Iterable[int]]
-# Mode -> window -> entry; the identity is the base case.  Every other
-# entry is one miss of the walk, and every read of a window, by a caller
-# or by a node of the walk, is one lookup.
+# Mode -> window -> entry; the identity is the base case.  Every read of
+# a window, by a caller or by a node of the walk, is one lookup; every
+# window a walk sums, and every split read, is one miss.
 _ID_ENTRY = (0,), (1,)
 _memos: dict[Mode, dict[_Window, _Entry]] = {"K": {(): _ID_ENTRY}, "cohomology": {(): _ID_ENTRY}}
 _lookups = dict.fromkeys(_memos, 0)
+_misses = dict.fromkeys(_memos, 0)
 # Mode -> window -> the Polynomial that grothendieck or schubert returns,
 # made on the window's first such read; its memo entry becomes the
 # views of its dict, so the terms are not held twice.
@@ -131,6 +136,11 @@ def grothendieck(p: Permutation) -> Polynomial:
     memoised polynomials are only read.  ``grothendieck.cache_info()``
     and ``grothendieck.cache_clear()`` work as for ``functools.cache``;
     the clear also empties the cohomology memo of :func:`schubert`.
+    Hits and misses add up to the reads, a call's and those of the walk
+    and the strips under it.  A read of a block sum that is not stored
+    (see the module docstring) is one miss each time: it reads its two
+    blocks and keeps nothing, so ``currsize`` counts only the stored
+    windows, the identity among them.
     """
     return _read(p.window, "K")
 
@@ -150,12 +160,13 @@ def _read(window: _Window, mode: Mode) -> Polynomial:
 
 
 def _read_entry(window: _Window, mode: Mode) -> _Entry:
-    """The memo entry of a window as one counted lookup, the one read of
-    the memos.  A miss on a block sum u + v, u its first block on 1..k
-    (:func:`_first_block`), is G_u G_{1^k x v}: it reads its two blocks,
-    two lookups, and walks nothing.  Any other miss sums
-    :func:`_transition_dag` into the memo, each window reading its q and
-    children: 1 + len(children) lookups."""
+    """The entry of a window as one counted lookup, the one read of the
+    memos.  A miss on a block sum u + v, u its first block on 1..k
+    (:func:`_first_block`), is G_u G_{1^k x v}: one miss, which reads its
+    two blocks, two lookups, walks nothing and keeps nothing, so each such
+    read multiplies again.  Any other miss sums :func:`_transition_dag`
+    into the memo, one miss per window, each reading its q and children:
+    1 + len(children) lookups."""
     memo = _memos[mode]
     found = memo.get(window)
     if found is None:
@@ -168,13 +179,16 @@ def _read_entry(window: _Window, mode: Mode) -> _Entry:
                 left, right = right, left
             # Both factors keep Brion's sign law, so no term cancels.
             terms = _product_terms(zip(*left), tuple(zip(*right)))
-            memo[window] = tuple(terms), tuple(terms.values())
+            found = terms.keys(), terms.values()
+            _misses[mode] += 1
         else:
-            for needing, (g, q, children) in _transition_dag(window, mode, memo).items():
+            dag = _transition_dag(window, mode, memo)
+            for needing, (g, q, children) in dag.items():
                 terms = _transition_sum(memo, g, q, children, mode)
                 memo[needing] = tuple(terms), tuple(terms.values())
                 _lookups[mode] += 1 + len(children)
-        found = memo[window]
+            _misses[mode] += len(dag)
+            found = memo[window]
     _lookups[mode] += 1
     return found
 
@@ -296,9 +310,8 @@ def _transition_sum(
 
 
 def _cache_info(mode: Mode) -> _CacheInfo:
-    memo = _memos[mode]
-    misses = len(memo) - 1
-    return _CacheInfo(_lookups[mode] - misses, misses, None, len(memo))
+    misses = _misses[mode]
+    return _CacheInfo(_lookups[mode] - misses, misses, None, len(_memos[mode]))
 
 
 def _cache_clear() -> None:
@@ -306,7 +319,7 @@ def _cache_clear() -> None:
         memo.clear()
         memo[()] = _ID_ENTRY
         _polynomials[mode].clear()
-        _lookups[mode] = 0
+        _lookups[mode] = _misses[mode] = 0
 
 
 def schubert(p: Permutation) -> Polynomial:

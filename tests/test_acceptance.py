@@ -3,6 +3,7 @@
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or
 in the captured-output section of a failure report).
 """
+import importlib
 import itertools
 import time
 import tracemalloc
@@ -274,3 +275,24 @@ def test_criterion_13_product_at_a_large_n_walks_the_smallest_n():
     assert small == (0, '{"3412": 1, "4213": 1, "4312": -1}\n', "rho = 132\n")
     with criterion(13, "product 321 132 at n = 4000 prints its n = 3 answer", 0.1):
         assert _product("321", "132", "--n", "4000", "--t", "2") == small
+
+
+def test_criterion_14_verify_keeps_no_block_sum_in_the_memo():
+    # Every K problem of S_4 x S_4 at n = 4, t = 7, from a cleared memo.
+    # The strips of its expansions are often block sums u + v, each read
+    # as G_u G_{1^k x v} and kept nowhere, so the memo keeps 112 windows
+    # and 38,475 terms, where keeping every split read left 641 and
+    # 795,386 (measured ~1.0 s either way, shared 2-CPU Xeon, Python 3.11.7).
+    memo = importlib.import_module("schubert.grothendieck")._memos["K"]
+    grothendieck.cache_clear()
+    with criterion(14, "verify every S_4 x S_4 problem at t = 7 with a memo of 112 windows", 5.0):
+        checked = 0
+        for sigma, alpha in itertools.product(symmetric_group(4), repeat=2):
+            problem = detect(sigma, alpha, 4, 7)
+            if problem is None:
+                continue
+            checked += 1
+            assert verify(problem, "K").match, (sigma, alpha)
+        assert checked == 576
+        terms = sum(len(exponents) for exponents, _ in memo.values())
+        assert (len(memo), terms, grothendieck.cache_info().currsize) == (112, 38_475, 112)

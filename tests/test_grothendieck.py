@@ -49,6 +49,7 @@ groth_module = importlib.import_module("schubert.grothendieck")
 ID = Permutation.identity()
 X1 = Polynomial.variable(1)
 X2 = Polynomial.variable(2)
+X3 = Polynomial.variable(3)
 
 
 def tuple_leading_term(f: Polynomial):
@@ -88,45 +89,49 @@ class TestTransitionConstruction:
             assert all(sum(e) == p.length() for e, _ in low.terms())
 
     def test_cache_info_counts_reads_and_computed_windows(self):
-        # A functools.cache on the recursion would count the same: one
-        # read for the call and one per term each miss reads, one miss
-        # per window other than the identity.  A miss on a block sum
-        # reads its two blocks; any other miss walks its transition
-        # terms, and the walk reaches some windows twice before it sums
-        # them.  This root is 4321 + 21, so it reads 4321 and 123465.
-        root = Permutation.parse("432165")
-        assert first_block(root.window) == 4
-        reached, reads = {ID}, 0
+        # A functools.cache on the recursion would count the same reads:
+        # one for the call and one per term each miss reads.  A window the
+        # walk sums is one miss and is stored; the walk reaches some
+        # windows twice before it sums them.  A miss on a block sum reads
+        # its two blocks and stores nothing, so it is one miss each time
+        # it is read, and only the call keeps its own window.  432165 is
+        # 4321 + 21, so it reads 4321 and 123465, both walked; 21436587 is
+        # 21 + 21 + 21 + 21, so its second block 12436587 splits again, and
+        # 12346587 after it, and neither is stored.
+        for text, k, counts in (("432165", 4, (6, 11, None, 12)), ("21436587", 2, (10, 10, None, 9))):
+            root = Permutation.parse(text)
+            assert first_block(root.window) == k
+            stored, reads, misses = {ID}, 0, 0
 
-        def read(p):
-            nonlocal reads
-            reads += 1
-            if p in reached:
-                return
-            k = first_block(p.window)
-            if k is not None:
-                for block in blocks(p.window, k):
-                    read(Permutation._trusted(block))
-                reached.add(p)
-                return
-            pending = [p]
-            while pending:
-                q = pending.pop()
-                if q in reached:
-                    continue
-                reached.add(q)
-                terms = [transition_pair(q)[2]] + [child for _, child in march_children(q, "K")]
-                reads += len(terms)
-                pending.extend(terms)
+            def read(p):
+                nonlocal reads, misses
+                reads += 1
+                if p in stored:
+                    return
+                k = first_block(p.window)
+                if k is not None:
+                    misses += 1
+                    for block in blocks(p.window, k):
+                        read(Permutation._trusted(block))
+                    return
+                pending = [p]
+                while pending:
+                    q = pending.pop()
+                    if q in stored:
+                        continue
+                    stored.add(q)
+                    misses += 1
+                    terms = [transition_pair(q)[2]] + [child for _, child in march_children(q, "K")]
+                    reads += len(terms)
+                    pending.extend(terms)
 
-        read(root)
-        grothendieck.cache_clear()
-        g = grothendieck(root)
-        info = grothendieck.cache_info()
-        assert (info.hits, info.misses) == (reads - (len(reached) - 1), len(reached) - 1)
-        assert info.currsize == len(reached)
-        assert grothendieck(root) is g
-        assert grothendieck.cache_info().hits == info.hits + 1
+            read(root)
+            stored.add(root)  # the call keeps its window as a Polynomial
+            grothendieck.cache_clear()
+            g = grothendieck(root)
+            assert grothendieck.cache_info() == (reads - misses, misses, None, len(stored)) == counts
+            assert grothendieck(root) is g
+            assert grothendieck.cache_info() == (reads - misses + 1, misses, None, len(stored))
         # All of S_7 from a cleared memo: the reads and misses a change to the walk must keep.
         grothendieck.cache_clear()
         for p in symmetric_group(7):
@@ -165,30 +170,33 @@ def reachable_past(root, done, mode="K"):
 
 
 def modelled_read(window, known, mode="K"):
-    """The windows a read of window adds to a memo holding known, as
-    (walked, split), and adds them to known: a miss on a block sum reads
-    its two blocks and walks nothing, and any other miss walks every
-    window it reaches that is not known."""
-    walked, split = set(), set()
+    """The windows a read of window walks, as a set, and the block sums it
+    splits, as a list in the order they are read, from a memo holding
+    known; adds the walked ones to known.  A miss on a block sum reads its
+    two blocks, first block first, walks nothing and stores nothing, so a
+    block sum read twice splits twice; any other miss walks every window
+    it reaches that is not known."""
     if window in known:
-        return walked, split
+        return set(), []
     k = first_block(window)
     if k is None:
         walked = reachable_past(window, known, mode)
-    else:
-        for block in blocks(window, k):
-            more_walked, more_split = modelled_read(block, known, mode)
-            walked |= more_walked
-            split |= more_split
-        split.add(window)
-    known |= walked | split
-    return walked, split
+        known |= walked
+        return walked, []
+    walked, split = set(), []
+    for block in blocks(window, k):
+        more_walked, more_split = modelled_read(block, known, mode)
+        walked |= more_walked
+        split += more_split
+    return walked, split + [window]
 
 
 def check_transition_walk(p, monkeypatch):
     """G_p from the memo as it stands, counting the windows the kernel
-    marches; returns the windows the read summed."""
-    known, marched = set(groth_module._memos["K"]), []
+    marches; returns the windows the read walked or split."""
+    memo = groth_module._memos["K"]
+    known, marched = set(memo), []
+    info = grothendieck.cache_info()
 
     def kernel(window, mode, t=0):
         marched.append(window)
@@ -197,17 +205,21 @@ def check_transition_walk(p, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(groth_module, "_window_marches", kernel)
         grothendieck(p)
-    summed = list(groth_module._memos["K"])[len(known):]  # in the order the read summed them
+    summed = list(memo)[len(known):]  # in the order the read stored them
     walked, split = modelled_read(p.window, set(known))
-    assert len(summed) == len(walked) + len(split) and set(summed) == walked | split
+    # The memo gains the walked windows and the call's own window, and no
+    # other block sum; each walked window and each split read is one miss.
+    assert len(summed) == len(set(summed)) and set(summed) == walked | {p.window} - known
+    assert grothendieck.cache_info().misses == info.misses + len(walked) + len(split)
     assert sorted(marched) == sorted(walked)
     assert not known.intersection(marched)
     position = {window: k for k, window in enumerate(summed)}
-    for window in summed:
-        needs = blocks(window, first_block(window)) if window in split else transition_needs(window)
-        for needed in needs:
+    for window in walked:
+        for needed in transition_needs(window):
             assert needed in known or position[needed] < position[window]
-    return walked | split
+    if p.window in split:
+        assert summed[-1] == p.window
+    return walked | set(split)
 
 
 def check_transition_dag(root, mode, done):
@@ -235,6 +247,17 @@ class TestTransitionWalk:
             for window in windows[::3]:
                 grothendieck(Permutation._trusted(window))
             check_transition_walk(p, monkeypatch)
+
+    def test_every_root_of_s7_whose_second_block_splits_again(self, monkeypatch):
+        # 214365 splits into 21 and 124365, which splits again: a split
+        # read that no call keeps, so the memo gains the walked windows and
+        # the root, and not 124365.
+        roots = [w for w in split_windows(7) if first_block(blocks(w, first_block(w))[1]) is not None]
+        assert len(roots) == 13
+        for window in roots:
+            grothendieck.cache_clear()
+            check_transition_walk(Permutation._trusted(window), monkeypatch)
+            assert blocks(window, first_block(window))[1] not in groth_module._memos["K"]
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_the_dag_of_every_s5_root_past_the_identity_and_a_warmed_memo(self, mode, monkeypatch):
@@ -283,14 +306,16 @@ class TestBlockSplit:
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_every_split_window_of_s2_to_s7(self, mode):
-        # Each entry is a split miss of a cleared memo; it equals the
-        # divided-difference oracle and the transition walk's own sum.
+        # Each entry is a split miss of a cleared memo, which it leaves
+        # without a key for the window; it equals the divided-difference
+        # oracle and the transition walk's own sum.
         windows = split_windows(7)
         assert len(windows) == 384
         walked = walked_store(windows, mode)
         for window in windows:
             grothendieck.cache_clear()
             entry = as_polynomial(_read_entry(window, mode))
+            assert window not in groth_module._memos[mode]
             oracle = grothendieck_dd(Permutation._trusted(window), len(window))
             assert entry == (oracle if mode == "K" else lowest_degree_part(oracle)), window
             assert entry == as_polynomial(walked[window]), window
@@ -302,19 +327,43 @@ class TestBlockSplit:
             left, right = blocks(window, first_block(window))
             grothendieck.cache_clear()
             product = _read(left, mode) * _read(right, mode)
-            info = groth_module._cache_info(mode)
+            before, info = dict(memo), groth_module._cache_info(mode)
             with monkeypatch.context() as patch:
                 patch.setattr(groth_module, "_window_marches", None)  # no march may run
                 assert as_polynomial(_read_entry(window, mode)) == product
-            # One miss, read once and reading its two blocks.
-            assert groth_module._cache_info(mode) == (info.hits + 2, info.misses + 1, None, len(memo))
+            # One miss, read once and reading its two blocks, and no key.
+            assert groth_module._cache_info(mode) == (info.hits + 2, info.misses + 1, None, info.currsize)
+            assert memo == before
+
+    @pytest.mark.parametrize("mode", ["K", "cohomology"])
+    def test_a_split_window_read_twice_is_two_misses_and_no_key(self, mode):
+        # 2143 is 21 + 21, so each read multiplies G_21 by G_1243 again.
+        # The first read counts 8 lookups and 4 misses: 2143 (split), 21
+        # (walked: 21 reads the identity), 1243 (walked: 1243 reads the
+        # identity and 132, and 132 the identity and 21).
+        memo = groth_module._memos[mode]
+        grothendieck.cache_clear()
+        first = as_polynomial(_read_entry((2, 1, 4, 3), mode))
+        assert set(memo) == {(), (2, 1), (1, 3, 2), (1, 2, 4, 3)}
+        assert groth_module._cache_info(mode) == (4, 4, None, 4)
+        # The second is one more miss and two block hits, and keeps nothing.
+        assert as_polynomial(_read_entry((2, 1, 4, 3), mode)) == first
+        assert (len(memo), groth_module._cache_info(mode)) == (4, (6, 5, None, 4))
+        g_1243 = X1 + X2 + X3 - X1 * X2 - X1 * X3 - X2 * X3 + X1 * X2 * X3
+        assert first == X1 * (g_1243 if mode == "K" else X1 + X2 + X3)
+        # A public read splits once more and keeps it, and later reads hit.
+        assert _read((2, 1, 4, 3), mode) == first
+        assert (len(memo), groth_module._cache_info(mode)) == (5, (8, 6, None, 5))
+        _read_entry((2, 1, 4, 3), mode)
+        assert groth_module._cache_info(mode) == (9, 6, None, 5)
 
     @pytest.mark.parametrize("mode", ["K", "cohomology"])
     def test_a_split_window_past_the_ceiling_raises_before_any_work(self, mode, monkeypatch):
         # 21543 is 21 + 321; its second block 12543 has window 5, past a
         # ceiling of 3, so the read raises even with both blocks memoised.
+        # A split read before the ceiling was lowered kept nothing to hit.
         memo = groth_module._memos[mode]
-        for memoised in ((), ((2, 1), (1, 2, 5, 4, 3))):
+        for memoised in ((), ((2, 1), (1, 2, 5, 4, 3)), ((2, 1, 5, 4, 3),)):
             grothendieck.cache_clear()
             for window in memoised:
                 _read_entry(window, mode)
@@ -819,14 +868,14 @@ class TestExpansionIdentity:
     expansion reads the memo as it always has."""
 
     @pytest.mark.parametrize(
-        "sigma, rho, terms, hits, misses",
-        [("326541", "7312654", 1209, 1828, 1910), ("2647315", "314265", 559, 897, 1156)],
+        "sigma, rho, terms, hits, misses, currsize",
+        [("326541", "7312654", 1209, 1828, 1910, 1911), ("2647315", "314265", 559, 897, 1156, 1157)],
     )
-    def test_terms_and_cache_counts_from_a_cleared_memo(self, sigma, rho, terms, hits, misses):
+    def test_terms_and_cache_counts_from_a_cleared_memo(self, sigma, rho, terms, hits, misses, currsize):
         grothendieck.cache_clear()
         expansion = structure_constants(Permutation.parse(sigma), Permutation.parse(rho))
         info = grothendieck.cache_info()
-        assert (len(expansion), info.hits, info.misses) == (terms, hits, misses)
+        assert (len(expansion), info.hits, info.misses, info.currsize) == (terms, hits, misses, currsize)
         assert_keys_behave_as_parsed(expansion)
 
     def test_keys_of_every_s4_product(self):
